@@ -7,26 +7,15 @@ the safe-character comparator against each variant.
 
 import argparse
 import random
+from dataclasses import replace
 
-from slopelab.characters import sample_safe_characters
-from slopelab.seifert import CComplexPresentation, change_basis, stabilize
-from slopelab.slope import slope_at
-
-import sys
-import os
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from conftest import random_presentation, random_unimodular  # noqa: E402
-
-
-def compare(first, second, budget, seed):
-    for omega in sample_safe_characters(first.mu, first.linking, budget, seed=seed):
-        a = slope_at(first, omega)
-        b = slope_at(second, omega)
-        same = (a.kind == b.kind) and (a.kind != "finite" or a.value == b.value)
-        if not same:
-            return omega
-    return None
+from slopelab.seifert import (
+    change_basis,
+    random_presentation,
+    random_unimodular,
+    stabilize,
+)
+from slopelab.slope import compare_slopes
 
 
 def main():
@@ -43,20 +32,12 @@ def main():
         "basis change": change_basis(base, random_unimodular(rng, args.n)),
         "stabilization": stabilize(base),
         "double stabilization": stabilize(stabilize(base)),
+        "corrupted kappa": replace(base, kappa=(base.kappa[0] + 1,) + base.kappa[1:]),
     }
-    corrupted_kappa = list(base.kappa)
-    corrupted_kappa[0] += 1
-    variants["corrupted kappa"] = CComplexPresentation.build(
-        base.mu,
-        base.n,
-        {"".join("+" if e == 1 else "-" for e in eps): [list(r) for r in m]
-         for eps, m in base.theta.items()},
-        corrupted_kappa,
-    )
 
     print(f"base presentation: mu={base.mu}, n={base.n}, kappa={list(base.kappa)}")
     for name, variant in variants.items():
-        witness = compare(base, variant, args.budget, args.seed)
+        witness = compare_slopes(base, variant, args.budget, args.seed).witness
         verdict = f"OBSTRUCTED at {witness.describe()}" if witness else "no obstruction found"
         print(f"{name:>22}: {verdict}")
 

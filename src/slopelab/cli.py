@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .characters import (
@@ -26,16 +25,11 @@ from .characters import (
 )
 from .conway import conway_quotient, cross_check, load_conway
 from .datasets import resolve_input
-from .errors import (
-    InvalidPresentationError,
-    SlopelabError,
-    UnsupportedHypothesisError,
-    UsageError,
-)
+from .errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
 from .fields import ApproxComplex, CyclotomicNumber, RatFunc, format_complex
 from .laurent import LaurentPoly
 from .seifert import load_presentation, validate
-from .slope import signature_nullity, slope_at, slope_symbolic
+from .slope import compare_slopes, signature_nullity, slope_at, slope_symbolic
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 1
@@ -43,23 +37,7 @@ EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list = field(default_factory=list)
-    char_spec: str | None = None
-    sqrt_spec: str | None = None
-    linking: list | None = None
-    budget: int | None = None
-    trials: int | None = None
-    seed: int = 0
-    tol: float | None = None
-    tol_sig: float = 1e-8
-    no_transpose_check: bool = False
-    output_format: str = "text"
-
-
-def parse_character_spec(spec, mu=None, tol=None):
+def parse_character_spec(spec, mu=None):
     """Parse a character spec: symbolic | zeta:N:k1,..,kmu | num:re+imi,..
 
     Exponent entries may be '*' (grid over 1..N-1); the result is then a
@@ -83,25 +61,18 @@ def parse_character_spec(spec, mu=None, tol=None):
             raise UsageError(
                 f"character has {len(raw)} coordinates but the dataset has mu={mu}"
             )
-        if "*" in raw:
-            if conductor < 2:
-                raise UsageError("grid mode needs a conductor of at least 2")
-            pools = []
-            for r in raw:
-                if r == "*":
-                    pools.append(range(1, conductor))
-                else:
-                    pools.append([int(r)])
-            grid = [
-                Character.root_of_unity(conductor, exps)
-                for exps in itertools.product(*pools)
-            ]
-            return grid
+        grid = "*" in raw
+        if grid and conductor < 2:
+            raise UsageError("grid mode needs a conductor of at least 2")
         try:
-            exps = [int(r) for r in raw]
+            pools = [range(1, conductor) if r == "*" else [int(r)] for r in raw]
         except ValueError as exc:
             raise UsageError(f"bad exponents in {spec!r}") from exc
-        return Character.root_of_unity(conductor, exps)
+        if not grid:
+            return Character.root_of_unity(conductor, [k for (k,) in pools])
+        return [
+            Character.root_of_unity(conductor, exps) for exps in itertools.product(*pools)
+        ]
     if spec.startswith("num:"):
         raw = spec[4:].split(",")
         if mu is not None and len(raw) != mu:
@@ -157,41 +128,53 @@ def _parse_linking(raw):
         raise UsageError(f"bad linking vector {raw!r}") from exc
 
 
+def _load_checked(args, dests, check_transpose=True):
+    """Resolve, load and validate the datasets named by the ``dests`` of args.
+
+    Returns (paths, presentations, violations).  With two datasets each
+    violation is prefixed "first: " or "second: ".
+    """
+    paths = [resolve_input(getattr(args, dest)) for dest in dests]
+    presentations = [load_presentation(path) for path in paths]
+    prefixes = ("first: ", "second: ") if len(dests) == 2 else ("",)
+    violations = [
+        prefix + v
+        for prefix, p in zip(prefixes, presentations)
+        for v in validate(p, check_transpose=check_transpose)
+    ]
+    return paths, presentations, violations
+
+
+def _refusal(violations):
+    return EXIT_INVALID, {"violations": violations}, [f"violation: {v}" for v in violations]
+
+
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def cmd_validate(args, config):
-    path = resolve_input(args.input)
-    presentation = load_presentation(path)
-    violations = validate(presentation, check_transpose=not args.no_transpose_check)
-    result = {
-        "dataset": presentation.label or path,
-        "violations": violations,
-        "ok": not violations,
-    }
-    lines = [f"dataset: {result['dataset']}"]
-    if violations:
-        lines += [f"violation: {v}" for v in violations]
-        return EXIT_INVALID, result, lines
-    lines.append("ok")
-    return EXIT_OK, result, lines
+def cmd_validate(args):
+    [path], [presentation], violations = _load_checked(
+        args, ["input"], check_transpose=not args.no_transpose_check
+    )
+    dataset = presentation.label or path
+    result = {"dataset": dataset, "violations": violations, "ok": not violations}
+    lines = [f"dataset: {dataset}"] + ([f"violation: {v}" for v in violations] or ["ok"])
+    return (EXIT_INVALID if violations else EXIT_OK), result, lines
 
 
-def cmd_slope(args, config):
-    path = resolve_input(args.input)
-    presentation = load_presentation(path)
-    violations = validate(presentation, check_transpose=not args.no_transpose_check)
+def cmd_slope(args):
+    [path], [presentation], violations = _load_checked(
+        args, ["input"], check_transpose=not args.no_transpose_check
+    )
     if violations:
-        return EXIT_INVALID, {"violations": violations}, [
-            f"violation: {v}" for v in violations
-        ]
-    omega = parse_character_spec(args.char, mu=presentation.mu, tol=config.tol)
+        return _refusal(violations)
+    omega = parse_character_spec(args.char, mu=presentation.mu)
     if isinstance(omega, list):
         raise UsageError("slope takes a single character, not a grid")
     if omega.kind == "symbolic":
         sv = slope_symbolic(presentation, check_transpose=not args.no_transpose_check)
     else:
-        ctx = ApproxComplex(config.tol) if omega.kind == "numeric" else None
+        ctx = ApproxComplex(args.tol) if omega.kind == "numeric" else None
         sv = slope_at(
             presentation, omega, ctx, check_transpose=not args.no_transpose_check
         )
@@ -218,15 +201,13 @@ def cmd_slope(args, config):
     return EXIT_OK, result, lines
 
 
-def cmd_signature(args, config):
-    path = resolve_input(args.input)
-    presentation = load_presentation(path)
-    violations = validate(presentation, check_transpose=not args.no_transpose_check)
+def cmd_signature(args):
+    [path], [presentation], violations = _load_checked(
+        args, ["input"], check_transpose=not args.no_transpose_check
+    )
     if violations:
-        return EXIT_INVALID, {"violations": violations}, [
-            f"violation: {v}" for v in violations
-        ]
-    parsed = parse_character_spec(args.char, mu=presentation.mu, tol=config.tol)
+        return _refusal(violations)
+    parsed = parse_character_spec(args.char, mu=presentation.mu)
     grid = parsed if isinstance(parsed, list) else [parsed]
     grid.sort(key=lambda ch: (ch.conductor, ch.exponents) if ch.kind == "zeta" else (0,))
     rows = []
@@ -235,7 +216,7 @@ def cmd_signature(args, config):
         sig = signature_nullity(
             presentation,
             omega,
-            tol_sig=config.tol_sig,
+            tol_sig=args.tol_sig,
             check_transpose=not args.no_transpose_check,
         )
         rows.append(
@@ -255,44 +236,21 @@ def cmd_signature(args, config):
     return EXIT_OK, result, lines
 
 
-def cmd_compare(args, config):
-    path_a = resolve_input(args.input)
-    path_b = resolve_input(args.vs)
-    first = load_presentation(path_a)
-    second = load_presentation(path_b)
-    violations = [f"first: {v}" for v in validate(first)]
-    violations += [f"second: {v}" for v in validate(second)]
+def cmd_compare(args):
+    (path_a, path_b), (first, second), violations = _load_checked(args, ["input", "vs"])
     if violations:
-        return EXIT_INVALID, {"violations": violations}, [
-            f"violation: {v}" for v in violations
-        ]
-    if first.mu != second.mu:
-        raise UsageError("datasets have different numbers of colors")
-    if not (first.linking_is_zero() and second.linking_is_zero()):
-        raise UnsupportedHypothesisError(
-            "the comparator requires vanishing linking vectors on both sides"
-        )
-    budget = args.budget
-    chars = sample_safe_characters(first.mu, first.linking, budget, seed=config.seed)
-    points = []
-    witness = None
-    for omega in chars:
-        sa = slope_at(first, omega)
-        sb = slope_at(second, omega)
-        if sa.kind == sb.kind == "finite":
-            same = sa.value == sb.value
-        else:
-            same = sa.kind == sb.kind
-        points.append(
-            {
-                "character": omega.describe(),
-                "first": {"kind": sa.kind, "value": render_value(sa.value)},
-                "second": {"kind": sb.kind, "value": render_value(sb.value)},
-                "equal": same,
-            }
-        )
-        if not same and witness is None:
-            witness = omega.describe()
+        return _refusal(violations)
+    comparison = compare_slopes(first, second, args.budget, seed=args.seed)
+    points = [
+        {
+            "character": pt.omega.describe(),
+            "first": {"kind": pt.first.kind, "value": render_value(pt.first.value)},
+            "second": {"kind": pt.second.kind, "value": render_value(pt.second.value)},
+            "equal": pt.equal,
+        }
+        for pt in comparison.points
+    ]
+    witness = comparison.witness.describe() if comparison.witness else None
     obstructed = witness is not None
     note = (
         "slopes differ at a safe character: the links are not concordant"
@@ -309,12 +267,12 @@ def cmd_compare(args, config):
         "sampled": len(points),
     }
     lines = [f"first: {result['first']}", f"second: {result['second']}"]
-    for pt in points:
-        lines.append(
-            f"{pt['character']}  first={pt['first']['kind']}:{pt['first']['value']}  "
-            f"second={pt['second']['kind']}:{pt['second']['value']}  "
-            + ("agree" if pt["equal"] else "DIFFER")
-        )
+    lines += [
+        f"{pt['character']}  first={pt['first']['kind']}:{pt['first']['value']}  "
+        f"second={pt['second']['kind']}:{pt['second']['value']}  "
+        + ("agree" if pt["equal"] else "DIFFER")
+        for pt in points
+    ]
     if not points:
         lines.append("no admissible safe characters found within the search bound")
     lines.append(result["verdict"] + (f" at {witness}" if witness else ""))
@@ -322,7 +280,7 @@ def cmd_compare(args, config):
     return (EXIT_OBSTRUCTED if obstructed else EXIT_OK), result, lines
 
 
-def cmd_characters(args, config):
+def cmd_characters(args):
     if args.components:
         if args.linking is None:
             raise UsageError("--components needs --lambda")
@@ -345,7 +303,7 @@ def cmd_characters(args, config):
             )
         return EXIT_OK, {"components": rows}, lines
     if args.root_status:
-        omega = parse_character_spec(args.root_status, tol=config.tol)
+        omega = parse_character_spec(args.root_status)
         if isinstance(omega, list):
             raise UsageError("--root-status takes a single character")
         status = concordance_root_status(omega)
@@ -375,7 +333,7 @@ def cmd_characters(args, config):
         if args.mu is None:
             raise UsageError("--sample needs --mu")
         linking = _parse_linking(args.linking) if args.linking else [0] * args.mu
-        chars = sample_safe_characters(args.mu, linking, args.sample, seed=config.seed)
+        chars = sample_safe_characters(args.mu, linking, args.sample, seed=args.seed)
         result = {"characters": [c.describe() for c in chars]}
         lines = [c.describe() for c in chars]
         if not chars:
@@ -384,12 +342,12 @@ def cmd_characters(args, config):
     raise UsageError("characters needs one of --components, --root-status, --sample")
 
 
-def cmd_conway(args, config):
+def cmd_conway(args):
     path = resolve_input(args.input)
     data = load_conway(path)
     if args.cross_check:
         presentation = load_presentation(resolve_input(args.cross_check))
-        report = cross_check(presentation, data, args.trials, seed=config.seed)
+        report = cross_check(presentation, data, args.trials, seed=args.seed)
         points = [
             {
                 "character": pt.omega.describe(),
@@ -422,15 +380,15 @@ def cmd_conway(args, config):
         return EXIT_OK, result, lines
     if not args.sqrt:
         raise UsageError("conway needs explicit square roots via --sqrt")
-    sqrt_char = parse_character_spec(args.sqrt, mu=data.mu, tol=config.tol)
+    sqrt_char = parse_character_spec(args.sqrt, mu=data.mu)
     if isinstance(sqrt_char, list):
         raise UsageError("--sqrt takes a single character")
     if args.char:
-        omega = parse_character_spec(args.char, mu=data.mu, tol=config.tol)
+        omega = parse_character_spec(args.char, mu=data.mu)
         if isinstance(omega, list):
             raise UsageError("--char takes a single character")
-        _check_sqrt_consistency(omega, sqrt_char, config.tol)
-    ctx = ApproxComplex(config.tol) if sqrt_char.kind == "numeric" else None
+        _check_sqrt_consistency(omega, sqrt_char, args.tol)
+    ctx = ApproxComplex(args.tol) if sqrt_char.kind == "numeric" else None
     value = conway_quotient(data, sqrt_char, ctx)
     result = {
         "dataset": data.label or path,
@@ -535,48 +493,45 @@ HANDLERS = {
 }
 
 
+def _config(args):
+    """The effective configuration, as reported in JSON provenance."""
+    inputs = (getattr(args, dest, None) for dest in ("input", "vs", "cross_check"))
+    return {
+        "command": args.command,
+        "inputs": [p for p in inputs if p],
+        "char_spec": getattr(args, "char", None),
+        "sqrt_spec": getattr(args, "sqrt", None),
+        "linking": getattr(args, "linking", None),
+        "budget": getattr(args, "budget", None),
+        "trials": getattr(args, "trials", None),
+        "seed": args.seed,
+        "tol": args.tol,
+        "tol_sig": getattr(args, "tol_sig", 1e-8),
+        "no_transpose_check": getattr(args, "no_transpose_check", False),
+        "output_format": args.format,
+    }
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        inputs=[
-            p
-            for p in (
-                getattr(args, "input", None),
-                getattr(args, "vs", None),
-                getattr(args, "cross_check", None),
-            )
-            if p
-        ],
-        char_spec=getattr(args, "char", None),
-        sqrt_spec=getattr(args, "sqrt", None),
-        linking=getattr(args, "linking", None),
-        budget=getattr(args, "budget", None),
-        trials=getattr(args, "trials", None),
-        seed=getattr(args, "seed", 0),
-        tol=getattr(args, "tol", None),
-        tol_sig=getattr(args, "tol_sig", 1e-8),
-        no_transpose_check=getattr(args, "no_transpose_check", False),
-        output_format=args.format,
-    )
     try:
-        code, result, lines = HANDLERS[args.command](args, config)
+        code, result, lines = HANDLERS[args.command](args)
     except InvalidPresentationError as exc:
-        _emit_error(config, "invalid input", exc.violations)
+        _emit_error(args, "invalid input", exc.violations)
         return EXIT_INVALID
     except UnsupportedHypothesisError as exc:
-        _emit_error(config, "unsupported hypothesis", [str(exc)])
+        _emit_error(args, "unsupported hypothesis", [str(exc)])
         return EXIT_UNSUPPORTED
     except UsageError as exc:
-        _emit_error(config, "invalid input", [str(exc)])
+        _emit_error(args, "invalid input", [str(exc)])
         return EXIT_INVALID
-    if config.output_format == "json":
+    if args.format == "json":
         payload = {
             "tool": "slopelab",
             "version": __version__,
             "command": args.command,
-            "config": asdict(config),
+            "config": _config(args),
             "exit_code": code,
             "result": result,
         }
@@ -587,14 +542,14 @@ def main(argv=None):
     return code
 
 
-def _emit_error(config, kind, messages):
-    if config.output_format == "json":
+def _emit_error(args, kind, messages):
+    if args.format == "json":
         print(
             json.dumps(
                 {
                     "tool": "slopelab",
                     "version": __version__,
-                    "command": config.command,
+                    "command": args.command,
                     "error": {"kind": kind, "messages": messages},
                 },
                 indent=2,

@@ -31,6 +31,7 @@ from .characters import (
     embed_character,
     sample_safe_characters,
 )
+from .datasets import read_json
 from .errors import (
     InvalidPresentationError,
     UnsupportedHypothesisError,
@@ -200,6 +201,8 @@ def cross_check(presentation, data, trials, seed=0):
 
 
 def _poly_from_monomials(monomials, num_vars, what):
+    if not isinstance(monomials, list):
+        raise UsageError(f"{what} must be a list of monomials, got {monomials!r}")
     terms = {}
     for m in monomials:
         try:
@@ -234,22 +237,19 @@ def conway_from_dict(payload):
     if not isinstance(payload, dict):
         raise UsageError("Conway dataset must be a JSON object")
     try:
-        mu = int(payload["mu"])
+        mu = payload["mu"]
         kl = payload["nabla_KL"]
         l = payload["nabla_L"]
     except KeyError as exc:
         raise UsageError(f"Conway dataset is missing field {exc.args[0]!r}") from exc
+    try:
+        mu = int(mu)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"mu must be an integer, got {mu!r}") from exc
     nabla_kl = _poly_from_monomials(kl, mu + 1, "nabla_KL")
     nabla_l = _poly_from_monomials(l, mu, "nabla_L")
     return ConwayData.build(mu, nabla_kl, nabla_l, payload.get("label", ""))
 
 
 def load_conway(path):
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: not valid JSON ({exc})") from exc
-    return conway_from_dict(payload)
+    return conway_from_dict(read_json(path))

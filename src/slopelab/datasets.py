@@ -1,17 +1,14 @@
-"""Access to the bundled example datasets."""
+"""Dataset files: the bundled examples and the JSON reader."""
 
 from __future__ import annotations
 
+import json
 import os
 from importlib import resources
 
 from .errors import UsageError
 
 BUILTIN = ("whitehead.json", "trefoil.json", "kappa_zero.json", "l10n36_conway.json")
-
-
-def builtin_names():
-    return list(BUILTIN)
 
 
 def builtin_path(name):
@@ -29,3 +26,12 @@ def resolve_input(path):
     if base in BUILTIN:
         return str(builtin_path(base))
     raise UsageError(f"input file not found: {path}")
+
+
+def read_json(path):
+    """The parsed contents of a JSON dataset file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not valid JSON ({exc})") from exc

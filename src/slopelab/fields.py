@@ -212,11 +212,6 @@ def _reduce_fraction(num, den):
     return num * unit, den * unit
 
 
-def ratfunc_reduce(num, den):
-    """Reduced canonical fraction num/den."""
-    return RatFunc(num, den)
-
-
 # -- cyclotomic numbers --------------------------------------------------------
 
 
@@ -472,7 +467,6 @@ class RationalFunctionField:
     """The field of rational functions in num_vars Laurent variables."""
 
     is_exact = True
-    kind = "rational_function_field"
 
     def __init__(self, num_vars, prefix="w", start=1):
         self.num_vars = int(num_vars)
@@ -509,9 +503,6 @@ class RationalFunctionField:
     def render_scalar(self, x):
         return x.render(prefix=self.prefix, start=self.start)
 
-    def describe(self):
-        return {"kind": self.kind, "num_vars": self.num_vars}
-
     def __repr__(self):
         return f"RationalFunctionField(mu={self.num_vars})"
 
@@ -520,7 +511,6 @@ class Cyclotomic:
     """The cyclotomic field Q(zeta_N); N = 1 gives plain rationals."""
 
     is_exact = True
-    kind = "cyclotomic"
 
     def __init__(self, conductor):
         self.conductor = int(conductor)
@@ -553,9 +543,6 @@ class Cyclotomic:
     def render_scalar(self, x):
         return x.render()
 
-    def describe(self):
-        return {"kind": self.kind, "conductor": self.conductor}
-
     def __repr__(self):
         return f"Cyclotomic(N={self.conductor})"
 
@@ -568,7 +555,6 @@ class ApproxComplex:
     """
 
     is_exact = False
-    kind = "approx_complex"
 
     def __init__(self, tol=None):
         self.tol = default_tolerance() if tol is None else float(tol)
@@ -599,9 +585,6 @@ class ApproxComplex:
 
     def render_scalar(self, x):
         return format_complex(x)
-
-    def describe(self):
-        return {"kind": self.kind, "tolerance": self.tol}
 
     def __repr__(self):
         return f"ApproxComplex(tol={self.tol})"

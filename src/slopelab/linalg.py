@@ -318,25 +318,6 @@ def kernel_basis(m):
     return _kernel_from_echelon(ech, m.cols, m.ctx)
 
 
-def in_image(m, b):
-    """True iff b lies in the column span of M."""
-    return solve(m, b).status != INCONSISTENT
-
-
-def in_annihilator_of_kernel(m, f):
-    """True iff the covector f pairs to zero with every kernel vector."""
-    if len(f) != m.cols:
-        raise UsageError("covector length does not match matrix columns")
-    ctx = m.ctx
-    for v in kernel_basis(m):
-        acc = ctx.zero
-        for a, b in zip(f, v):
-            acc = acc + a * b
-        if not ctx.is_zero(acc):
-            return False
-    return True
-
-
 def hermitian_signature(m, tol_sig=1e-8):
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a Hermitian matrix.
 

@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .characters import Character, embed_character
+from .characters import embed_character
+from .datasets import read_json
 from .errors import UnsupportedHypothesisError, UsageError
 from .linalg import Matrix
 
@@ -44,13 +45,27 @@ def parse_sign_string(s, mu):
     return tuple(CHAR_TO_SIGN[c] for c in s)
 
 
+def _as_int(x, what):
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{what} must be an integer, got {x!r}") from exc
+
+
+def _as_tuple(xs, what):
+    try:
+        return tuple(xs)
+    except TypeError as exc:
+        raise UsageError(f"{what} must be a list, got {xs!r}") from exc
+
+
 def _as_int_matrix(rows, n, what):
-    rows = list(rows)
+    rows = _as_tuple(rows, what)
     if len(rows) != n:
         raise UsageError(f"{what} must have {n} rows")
     out = []
     for row in rows:
-        row = list(row)
+        row = _as_tuple(row, f"each row of {what}")
         if len(row) != n:
             raise UsageError(f"{what} must be {n}x{n}")
         for x in row:
@@ -87,8 +102,8 @@ class CComplexPresentation:
         eps_mu = +1 suffices.  Supplied matrices are never overwritten, so
         both halves, when given, are cross-checked by validate().
         """
-        mu = int(mu)
-        n = int(n)
+        mu = _as_int(mu, "mu")
+        n = _as_int(n, "n")
         if mu < 1:
             raise UsageError("mu must be at least 1")
         if n < 0:
@@ -110,7 +125,7 @@ class CComplexPresentation:
                     f"theta is missing both {sign_string(eps)} and {sign_string(neg)}"
                 )
             table[eps] = _transpose(table[neg])
-        kappa = tuple(kappa)
+        kappa = _as_tuple(kappa, "kappa")
         for x in kappa:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise UsageError("kappa entries must be integers")
@@ -118,14 +133,11 @@ class CComplexPresentation:
             raise UsageError(f"kappa must have length {n}")
         if linking is None:
             linking = (0,) * mu
-        linking = tuple(int(x) for x in linking)
+        linking = tuple(_as_int(x, "each lambda entry") for x in _as_tuple(linking, "lambda"))
         if len(linking) != mu:
             raise UsageError(f"the linking vector must have length {mu}")
-        b0 = int(b0)
+        b0 = _as_int(b0, "b0")
         return CComplexPresentation(mu, n, table, kappa, b0, linking, str(label))
-
-    def theta_matrix(self, eps):
-        return self.theta[tuple(eps)]
 
     def linking_is_zero(self):
         return all(x == 0 for x in self.linking)
@@ -293,6 +305,36 @@ def stabilize(presentation):
     )
 
 
+def random_presentation(rng, mu=1, n=2, bound=2, kappa_zero=False, b0=1):
+    """A presentation with entries drawn uniformly from [-bound, bound]."""
+    theta = {}
+    for eps in all_sign_vectors(mu):
+        if eps[-1] != 1:
+            continue
+        theta[sign_string(eps)] = [
+            [rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)
+        ]
+    kappa = [0] * n if kappa_zero else [rng.randint(-bound, bound) for _ in range(n)]
+    return CComplexPresentation.build(mu, n, theta, kappa, b0=b0)
+
+
+def random_unimodular(rng, n, steps=6):
+    """Product of elementary integer row operations; det is +-1."""
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == 0 and i != j:
+            f = rng.randint(-2, 2)
+            for c in range(n):
+                u[i][c] += f * u[j][c]
+        elif kind == 1 and i != j:
+            u[i], u[j] = u[j], u[i]
+        elif kind == 2:
+            u[i] = [-x for x in u[i]]
+    return u
+
+
 # -- JSON dataset format ----------------------------------------------------------
 
 
@@ -335,12 +377,7 @@ def presentation_from_dict(data):
 
 
 def load_presentation(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: not valid JSON ({exc})") from exc
-    return presentation_from_dict(data)
+    return presentation_from_dict(read_json(path))
 
 
 def save_presentation(presentation, path):

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .characters import Character, default_context_for, embed_character
+from .characters import Character, default_context_for, sample_safe_characters
 from .errors import (
     InvalidPresentationError,
     UnsupportedHypothesisError,
@@ -226,3 +226,45 @@ def certify_zero_slope(presentation, check_transpose=True):
         if not point.is_finite() or not point.value.is_zero():
             return False
     return True
+
+
+@dataclass(frozen=True)
+class ComparisonPoint:
+    omega: Character
+    first: SlopeValue
+    second: SlopeValue
+    equal: bool
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """Both slopes at each sampled character, in sampling order, and the
+    first character where they differ (None when they agree throughout)."""
+
+    points: tuple
+    witness: Character | None
+
+
+def compare_slopes(first, second, budget, seed=0):
+    """Compare the slopes of two presentations at sampled safe characters.
+
+    The slope is invariant under colored concordance at every character
+    that is not a concordance root.  Safe characters (admissible,
+    non-vanishing, of prime-power order) are never roots, so a difference
+    at any sampled point proves the links are not concordant; agreement
+    at every point proves nothing.
+    """
+    if first.mu != second.mu:
+        raise UsageError("datasets have different numbers of colors")
+    if not (first.linking_is_zero() and second.linking_is_zero()):
+        raise UnsupportedHypothesisError(
+            "the comparator requires vanishing linking vectors on both sides"
+        )
+    points = []
+    for omega in sample_safe_characters(first.mu, first.linking, budget, seed=seed):
+        a = slope_at(first, omega)
+        b = slope_at(second, omega)
+        equal = a.kind == b.kind and (a.kind != FINITE or a.value == b.value)
+        points.append(ComparisonPoint(omega, a, b, equal))
+    witness = next((pt.omega for pt in points if not pt.equal), None)
+    return Comparison(tuple(points), witness)

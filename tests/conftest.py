@@ -3,7 +3,7 @@ import random
 import pytest
 
 from slopelab.laurent import LaurentPoly
-from slopelab.seifert import CComplexPresentation, all_sign_vectors, sign_string
+from slopelab.seifert import CComplexPresentation
 
 
 def random_laurent(rng, num_vars, max_terms=4, exp_range=2, coeff_range=4):
@@ -19,35 +19,6 @@ def random_nonzero_laurent(rng, num_vars, **kw):
         p = random_laurent(rng, num_vars, **kw)
         if not p.is_zero():
             return p
-
-
-def random_presentation(rng, mu=1, n=2, bound=2, kappa_zero=False, b0=1):
-    theta = {}
-    for eps in all_sign_vectors(mu):
-        if eps[-1] != 1:
-            continue
-        theta[sign_string(eps)] = [
-            [rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)
-        ]
-    kappa = [0] * n if kappa_zero else [rng.randint(-bound, bound) for _ in range(n)]
-    return CComplexPresentation.build(mu, n, theta, kappa, b0=b0)
-
-
-def random_unimodular(rng, n, steps=6):
-    """Product of elementary integer row operations; det is +-1."""
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        kind = rng.randrange(3)
-        i, j = rng.randrange(n), rng.randrange(n)
-        if kind == 0 and i != j:
-            f = rng.randint(-2, 2)
-            for c in range(n):
-                u[i][c] += f * u[j][c]
-        elif kind == 1 and i != j:
-            u[i], u[j] = u[j], u[i]
-        elif kind == 2:
-            u[i] = [-x for x in u[i]]
-    return u
 
 
 @pytest.fixture

@@ -39,6 +39,8 @@ from slopelab.seifert import (
     build_E,
     change_basis,
     load_presentation,
+    random_presentation,
+    random_unimodular,
     save_presentation,
     stabilize,
 )
@@ -51,8 +53,6 @@ from slopelab.slope import (
     slope_from_operator,
     slope_symbolic,
 )
-
-from conftest import random_presentation, random_unimodular
 
 WHITEHEAD = load_presentation(builtin_path("whitehead.json"))
 TREFOIL = load_presentation(builtin_path("trefoil.json"))

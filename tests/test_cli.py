@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from slopelab.seifert import (
     load_presentation,
     presentation_to_dict,
@@ -224,3 +226,176 @@ def test_round_trip_via_files(tmp_path):
 def test_missing_input_exit_2():
     p = _run("slope", "--in", "no_such_file.json", "--char", "symbolic")
     assert p.returncode == 2
+
+
+# -- compare: full output and refusal paths ----------------------------------------
+
+WHITEHEAD_VS_KAPPA_ZERO = [
+    ("zeta:2:1", "4"),
+    ("zeta:3:1", "3"),
+    ("zeta:4:3", "2"),
+    ("zeta:5:1", "3 + z^2 + z^3"),
+    ("zeta:7:5", "2 - z^2 - z^5"),
+    ("zeta:8:7", "2 - z + z^3"),
+    ("zeta:9:4", "2 - z^4 - z^5"),
+    ("zeta:11:1", "3 + z^2 + z^3 + z^4 + z^5 + z^6 + z^7 + z^8 + z^9"),
+]
+NOT_CONCORDANT = "slopes differ at a safe character: the links are not concordant"
+
+
+def test_compare_obstructed_full_text():
+    p = _run("compare", "--in", "whitehead.json", "--vs", "kappa_zero.json")
+    assert p.returncode == 1
+    assert p.stderr == ""
+    assert p.stdout == "\n".join(
+        [
+            "first: Whitehead link, distinguished unknotted component",
+            "second: boundary-style data: kappa = 0",
+            *(
+                f"{ch}  first=finite:{v}  second=finite:0  DIFFER"
+                for ch, v in WHITEHEAD_VS_KAPPA_ZERO
+            ),
+            "OBSTRUCTED at zeta:2:1",
+            NOT_CONCORDANT,
+            "",
+        ]
+    )
+
+
+def test_compare_obstructed_full_json():
+    p = _run("compare", "--in", "whitehead.json", "--vs", "kappa_zero.json", "--format", "json")
+    assert p.returncode == 1
+    expected = {
+        "tool": "slopelab",
+        "version": "0.1.0",
+        "command": "compare",
+        "config": {
+            "command": "compare",
+            "inputs": ["whitehead.json", "kappa_zero.json"],
+            "char_spec": None,
+            "sqrt_spec": None,
+            "linking": None,
+            "budget": 8,
+            "trials": None,
+            "seed": 0,
+            "tol": None,
+            "tol_sig": 1e-08,
+            "no_transpose_check": False,
+            "output_format": "json",
+        },
+        "exit_code": 1,
+        "result": {
+            "first": "Whitehead link, distinguished unknotted component",
+            "second": "boundary-style data: kappa = 0",
+            "verdict": "OBSTRUCTED",
+            "witness_character": "zeta:2:1",
+            "points": [
+                {
+                    "character": ch,
+                    "first": {"kind": "finite", "value": v},
+                    "second": {"kind": "finite", "value": "0"},
+                    "equal": False,
+                }
+                for ch, v in WHITEHEAD_VS_KAPPA_ZERO
+            ],
+            "note": NOT_CONCORDANT,
+            "sampled": 8,
+        },
+    }
+    assert p.stdout == json.dumps(expected, indent=2) + "\n"
+
+
+def _write(tmp_path, name, data):
+    f = tmp_path / name
+    f.write_text(json.dumps(data))
+    return str(f)
+
+
+BROKEN_SYMMETRY = {"mu": 1, "n": 1, "theta": {"+": [[1]], "-": [[2]]}, "kappa": [0]}
+TWO_COLORS = {"mu": 2, "n": 1, "theta": {"++": [[1]], "-+": [[0]]}, "kappa": [1]}
+LINKED = {"mu": 1, "n": 1, "theta": {"+": [[1]]}, "kappa": [0], "lambda": [2]}
+SYMMETRY_VIOLATION = 'theta["-"] != transpose(theta["+"])'
+
+
+def test_compare_refuses_invalid_side(tmp_path):
+    bad = _write(tmp_path, "bad.json", BROKEN_SYMMETRY)
+    p = _run("compare", "--in", "whitehead.json", "--vs", bad)
+    assert (p.returncode, p.stdout, p.stderr) == (
+        2,
+        f"violation: second: {SYMMETRY_VIOLATION}\n",
+        "",
+    )
+    p = _run("compare", "--in", bad, "--vs", bad, "--format", "json")
+    assert p.returncode == 2
+    assert json.loads(p.stdout)["result"] == {
+        "violations": [f"first: {SYMMETRY_VIOLATION}", f"second: {SYMMETRY_VIOLATION}"]
+    }
+
+
+def test_compare_refuses_different_mu(tmp_path):
+    two = _write(tmp_path, "two.json", TWO_COLORS)
+    p = _run("compare", "--in", "whitehead.json", "--vs", two)
+    assert (p.returncode, p.stdout, p.stderr) == (
+        2,
+        "",
+        "error: datasets have different numbers of colors\n",
+    )
+
+
+def test_compare_refuses_nonzero_linking(tmp_path):
+    linked = _write(tmp_path, "linked.json", LINKED)
+    p = _run("compare", "--in", "whitehead.json", "--vs", linked, "--format", "json")
+    assert p.returncode == 3
+    assert json.loads(p.stdout)["error"] == {
+        "kind": "unsupported hypothesis",
+        "messages": ["the comparator requires vanishing linking vectors on both sides"],
+    }
+
+
+def test_compare_check_order(tmp_path):
+    # validation comes before the mu check, which comes before the linking check
+    bad = _write(tmp_path, "bad.json", BROKEN_SYMMETRY)
+    two = _write(tmp_path, "two.json", TWO_COLORS)
+    linked = _write(tmp_path, "linked.json", LINKED)
+    p = _run("compare", "--in", two, "--vs", bad)
+    assert (p.returncode, p.stdout) == (2, f"violation: second: {SYMMETRY_VIOLATION}\n")
+    p = _run("compare", "--in", linked, "--vs", two)
+    assert (p.returncode, p.stderr) == (2, "error: datasets have different numbers of colors\n")
+
+
+# -- malformed input is refused with exit 2, naming the field -------------------------
+
+MINIMAL = {"mu": 1, "n": 1, "theta": {"+": [[1]]}, "kappa": [0]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mu", "abc"),
+        ("kappa", 5),
+        ("lambda", ["a"]),
+        ("b0", None),
+        ("theta", {"+": 7}),
+    ],
+)
+def test_malformed_presentation_exit_2(tmp_path, field, value):
+    path = _write(tmp_path, "bad.json", {**MINIMAL, field: value})
+    p = _run("validate", "--in", path)
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+    assert field in p.stderr
+
+
+@pytest.mark.parametrize("field, value", [("mu", "x"), ("nabla_KL", 3)])
+def test_malformed_conway_exit_2(tmp_path, field, value):
+    data = {"mu": 1, "nabla_KL": [], "nabla_L": [], field: value}
+    path = _write(tmp_path, "bad.json", data)
+    p = _run("conway", "--in", path, "--sqrt", "zeta:6:1")
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+    assert field in p.stderr
+
+
+def test_malformed_grid_spec_exit_2():
+    p = _run("characters", "--root-status", "zeta:5:*,x")
+    assert (p.returncode, p.stderr) == (2, "error: bad exponents in 'zeta:5:*,x'\n")

@@ -23,13 +23,13 @@ from slopelab.seifert import (
     load_presentation,
     presentation_from_dict,
     presentation_to_dict,
+    random_presentation,
+    random_unimodular,
     save_presentation,
     sign_string,
     stabilize,
     validate,
 )
-
-from conftest import random_presentation, random_unimodular
 
 
 # -- validation ------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import cmath
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from slopelab.characters import Character
-from slopelab.errors import InvalidPresentationError, UnsupportedHypothesisError
+from slopelab.characters import Character, sample_safe_characters
+from slopelab.errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
 from slopelab.fields import (
     ApproxComplex,
     Cyclotomic,
@@ -15,19 +16,25 @@ from slopelab.fields import (
 )
 from slopelab.laurent import LaurentPoly
 from slopelab.linalg import Matrix, kernel_basis
-from slopelab.seifert import CComplexPresentation, build_E, change_basis, stabilize
+from slopelab.seifert import (
+    CComplexPresentation,
+    build_E,
+    change_basis,
+    random_presentation,
+    random_unimodular,
+    stabilize,
+)
 from slopelab.slope import (
     FINITE,
     INFINITY,
     UNDEFINED,
     certify_zero_slope,
+    compare_slopes,
     signature_nullity,
     slope_at,
     slope_from_operator,
     slope_symbolic,
 )
-
-from conftest import random_presentation, random_unimodular
 
 Q = Cyclotomic(1)
 
@@ -375,3 +382,44 @@ def test_three_colors_smoke(rng):
     assert not point.approximate
     sig = signature_nullity(p, omega)
     assert sig.eta >= 0
+
+
+# -- comparator ---------------------------------------------------------------------
+
+
+def test_compare_slopes_matches_pointwise_slopes(rng):
+    # differential: every point is two direct slope_at calls, in sampling order,
+    # and the witness is the first unequal point
+    obstructed = 0
+    for _ in range(8):
+        mu, n = rng.randint(1, 2), rng.randint(1, 3)
+        base = random_presentation(rng, mu=mu, n=n)
+        disguises = [change_basis(base, random_unimodular(rng, n)), stabilize(base)]
+        corrupted = replace(base, kappa=(base.kappa[0] + 1,) + base.kappa[1:])
+        for other in disguises + [corrupted]:
+            seed = rng.randrange(100)
+            result = compare_slopes(base, other, 4, seed=seed)
+            assert [pt.omega for pt in result.points] == sample_safe_characters(
+                mu, base.linking, 4, seed=seed
+            )
+            for pt in result.points:
+                a, b = slope_at(base, pt.omega), slope_at(other, pt.omega)
+                assert (pt.first, pt.second) == (a, b)
+                assert pt.equal == (a.kind == b.kind and (a.kind != FINITE or a.value == b.value))
+            unequal = [pt.omega for pt in result.points if not pt.equal]
+            assert result.witness == (unequal[0] if unequal else None)
+            if other is not corrupted:
+                assert result.witness is None
+            obstructed += result.witness is not None
+    assert obstructed > 0
+
+
+def test_compare_slopes_refusals(whitehead):
+    two_colors = CComplexPresentation.build(2, 1, {"++": [[1]], "-+": [[0]]}, [1])
+    with pytest.raises(UsageError, match="different numbers of colors"):
+        compare_slopes(whitehead, two_colors, 4)
+    linked = replace(whitehead, linking=(2,))
+    with pytest.raises(UnsupportedHypothesisError, match="vanishing linking vectors"):
+        compare_slopes(linked, whitehead, 4)
+    with pytest.raises(UnsupportedHypothesisError, match="vanishing linking vectors"):
+        compare_slopes(whitehead, linked, 4)
