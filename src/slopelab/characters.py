@@ -86,6 +86,8 @@ class Character:
             raise UsageError("a character needs at least one coordinate")
         if any(v == 0 for v in values):
             raise UsageError("character coordinates must be nonzero")
+        if not all(cmath.isfinite(v) for v in values):
+            raise UsageError("character coordinates must be finite")
         return Character(NUMERIC, len(values), values=values)
 
     # -- predicates ---------------------------------------------------------
@@ -124,10 +126,6 @@ class Character:
         if self.kind == NUMERIC:
             return Character.numeric(tuple(v.conjugate() for v in self.values))
         raise UsageError("the symbolic character has no pointwise conjugate")
-
-    def adjoint(self):
-        """The character w* = conj(w)^-1."""
-        return self.conjugate().inverse()
 
     def exact_order(self):
         """Order of a torsion character as an element of the torus."""

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fields import Cyclotomic
 from .laurent import LaurentPoly
-from .seifert import validate
+from .seifert import _as_int, validate
 from .slope import FINITE, INFINITY, slope_at
 
 INCONCLUSIVE = "inconclusive"
@@ -56,7 +56,7 @@ class ConwayData:
 
     @staticmethod
     def build(mu, nabla_kl, nabla_l, label=""):
-        mu = int(mu)
+        mu = _as_int(mu, "mu")
         if mu < 1:
             raise UsageError("mu must be at least 1")
         if nabla_kl.num_vars != mu + 1:
@@ -150,9 +150,6 @@ class CrossCheckReport:
     disagreements: int
     skipped: int
 
-    def all_agree(self):
-        return self.disagreements == 0
-
 
 def cross_check(presentation, data, trials, seed=0):
     """Compare the operator slope and the Conway quotient on sampled
@@ -218,21 +215,6 @@ def _poly_from_monomials(monomials, num_vars, what):
     return LaurentPoly(num_vars, terms)
 
 
-def _poly_to_monomials(p):
-    return [
-        {"coeff": str(c), "exps": list(e)} for e, c in sorted(p.terms.items())
-    ]
-
-
-def conway_to_dict(data):
-    return {
-        "mu": data.mu,
-        "nabla_KL": _poly_to_monomials(data.nabla_kl),
-        "nabla_L": _poly_to_monomials(data.nabla_l),
-        "label": data.label,
-    }
-
-
 def conway_from_dict(payload):
     if not isinstance(payload, dict):
         raise UsageError("Conway dataset must be a JSON object")
@@ -242,10 +224,7 @@ def conway_from_dict(payload):
         l = payload["nabla_L"]
     except KeyError as exc:
         raise UsageError(f"Conway dataset is missing field {exc.args[0]!r}") from exc
-    try:
-        mu = int(mu)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"mu must be an integer, got {mu!r}") from exc
+    mu = _as_int(mu, "mu")
     nabla_kl = _poly_from_monomials(kl, mu + 1, "nabla_KL")
     nabla_l = _poly_from_monomials(l, mu, "nabla_L")
     return ConwayData.build(mu, nabla_kl, nabla_l, payload.get("label", ""))

@@ -5,7 +5,11 @@ Three kinds of scalar are supported:
 * :class:`RatFunc` -- reduced rational functions in the Laurent ring, the
   scalars of :class:`RationalFunctionField`;
 * :class:`CyclotomicNumber` -- elements of Q[t]/Phi_N(t), the scalars of
-  :class:`Cyclotomic`;
+  :class:`Cyclotomic`, stored as integer power-basis coordinates over one
+  positive denominator with no common factor, so that equal numbers have
+  equal storage; the inverse of x is the product of its other Galois
+  conjugates divided by the norm N(x), a rational because every sigma_u
+  fixes it;
 * plain ``complex`` -- the scalars of :class:`ApproxComplex`, where zero
   tests use the context tolerance and all results count as approximate.
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 import cmath
 import os
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import UsageError
 from .laurent import (
@@ -215,44 +220,66 @@ def _reduce_fraction(num, den):
 # -- cyclotomic numbers --------------------------------------------------------
 
 
-def _phi_poly(conductor):
-    return _cyclotomic_coeffs(conductor)
-
-
 def _reduce_mod_phi(coeffs, conductor):
-    """Remainder of a dense rational coefficient list modulo Phi_N."""
-    phi = _phi_poly(conductor)
+    """Remainder of a dense integer coefficient list modulo Phi_N.
+
+    Phi_N is monic with integer coefficients, so the remainder of an
+    integer list stays integral.
+    """
+    phi = _cyclotomic_coeffs(conductor)
     deg = len(phi) - 1
+    low = [(j, p) for j, p in enumerate(phi[:deg]) if p]
     coeffs = list(coeffs)
     for i in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[i]
         if c:
-            for j in range(deg + 1):
-                coeffs[i - deg + j] -= c * phi[j]
+            for j, p in low:
+                coeffs[i - deg + j] -= c * p
     coeffs = coeffs[:deg]
-    coeffs += [Fraction(0)] * (deg - len(coeffs))
-    return tuple(Fraction(c) for c in coeffs)
+    return coeffs + [0] * (deg - len(coeffs))
 
 
 class CyclotomicNumber:
     """An element of the cyclotomic field Q(zeta_N), N the conductor.
 
-    Coordinates are rationals on the power basis 1, t, ..., t^(phi(N)-1)
-    of Q[t]/Phi_N(t); the complex embedding sends t to exp(2*pi*i/N).
+    The element is num/den: ``num`` holds integer coordinates on the power
+    basis 1, t, ..., t^(phi(N)-1) of Q[t]/Phi_N(t) and ``den`` is a
+    positive integer with gcd(den, num) = 1.  That form is canonical, so
+    equal numbers have equal storage and ``==``/``hash`` are structural.
+    ``coords`` gives the rational coordinates num_i/den.  The complex
+    embedding sends t to exp(2*pi*i/N).
+
+    The inverse is the product of the other Galois conjugates over the
+    norm: the norm is fixed by every sigma_u, hence rational.
     """
 
-    __slots__ = ("conductor", "coords")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor, coords):
         conductor = int(conductor)
         if conductor < 1:
             raise UsageError("conductor must be a positive integer")
         deg = euler_phi(conductor)
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != deg:
             raise UsageError(f"expected {deg} coordinates for conductor {conductor}")
+        den = lcm(*(c.denominator for c in coords))
         self.conductor = conductor
-        self.coords = coords
+        self._set([c.numerator * (den // c.denominator) for c in coords], den)
+
+    def _set(self, num, den):
+        """Store num/den in lowest terms; den must be positive."""
+        g = gcd(den, *num)
+        self.num = tuple(c // g for c in num)
+        self.den = den // g
+
+    @classmethod
+    def _from_ints(cls, conductor, num, den=1):
+        """num/den from phi(N) integer coordinates and a positive integer."""
+        out = cls.__new__(cls)
+        out.conductor = conductor
+        out._set(num, den)
+        return out
 
     @classmethod
     def zero(cls, conductor):
@@ -264,17 +291,23 @@ class CyclotomicNumber:
 
     @classmethod
     def from_fraction(cls, conductor, q):
-        deg = euler_phi(conductor)
-        coords = [Fraction(q)] + [Fraction(0)] * (deg - 1)
-        return cls(conductor, _reduce_mod_phi(coords, conductor) if deg else coords)
+        q = Fraction(q)
+        num = [0] * euler_phi(conductor)
+        num[0] = q.numerator
+        return cls._from_ints(conductor, num, q.denominator)
 
     @classmethod
     def zeta_pow(cls, conductor, k):
         """The root-of-unity power zeta_N^k."""
         k = int(k) % conductor
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return cls(conductor, _reduce_mod_phi(coeffs, conductor))
+        coeffs = [0] * (k + 1)
+        coeffs[k] = 1
+        return cls._from_ints(conductor, _reduce_mod_phi(coeffs, conductor))
+
+    @property
+    def coords(self):
+        """The rational coordinates on the power basis."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _check_same(self, other):
         if self.conductor != other.conductor:
@@ -283,7 +316,7 @@ class CyclotomicNumber:
             )
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def __bool__(self):
         return not self.is_zero()
@@ -300,14 +333,15 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.conductor, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        num = [a * fa + b * fb for a, b in zip(self.num, other.num)]
+        return CyclotomicNumber._from_ints(self.conductor, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coords))
+        return CyclotomicNumber._from_ints(self.conductor, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -321,30 +355,35 @@ class CyclotomicNumber:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CyclotomicNumber(self.conductor, tuple(c * q for c in self.coords))
+            num = [c * q.numerator for c in self.num]
+            return CyclotomicNumber._from_ints(self.conductor, num, self.den * q.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = len(self.coords)
-        prod = [Fraction(0)] * (2 * n - 1) if n else []
-        for i, a in enumerate(self.coords):
+        n = len(self.num)
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(self.num):
             if not a:
                 continue
-            for j, b in enumerate(other.coords):
+            for j, b in enumerate(other.num):
                 if b:
                     prod[i + j] += a * b
-        return CyclotomicNumber(self.conductor, _reduce_mod_phi(prod, self.conductor))
+        num = _reduce_mod_phi(prod, self.conductor)
+        return CyclotomicNumber._from_ints(self.conductor, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def invert(self):
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        g, u, _ = _list_xgcd(list(self.coords), [Fraction(c) for c in _phi_poly(self.conductor)])
-        # Phi_N is irreducible, so the gcd is a nonzero constant
-        scale = Fraction(1) / g[0]
-        inv = [c * scale for c in u]
-        return CyclotomicNumber(self.conductor, _reduce_mod_phi(inv, self.conductor))
+        n = self.conductor
+        others = CyclotomicNumber.one(n)
+        for u in range(2, n):
+            if gcd(u, n) == 1:
+                others = others * self.galois(u)
+        # the norm is fixed by every sigma_u, so it is a nonzero rational
+        norm = self * others
+        return others * Fraction(norm.den, norm.num[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -374,11 +413,11 @@ class CyclotomicNumber:
     def galois(self, k):
         """Apply the substitution t -> t^k (k coprime to the conductor)."""
         n = self.conductor
-        coeffs = [Fraction(0)] * n
-        for j, c in enumerate(self.coords):
+        coeffs = [0] * n
+        for j, c in enumerate(self.num):
             if c:
                 coeffs[(j * k) % n] += c
-        return CyclotomicNumber(n, _reduce_mod_phi(coeffs, n))
+        return CyclotomicNumber._from_ints(n, _reduce_mod_phi(coeffs, n), self.den)
 
     def conjugate(self):
         if self.conductor == 1:
@@ -386,6 +425,7 @@ class CyclotomicNumber:
         return self.galois(self.conductor - 1)
 
     def to_complex(self):
+        # through Fraction: num_i and den may each be too large for a float
         zeta = cmath.exp(2j * cmath.pi / self.conductor)
         total = 0j
         for c in reversed(self.coords):
@@ -393,22 +433,17 @@ class CyclotomicNumber:
         return total
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise UsageError("value is not rational")
-        return self.coords[0]
+        return not any(self.num[1:])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CyclotomicNumber.from_fraction(self.conductor, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.conductor == other.conductor and self.coords == other.coords
+        return (self.conductor, self.num, self.den) == (other.conductor, other.num, other.den)
 
     def __hash__(self):
-        return hash((self.conductor, self.coords))
+        return hash((self.conductor, self.num, self.den))
 
     def render(self, varname="z"):
         poly = LaurentPoly(1, {(i,): c for i, c in enumerate(self.coords) if c})
@@ -416,48 +451,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber(N={self.conductor}, {self.render()!r})"
-
-
-def _list_xgcd(a, b):
-    """Extended gcd of dense rational coefficient lists (low to high)."""
-
-    def trim(x):
-        while x and not x[-1]:
-            x.pop()
-        return x
-
-    def sub_scaled(x, y, f, off):
-        for i, c in enumerate(y):
-            idx = i + off
-            while len(x) <= idx:
-                x.append(Fraction(0))
-            x[idx] -= f * c
-        return trim(x)
-
-    r0, r1 = trim(list(a)), trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        # one long-division step of r0 by r1
-        q = []
-        r = list(r0)
-        while len(r) >= len(r1) and r:
-            f = r[-1] / r1[-1]
-            off = len(r) - len(r1)
-            while len(q) <= off:
-                q.append(Fraction(0))
-            q[off] += f
-            r = sub_scaled(r, r1, f, off)
-        new_s = list(s0)
-        new_t = list(t0)
-        for off, f in enumerate(q):
-            if f:
-                new_s = sub_scaled(new_s, s1, f, off)
-                new_t = sub_scaled(new_t, t1, f, off)
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, new_s
-        t0, t1 = t1, new_t
-    return r0, s0, t0
 
 
 # -- field contexts ------------------------------------------------------------

@@ -91,11 +91,6 @@ class LaurentPoly:
     def is_constant(self):
         return not self.terms or set(self.terms) == {(0,) * self.num_vars}
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise UsageError("polynomial is not constant")
-        return self.terms.get((0,) * self.num_vars, _ZERO)
-
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -224,25 +219,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out.num_vars = self.num_vars
         out.terms = {tuple(-x for x in e): c for e, c in self.terms.items()}
-        return out
-
-    def derivative(self, index):
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[index] = k - 1
-            ne = tuple(ne)
-            s = terms.get(ne, _ZERO) + c * k
-            if s:
-                terms[ne] = s
-            elif ne in terms:
-                del terms[ne]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.num_vars = self.num_vars
-        out.terms = terms
         return out
 
     def evaluate(self, values, zero=_ZERO):

@@ -45,19 +45,8 @@ class Matrix:
         self.cols = cols
 
     @classmethod
-    def from_int_rows(cls, ctx, rows, cols=None):
-        return cls(ctx, [[ctx.from_int(x) for x in row] for row in rows], cols=cols)
-
-    @classmethod
     def zeros(cls, ctx, rows, cols):
         return cls(ctx, [[ctx.zero] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, ctx, n):
-        return cls(
-            ctx,
-            [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)],
-        )
 
     def get(self, i, j):
         return self.entries[i][j]
@@ -69,14 +58,6 @@ class Matrix:
         return Matrix(
             self.ctx,
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def conj_transpose(self):
-        ctx = self.ctx
-        return Matrix(
-            ctx,
-            [[ctx.conjugate(self.entries[i][j]) for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
 
@@ -106,32 +87,6 @@ class Matrix:
                 for r1, r2 in zip(self.entries, other.entries)
             ],
             cols=self.cols,
-        )
-
-    def __matmul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise UsageError("inner dimensions differ")
-        cols = [other.transpose().entries[j] for j in range(other.cols)]
-        data = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = self.ctx.zero
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                out_row.append(acc)
-            data.append(out_row)
-        return Matrix(self.ctx, data, cols=other.cols)
-
-    def eq(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            self.ctx.eq(a, b)
-            for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2)
         )
 
     def __repr__(self):

@@ -46,10 +46,10 @@ def parse_sign_string(s, mu):
 
 
 def _as_int(x, what):
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{what} must be an integer, got {x!r}") from exc
+    """x itself when it is an int; floats, strings and bools are refused."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise UsageError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def _as_tuple(xs, what):

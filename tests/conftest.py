@@ -3,6 +3,7 @@ import random
 import pytest
 
 from slopelab.laurent import LaurentPoly
+from slopelab.linalg import Matrix
 from slopelab.seifert import CComplexPresentation
 
 
@@ -19,6 +20,10 @@ def random_nonzero_laurent(rng, num_vars, **kw):
         p = random_laurent(rng, num_vars, **kw)
         if not p.is_zero():
             return p
+
+
+def int_matrix(ctx, rows):
+    return Matrix(ctx, [[ctx.from_int(x) for x in row] for row in rows])
 
 
 @pytest.fixture

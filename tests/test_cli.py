@@ -376,6 +376,11 @@ MINIMAL = {"mu": 1, "n": 1, "theta": {"+": [[1]]}, "kappa": [0]}
         ("lambda", ["a"]),
         ("b0", None),
         ("theta", {"+": 7}),
+        ("lambda", [0.5]),
+        ("mu", 1.9),
+        ("n", 1.0),
+        ("b0", "1"),
+        ("mu", True),
     ],
 )
 def test_malformed_presentation_exit_2(tmp_path, field, value):
@@ -386,7 +391,7 @@ def test_malformed_presentation_exit_2(tmp_path, field, value):
     assert field in p.stderr
 
 
-@pytest.mark.parametrize("field, value", [("mu", "x"), ("nabla_KL", 3)])
+@pytest.mark.parametrize("field, value", [("mu", "x"), ("nabla_KL", 3), ("mu", 1.5)])
 def test_malformed_conway_exit_2(tmp_path, field, value):
     data = {"mu": 1, "nabla_KL": [], "nabla_L": [], field: value}
     path = _write(tmp_path, "bad.json", data)
@@ -399,3 +404,22 @@ def test_malformed_conway_exit_2(tmp_path, field, value):
 def test_malformed_grid_spec_exit_2():
     p = _run("characters", "--root-status", "zeta:5:*,x")
     assert (p.returncode, p.stderr) == (2, "error: bad exponents in 'zeta:5:*,x'\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("slope", "--in", "whitehead.json", "--char", "num:1e999+0i"),
+        ("slope", "--in", "whitehead.json", "--char", "num:nan"),
+        ("conway", "--in", "l10n36_conway.json", "--sqrt", "num:1e999+0i"),
+    ],
+)
+def test_non_finite_numeric_character_exit_2(args):
+    # before the check: "slope: infinity" with exit 0, a "vanishing character
+    # coordinate" refusal with exit 3, and an OverflowError traceback with exit 1
+    p = _run(*args)
+    assert (p.returncode, p.stdout, p.stderr) == (
+        2,
+        "",
+        "error: character coordinates must be finite\n",
+    )

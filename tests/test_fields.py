@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -99,8 +100,8 @@ def test_zeta_powers_and_order():
 
 def test_conductor_one_is_rationals():
     x = CyclotomicNumber.from_fraction(1, Fraction(3, 4))
-    assert x.rational_value() == Fraction(3, 4)
-    assert (x * x.invert()).rational_value() == 1
+    assert x.is_rational() and x.coords == (Fraction(3, 4),)
+    assert (x * x.invert()).coords == (1,)
 
 
 @settings(max_examples=40)
@@ -109,13 +110,14 @@ def test_conductor_one_is_rationals():
     st.lists(st.integers(-4, 4), min_size=1, max_size=3),
     st.lists(st.integers(-4, 4), min_size=1, max_size=3),
     st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+    st.integers(1, 6),
 )
-def test_cyclotomic_field_axioms(n, ca, cb, cc):
+def test_cyclotomic_field_axioms(n, ca, cb, cc, den):
     deg = euler_phi(n)
 
     def elt(cs):
         coords = (cs * deg)[:deg]
-        return CyclotomicNumber(n, [Fraction(c) for c in coords])
+        return CyclotomicNumber(n, [Fraction(c, den) for c in coords])
 
     a, b, c = elt(ca), elt(cb), elt(cc)
     assert a + b == b + a
@@ -125,6 +127,62 @@ def test_cyclotomic_field_axioms(n, ca, cb, cc):
     assert a * (b + c) == a * b + a * c
     if not a.is_zero():
         assert a * a.invert() == CyclotomicNumber.one(n)
+
+
+def test_canonical_storage():
+    """Equal numbers have equal num, den and hash, whatever route built them."""
+    rng = random.Random(5)
+    for n in (1, 2, 7, 12, 25):
+        deg = euler_phi(n)
+        pairs = [
+            (
+                CyclotomicNumber(n, [Fraction(2, 4)] + [0] * (deg - 1)),
+                CyclotomicNumber.from_fraction(n, Fraction(1, 2)),
+            ),
+            (CyclotomicNumber(n, [Fraction(6, 3)] * deg), CyclotomicNumber(n, [2] * deg)),
+            (CyclotomicNumber.zeta_pow(n, 1) - CyclotomicNumber.zeta_pow(n, 1), CyclotomicNumber.zero(n)),
+        ]
+        for _ in range(5):
+            a = CyclotomicNumber(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(deg)])
+            b = CyclotomicNumber(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(deg)])
+            if b:
+                pairs.append(((a * b) / b, a))
+            pairs.append(((a + b) - b, a))
+        for x, y in pairs:
+            assert (x.num, x.den, hash(x)) == (y.num, y.den, hash(y))
+            assert x.den > 0 and gcd(x.den, *x.num) == 1
+            assert all(type(c) is int for c in x.num)
+
+
+def test_invert_non_integral_coordinates():
+    rng = random.Random(11)
+    for n in (1, 2, 23, 25, 45, 60, 72):
+        deg = euler_phi(n)
+        for _ in range(3):
+            coords = [Fraction(rng.randint(-7, 7), rng.randint(2, 9)) for _ in range(deg)]
+            coords[0] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(2, 9))
+            a = CyclotomicNumber(n, coords)
+            assert a * a.invert() == 1
+            assert a.invert().invert() == a
+
+
+def test_coords_are_fractions():
+    x = CyclotomicNumber(5, [Fraction(1, 2), 3, Fraction(-4, 6), 0])
+    assert x.coords == (Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(0))
+    assert all(type(c) is Fraction for c in x.coords)
+    assert (x.num, x.den) == ((3, 18, -4, 0), 6)
+
+
+def test_to_complex_huge_coordinates():
+    # numerators and denominator above 2^1100: float(num_i) would overflow
+    den = 3 ** 700
+    ks = [2, -1, 3, 5]
+    x = CyclotomicNumber(5, [Fraction(k * den + 1, den) for k in ks])
+    assert x.den > 2 ** 1100 and all(abs(c) > 2 ** 1100 for c in x.num)
+    z = x.to_complex()
+    assert cmath.isfinite(z)
+    zeta = cmath.exp(2j * cmath.pi / 5)
+    assert abs(z - sum(k * zeta ** i for i, k in enumerate(ks))) < 1e-9
 
 
 def test_embedding_agrees_with_complex_arithmetic():

@@ -22,17 +22,25 @@ from slopelab.linalg import (
     solve,
 )
 
-from conftest import random_laurent, random_nonzero_laurent
+from conftest import int_matrix, random_laurent, random_nonzero_laurent
 
 Q = Cyclotomic(1)
 
 
 def qmat(rows):
-    return Matrix.from_int_rows(Q, rows)
+    return int_matrix(Q, rows)
 
 
 def qvec(xs):
     return [Q.from_int(x) for x in xs]
+
+
+def matmul(*ms):
+    """The product of the matrices, one matvec per column of the right factor."""
+    out = ms[0]
+    for m in ms[1:]:
+        out = Matrix(out.ctx, [out.matvec(list(col)) for col in m.transpose().entries]).transpose()
+    return out
 
 
 def random_invertible(rng, ctx, n, bound=3):
@@ -47,7 +55,7 @@ def random_invertible(rng, ctx, n, bound=3):
 
 
 def test_rank_identity_and_zero():
-    assert rank(Matrix.identity(Q, 3)) == 3
+    assert rank(qmat([[int(i == j) for j in range(3)] for i in range(3)])) == 3
     assert rank(Matrix.zeros(Q, 2, 2)) == 0
 
 
@@ -64,7 +72,7 @@ def test_rank_construction_oracle(rng):
                 for i in range(n)
             ],
         )
-        assert rank(p @ d @ q) == k
+        assert rank(matmul(p, d, q)) == k
 
 
 def test_rank_equals_rank_of_transpose(rng):
@@ -91,8 +99,8 @@ def test_exact_vs_approximate_rank_agreement(rng):
                 for i in range(n)
             ],
         )
-        m = p @ d @ q
-        m_num = m.map(lambda x: complex(x.rational_value()), ctx=ac)
+        m = matmul(p, d, q)
+        m_num = m.map(lambda x: x.to_complex(), ctx=ac)
         assert rank(m_num) == rank(m) == k
 
 
@@ -221,14 +229,14 @@ def test_fraction_free_matches_division_echelon(rng):
         ints = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
         bq = [rng.randint(-2, 2) for _ in range(n)]
         mq = qmat(ints)
-        mrf = Matrix.from_int_rows(rf, ints)
+        mrf = int_matrix(rf, ints)
         rq = solve(mq, qvec(bq))
         rrf = solve(mrf, [rf.from_int(x) for x in bq])
         assert rq.status == rrf.status
         assert rank(mq) == rank(mrf)
         if rq.status != INCONSISTENT:
-            got = [x.num.constant_value() if x.is_polynomial() else None for x in rrf.particular]
-            assert got == [x.rational_value() for x in rq.particular]
+            assert all(x.is_rational() for x in rq.particular)
+            assert list(rrf.particular) == [rf.from_fraction(x.coords[0]) for x in rq.particular]
 
 
 def test_fraction_free_rank_deficient_symbolic(rng):
@@ -317,4 +325,4 @@ def test_signature_rejects_non_hermitian():
 
 def test_signature_requires_approx_context():
     with pytest.raises(UsageError):
-        hermitian_signature(Matrix.identity(Q, 2))
+        hermitian_signature(qmat([[1, 0], [0, 1]]))

@@ -178,7 +178,7 @@ def test_E_hermitian_at_unitary_numeric(rng):
         if not omega.is_nonvanishing():
             continue
         e = build_E(p, omega, ctx)
-        h = e.conj_transpose()
+        h = e.transpose().map(ctx.conjugate)
         for i in range(p.n):
             for j in range(p.n):
                 assert abs(e.entries[i][j] - h.entries[i][j]) < 1e-10

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -15,7 +16,7 @@ from slopelab.fields import (
     RationalFunctionField,
 )
 from slopelab.laurent import LaurentPoly
-from slopelab.linalg import Matrix, kernel_basis
+from slopelab.linalg import kernel_basis
 from slopelab.seifert import (
     CComplexPresentation,
     build_E,
@@ -35,6 +36,8 @@ from slopelab.slope import (
     slope_from_operator,
     slope_symbolic,
 )
+
+from conftest import int_matrix
 
 Q = Cyclotomic(1)
 
@@ -60,7 +63,7 @@ def test_whitehead_pointwise_at_minus_one(whitehead):
     sv = slope_at(whitehead, Character.root_of_unity(2, (1,)))
     assert sv.kind == FINITE
     assert sv.value == Cyclotomic(2).from_int(4)
-    assert [x.rational_value() for x in sv.witness] == [-4, 2]
+    assert list(sv.witness) == [-4, 2]
 
 
 def test_whitehead_pointwise_matches_closed_form_exactly(whitehead):
@@ -73,6 +76,32 @@ def test_whitehead_pointwise_matches_closed_form_exactly(whitehead):
         z = ctx.zeta(1)
         expected = closed.num.evaluate([z], zero=ctx.zero)
         assert sv.value == expected
+
+
+# sha256 of "kind|value|witness" renderings of
+# slope_at(random_presentation(random.Random(3), mu, n), zeta_N^exponents),
+# recorded with Fraction coordinates and the extended-gcd inverse in Q(zeta_N).
+CYCLOTOMIC_GOLDENS = [
+    (1, 6, 23, (1,), "a6b9aa728d3e3f51d32a0d9803cf048890478cbab97ed7fcb075d12b511c4f63"),
+    (1, 6, 25, (1,), "b043c6a28bda7ecf636a2127e60fd44bb36b654abfecf17f64f67acd0b5a3806"),
+    (1, 6, 64, (1,), "178b29e72ad0a40fe83361c64c82f4f226324f8671bc34d222408566e20c1b13"),
+    (1, 6, 72, (1,), "e7fc7f6c0a375149b042e8476ed0500e3328af7475b7e65d71674981631eaa37"),
+    (1, 6, 81, (1,), "a9bb4881d0a259f7cbf4ac0e468ad483b8d68ee73658039e3ae5fe1d43c2c160"),
+    (2, 4, 9, (1, 2), "916fa7a7f99914e400f4228fce025bbb568335078ef742acd90fc111e3c116d4"),
+    (2, 4, 16, (1, 3), "8171a9eedf57f5eb4a835b95c71abe6a9d6648aa0fb919403fa2ac010a1f65a3"),
+]
+
+
+@pytest.mark.parametrize(
+    "mu,n,conductor,exponents,digest",
+    CYCLOTOMIC_GOLDENS,
+    ids=[f"mu{g[0]}-N{g[2]}" for g in CYCLOTOMIC_GOLDENS],
+)
+def test_cyclotomic_slope_goldens(mu, n, conductor, exponents, digest):
+    p = random_presentation(random.Random(3), mu=mu, n=n)
+    sv = slope_at(p, Character.root_of_unity(conductor, exponents))
+    text = "|".join([sv.kind, sv.value.render(), ",".join(x.render() for x in sv.witness)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_kappa_zero_gives_finite_zero(rng):
@@ -103,7 +132,7 @@ def test_n_zero_presentation_slope_is_zero():
 
 
 def test_trichotomy_undefined_in_image_only():
-    e = Matrix.from_int_rows(Q, [[0, 1], [0, 0]])
+    e = int_matrix(Q, [[0, 1], [0, 0]])
     sv = slope_from_operator(e, [Q.from_int(1), Q.from_int(0)])
     assert sv.kind == UNDEFINED
     assert sv.case_report.kappa_in_image
@@ -111,7 +140,7 @@ def test_trichotomy_undefined_in_image_only():
 
 
 def test_trichotomy_infinity():
-    e = Matrix.from_int_rows(Q, [[0, 1], [0, 0]])
+    e = int_matrix(Q, [[0, 1], [0, 0]])
     sv = slope_from_operator(e, [Q.from_int(1), Q.from_int(1)])
     assert sv.kind == INFINITY
     assert not sv.case_report.kappa_in_image
@@ -119,7 +148,7 @@ def test_trichotomy_infinity():
 
 
 def test_trichotomy_undefined_in_annihilator_only():
-    e = Matrix.from_int_rows(Q, [[0, 1], [0, 0]])
+    e = int_matrix(Q, [[0, 1], [0, 0]])
     sv = slope_from_operator(e, [Q.from_int(0), Q.from_int(1)])
     assert sv.kind == UNDEFINED
     assert not sv.case_report.kappa_in_image
@@ -128,17 +157,17 @@ def test_trichotomy_undefined_in_annihilator_only():
 
 def test_trichotomy_finite_with_singular_operator():
     # diag(0, 1) with kappa = (0, 1): both memberships hold, slope -1
-    e = Matrix.from_int_rows(Q, [[0, 0], [0, 1]])
+    e = int_matrix(Q, [[0, 0], [0, 1]])
     sv = slope_from_operator(e, [Q.from_int(0), Q.from_int(1)])
     assert sv.kind == FINITE
-    assert sv.value.rational_value() == -1
+    assert sv.value == -1
 
 
 def test_trichotomy_exclusive_and_consistent(rng):
     for _ in range(50):
         rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
         kappa = [rng.randint(-2, 2) for _ in range(3)]
-        sv = slope_from_operator(Matrix.from_int_rows(Q, rows), [Q.from_int(k) for k in kappa])
+        sv = slope_from_operator(int_matrix(Q, rows), [Q.from_int(k) for k in kappa])
         memberships = (sv.case_report.kappa_in_image, sv.case_report.kappa_in_annihilator)
         if sv.kind == FINITE:
             assert memberships == (True, True)

@@ -4,8 +4,19 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
+
+from slopelab.fields import CyclotomicNumber
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_bench_module(name):
+    path = os.path.join(ROOT, "slopebench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"slopebench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_obstruction_sweep_runs_without_test_dependencies():
@@ -33,10 +44,7 @@ def test_benchmark_tracer_bindings_resolve():
     # install() raises when a module:name binding the tracer patches is gone
     import slopelab.cli
 
-    path = os.path.join(ROOT, "slopebench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("slopebench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_bench_module("tracer")
     original = slopelab.cli.slope_at
     t = tracer.Tracer()
     try:
@@ -45,3 +53,15 @@ def test_benchmark_tracer_bindings_resolve():
     finally:
         t.uninstall()
     assert slopelab.cli.slope_at is original
+
+
+def test_benchmark_value_stats_reads_cyclotomic_coords(monkeypatch):
+    # workloads.py imports its sibling gen.py, as it does inside the worker
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "slopebench"))
+    workloads = _load_bench_module("workloads")
+    x = CyclotomicNumber(5, [Fraction(1, 1000), 0, Fraction(-7, 4), 3])
+    y = CyclotomicNumber(3, [Fraction(-300, 7), 1])
+    # (terms, bits): the most nonzero coordinates and the widest numerator or denominator
+    assert workloads.value_stats([x]) == (3, 10)
+    assert workloads.value_stats([x, y, 1j]) == (3, 10)
+    assert workloads.value_stats([y]) == (2, 9)
