@@ -204,9 +204,12 @@ def _poly_from_monomials(monomials, num_vars, what):
     for m in monomials:
         try:
             coeff = Fraction(str(m["coeff"]))
-            exps = tuple(int(e) for e in m["exps"])
+            exps = m["exps"]
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"{what}: bad monomial {m!r}") from exc
+        if not isinstance(exps, list):
+            raise UsageError(f"{what}: exps must be a list of integers, got {exps!r}")
+        exps = tuple(_as_int(e, f"{what}: each entry of exps") for e in exps)
         if len(exps) != num_vars:
             raise UsageError(
                 f"{what}: exponent vector {exps} should have length {num_vars}"

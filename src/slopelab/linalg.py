@@ -3,16 +3,24 @@
 Exact contexts use deterministic first-nonzero pivoting; over the rational
 function field, forward and backward elimination run fraction-free on
 cleared numerators (one-step Bareiss style divisions, always exact) so the
-intermediate polynomials stay small, and only the final reduced row echelon
-form is converted back to reduced fractions.  The approximate context uses
+intermediate polynomials stay small.  The approximate context uses
 magnitude pivoting with a relative threshold and flags its results.
+
+Each fraction-free step multiplies every other row by the new pivot p_k and
+divides exactly by the previous pivot, so once all pivots are taken every
+pivot row is det * (its row of the reduced row echelon form), det being the
+last pivot.  The pivot columns are therefore det times the identity: they
+are read back as one and zero without any gcd.  Only the entries callers
+see as fractions are reduced to ``RatFunc``: the free columns (the kernel
+basis) and the right-hand side (the particular solution).  The unreduced
+numerators of the particular solution travel with it in
+``SolveResult.particular_over_det``, so a caller that combines its entries
+linearly can reduce once instead of once per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import UsageError
 from .fields import ApproxComplex, RatFunc, RationalFunctionField
@@ -102,6 +110,9 @@ class SolveResult:
     kernel_basis: tuple
     approximate: bool = False
     pivot_polys: tuple = ()
+    # fraction-free path only: (numerators, det) with
+    # particular[i] == RatFunc(numerators[i], det)
+    particular_over_det: tuple | None = None
 
 
 @dataclass
@@ -110,6 +121,10 @@ class _Echelon:
     pivots: list
     approximate: bool = False
     pivot_polys: tuple = ()
+    # fraction-free path only: the eliminated rows as polynomials, with
+    # poly_rows[r] == det * rows[r]
+    poly_rows: list | None = None
+    det: LaurentPoly | None = None
 
 
 def _echelon(rows, ncols, ctx):
@@ -186,14 +201,17 @@ def _echelon_fraction_free(rows, ncols, ctx):
         r += 1
     # after full fraction-free elimination the pivot rows equal prev * RREF
     det = prev
+    pivot_set = set(pivots)
     out = []
     for i, row in enumerate(poly_rows):
         if i < len(pivots):
-            out.append([RatFunc(x, det) for x in row])
+            reduced = [ctx.zero if c in pivot_set else RatFunc(x, det) for c, x in enumerate(row)]
+            reduced[pivots[i]] = ctx.one
+            out.append(reduced)
         else:
             assert all(x.is_zero() for x in row), "nonzero row below the pivot rows"
             out.append([ctx.zero] * ncols)
-    return _Echelon(out, pivots, pivot_polys=tuple(pivot_polys))
+    return _Echelon(out, pivots, pivot_polys=tuple(pivot_polys), poly_rows=poly_rows, det=det)
 
 
 def _echelon_approx(rows, ncols, ctx):
@@ -264,8 +282,16 @@ def solve(m, b):
     particular = [m.ctx.zero] * m.cols
     for r, c in enumerate(ech.pivots):
         particular[c] = ech.rows[r][m.cols]
+    over_det = None
+    if ech.det is not None:
+        numerators = [LaurentPoly.zero(m.ctx.num_vars)] * m.cols
+        for r, c in enumerate(ech.pivots):
+            numerators[c] = ech.poly_rows[r][m.cols]
+        over_det = (tuple(numerators), ech.det)
     status = UNIQUE if not kernel else UNDERDETERMINED
-    return SolveResult(status, tuple(particular), kernel, ech.approximate, ech.pivot_polys)
+    return SolveResult(
+        status, tuple(particular), kernel, ech.approximate, ech.pivot_polys, over_det
+    )
 
 
 def kernel_basis(m):
@@ -285,6 +311,9 @@ def hermitian_signature(m, tol_sig=1e-8):
         raise UsageError("hermitian_signature requires a square matrix")
     if m.rows == 0:
         return (0, 0, 0)
+    # imported here so that only signature computations pay numpy's import
+    import numpy as np
+
     h = np.array([[complex(x) for x in row] for row in m.entries], dtype=complex)
     scale = float(np.max(np.abs(h))) if h.size else 0.0
     if float(np.max(np.abs(h - h.conj().T))) > m.ctx.tol * max(1.0, scale):

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedHypothesisError,
     UsageError,
 )
-from .fields import ApproxComplex, Cyclotomic, RationalFunctionField
+from .fields import ApproxComplex, Cyclotomic, RatFunc, RationalFunctionField
 from .laurent import LaurentPoly
 from .linalg import (
     INCONSISTENT,
@@ -97,6 +97,14 @@ def slope_from_operator(e_matrix, kappa_scalars, collect_certificate=False):
     kernel, and conjugating the pairing with a real kappa does not change
     whether it vanishes), so Undefined needs an operator that is not
     self-adjoint, such as one passed in directly.
+
+    Over the rational function field with polynomial kappa (always the
+    case for ``slope_at``), the pairing is formed on the numerators of the
+    fraction-free solution, alpha_i = num_i / det, as
+    -RatFunc(sum_i kappa_i num_i, det): one gcd reduction instead of a
+    reduced product and sum per term.  Both are the same rational function,
+    and a ``RatFunc`` is stored in the canonical reduced form, so the value
+    is structurally identical to the term-by-term sum.
     """
     ctx = e_matrix.ctx
     kappa = list(kappa_scalars)
@@ -120,9 +128,16 @@ def slope_from_operator(e_matrix, kappa_scalars, collect_certificate=False):
             certificate = certificate * p
     if in_image and in_annihilator:
         alpha = sol.particular
-        pairing = ctx.zero
-        for a, k in zip(alpha, kappa):
-            pairing = pairing + a * k
+        if sol.particular_over_det is not None and all(k.is_polynomial() for k in kappa):
+            numerators, det = sol.particular_over_det
+            acc = LaurentPoly.zero(ctx.num_vars)
+            for num, k in zip(numerators, kappa):
+                acc = acc + k.num * num
+            pairing = RatFunc(acc, det)
+        else:
+            pairing = ctx.zero
+            for a, k in zip(alpha, kappa):
+                pairing = pairing + a * k
         return SlopeValue(FINITE, -pairing, tuple(alpha), report, approximate, certificate)
     if not in_image and not in_annihilator:
         return SlopeValue(INFINITY, None, None, report, approximate, certificate)

@@ -401,6 +401,49 @@ def test_malformed_conway_exit_2(tmp_path, field, value):
     assert field in p.stderr
 
 
+@pytest.mark.parametrize("exps", [[-1.5], "0", [True]])
+def test_malformed_conway_exponent_exit_2(tmp_path, exps):
+    # before the check the exponents went through int() and each case
+    # answered with exit 0
+    with open(builtin_path("l10n36_conway.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["nabla_L"][0]["exps"] = exps
+    path = _write(tmp_path, "bad.json", data)
+    p = _run("conway", "--in", path, "--sqrt", "zeta:10:1")
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+    assert "nabla_L" in p.stderr and "exps" in p.stderr
+
+
+NUMPY_PROBE = """
+import sys
+import slopelab, slopelab.cli as cli
+codes = [
+    cli.main(["validate", "--in", "whitehead.json"]),
+    cli.main(["slope", "--in", "whitehead.json", "--char", "symbolic"]),
+    cli.main(["compare", "--in", "whitehead.json", "--vs", "kappa_zero.json"]),
+    cli.main(["characters", "--root-status", "zeta:6:1"]),
+]
+before = "numpy" in sys.modules
+codes.append(cli.main(["signature", "--in", "trefoil.json", "--char", "zeta:12:1"]))
+print("probe", codes, before, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_numpy_imported_only_for_signatures():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    p = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stderr == "probe [0, 0, 1, 0, 0] False True\n"
+
+
 def test_malformed_grid_spec_exit_2():
     p = _run("characters", "--root-status", "zeta:5:*,x")
     assert (p.returncode, p.stderr) == (2, "error: bad exponents in 'zeta:5:*,x'\n")

@@ -10,7 +10,7 @@ from slopelab.fields import (
     RatFunc,
     RationalFunctionField,
 )
-from slopelab.laurent import LaurentPoly
+from slopelab.laurent import LaurentPoly, exact_div, poly_lcm
 from slopelab.linalg import (
     INCONSISTENT,
     UNDERDETERMINED,
@@ -277,6 +277,90 @@ def test_fraction_free_symbolic_solution_verifies(rng):
         assert all(rf.eq(g, want) for g, want in zip(got, b))
         for v in res.kernel_basis:
             assert all(rf.is_zero(x) for x in m.matvec(list(v)))
+
+
+def reference_fraction_free_solve(m, b):
+    """``solve`` over the rational function field with every entry of the
+    fraction-free RREF reduced to a RatFunc, pivot columns included: the
+    reference for the path that keeps the numerators over det.  Returns
+    (status, particular, kernel_basis, pivot_polys)."""
+    ctx = m.ctx
+    one = LaurentPoly.one(ctx.num_vars)
+    poly_rows = []
+    for row in [list(r) + [bi] for r, bi in zip(m.entries, b)]:
+        den = one
+        for x in row:
+            if not x.is_polynomial():
+                den = poly_lcm(den, x.den)
+        poly_rows.append([x.num * exact_div(den, x.den) for x in row])
+    prev = one
+    pivots, pivot_polys = [], []
+    for c in range(m.cols + 1):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(poly_rows)) if not poly_rows[i][c].is_zero()), None)
+        if sel is None:
+            continue
+        poly_rows[r], poly_rows[sel] = poly_rows[sel], poly_rows[r]
+        p = poly_rows[r][c]
+        for i in range(len(poly_rows)):
+            if i != r:
+                f = poly_rows[i][c]
+                poly_rows[i] = [exact_div(p * x - f * y, prev) for x, y in zip(poly_rows[i], poly_rows[r])]
+        prev = p
+        pivots.append(c)
+        pivot_polys.append(p)
+    rref = [[RatFunc(x, prev) for x in row] for row in poly_rows[: len(pivots)]]
+    pivot_cols = [c for c in pivots if c < m.cols]
+    kernel = []
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
+        v = [ctx.zero] * m.cols
+        v[f] = ctx.one
+        for r, c in enumerate(pivot_cols):
+            v[c] = -rref[r][f]
+        kernel.append(tuple(v))
+    if m.cols in pivots:
+        return INCONSISTENT, None, tuple(kernel), tuple(pivot_polys)
+    particular = [ctx.zero] * m.cols
+    for r, c in enumerate(pivots):
+        particular[c] = rref[r][m.cols]
+    status = UNDERDETERMINED if kernel else UNIQUE
+    return status, tuple(particular), tuple(kernel), tuple(pivot_polys)
+
+
+def random_ratfunc(rng, num_vars):
+    num = random_laurent(rng, num_vars, max_terms=2, exp_range=1, coeff_range=2)
+    if rng.random() < 0.5:
+        return RatFunc.from_poly(num)
+    return RatFunc(num, random_nonzero_laurent(rng, num_vars, max_terms=2, exp_range=1, coeff_range=2))
+
+
+def test_fraction_free_solve_matches_reduced_reference(rng):
+    """Square, rectangular, rank-deficient and inconsistent systems over the
+    rational function field give the same status, particular solution,
+    kernel basis and pivots as the wrap-every-entry reference."""
+    rf = RationalFunctionField(2)
+    seen = set()
+    for trial in range(60):
+        rows, cols = [(2, 2), (3, 3), (2, 3), (3, 2), (1, 3), (3, 1)][trial % 6]
+        entries = [[random_ratfunc(rng, 2) for _ in range(cols)] for _ in range(rows)]
+        if trial % 3 == 1:
+            # rank deficient: the last row is a multiple of the first
+            f = random_ratfunc(rng, 2)
+            entries[-1] = [f * x for x in entries[0]]
+        m = Matrix(rf, entries)
+        if trial % 3 == 2:
+            b = m.matvec([random_ratfunc(rng, 2) for _ in range(cols)])
+        else:
+            b = [random_ratfunc(rng, 2) for _ in range(rows)]
+        res = solve(m, b)
+        assert (res.status, res.particular, res.kernel_basis, res.pivot_polys) == (
+            reference_fraction_free_solve(m, b)
+        )
+        seen.add((res.status, rows == cols))
+    assert {s for s, _ in seen} == {UNIQUE, UNDERDETERMINED, INCONSISTENT}
+    assert {square for _, square in seen} == {True, False}
 
 
 # -- hermitian signature -------------------------------------------------------------

@@ -16,7 +16,7 @@ from slopelab.fields import (
     RationalFunctionField,
 )
 from slopelab.laurent import LaurentPoly
-from slopelab.linalg import kernel_basis
+from slopelab.linalg import Matrix, kernel_basis
 from slopelab.seifert import (
     CComplexPresentation,
     build_E,
@@ -101,6 +101,38 @@ def test_cyclotomic_slope_goldens(mu, n, conductor, exponents, digest):
     p = random_presentation(random.Random(3), mu=mu, n=n)
     sv = slope_at(p, Character.root_of_unity(conductor, exponents))
     text = "|".join([sv.kind, sv.value.render(), ",".join(x.render() for x in sv.witness)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of "kind|value|witness|valid_away_from" renderings of
+# slope_symbolic(random_presentation(random.Random(3), mu, n, kappa_zero)),
+# recorded while every entry of the fraction-free solution was reduced.
+SYMBOLIC_GOLDENS = [
+    (1, 4, False, "328133ffee97362c703c2ce378bc5f2410c5657dff76e79b587fff74b4427f4d"),
+    (1, 6, False, "7017d159e8e1642a0e3dedfb29280d120b8bc9b276452d32c9db40d7571ff9d7"),
+    (2, 2, False, "cd032a2326d4192bd9e41d5ba2202d8211c5960db7e2fd7adfb9d5c47f77b3a3"),
+    (2, 3, False, "ecdfa8cdf98fbff5bb94df4ab95e30e78f04ce66acf352d8d731540675003371"),
+    (3, 2, False, "e3522a5873776768991f9c56a74619c0667c407699552031687ba48bb94b89fe"),
+    (2, 3, True, "4596e59174788bdae1840e0dc3899f30b7721d4cd2813e710b442a1a0f2d1755"),
+]
+
+
+@pytest.mark.parametrize(
+    "mu,n,kappa_zero,digest",
+    SYMBOLIC_GOLDENS,
+    ids=[f"mu{g[0]}-n{g[1]}" + ("-kappa0" if g[2] else "") for g in SYMBOLIC_GOLDENS],
+)
+def test_symbolic_slope_goldens(mu, n, kappa_zero, digest):
+    p = random_presentation(random.Random(3), mu=mu, n=n, kappa_zero=kappa_zero)
+    sv = slope_symbolic(p)
+    text = "|".join(
+        [
+            sv.kind,
+            sv.value.render(),
+            ",".join(x.render() for x in sv.witness),
+            sv.valid_away_from.render(),
+        ]
+    )
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -314,6 +346,48 @@ def test_symbolic_pointwise_consistency(rng):
         assert abs(numeric.value - expected) < 1e-9
         assert numeric.approximate
         done += 1
+
+
+def test_symbolic_value_is_pairing_of_witness(rng):
+    """The finite symbolic slope equals -sum_i alpha_i kappa_i formed term by
+    term in RatFunc arithmetic from the returned witness."""
+    for mu, n in [(1, 3), (1, 5), (2, 2)] * 3:
+        p = random_presentation(rng, mu=mu, n=n)
+        sv = slope_symbolic(p)
+        if sv.kind != FINITE:
+            continue
+        rf = RationalFunctionField(mu)
+        pairing = rf.zero
+        for a, k in zip(sv.witness, p.kappa):
+            pairing = pairing + a * rf.from_int(k)
+        assert sv.value == -pairing
+
+
+@pytest.mark.parametrize(
+    "shape, kappa, kind",
+    [
+        # E = diag(0, w): kernel e1, image {(0, x)}
+        ("diag", (0, 1), FINITE),
+        ("diag", (0, "1/(1-w)"), FINITE),
+        ("diag", (1, 0), INFINITY),
+        # E = [[0, w], [0, 0]]: kernel e1, image {(x, 0)}
+        ("upper", (1, 0), UNDEFINED),
+        ("upper", (0, 1), UNDEFINED),
+    ],
+)
+def test_symbolic_underdetermined_operator(shape, kappa, kind):
+    """Operators with a kernel over the rational function field keep their
+    kind; a rational kappa entry takes the term-by-term pairing."""
+    rf = RationalFunctionField(1)
+    [w] = rf.variables()
+    scalars = {0: rf.zero, 1: rf.one, "1/(1-w)": rf.one / (rf.one - w)}
+    entries = [[rf.zero, rf.zero], [rf.zero, w]] if shape == "diag" else [[rf.zero, w], [rf.zero, rf.zero]]
+    k = [scalars[x] for x in kappa]
+    sv = slope_from_operator(Matrix(rf, entries), k, collect_certificate=True)
+    assert sv.kind == kind
+    if kind == FINITE:
+        assert list(sv.witness) == [rf.zero, k[1] / w]
+        assert sv.value == -(k[1] / w * k[1])
 
 
 # -- signature and nullity ------------------------------------------------------------
