@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fields import Cyclotomic
 from .laurent import LaurentPoly
-from .seifert import _as_int, validate
+from .seifert import _as_int, _as_tuple, validate
 from .slope import FINITE, INFINITY, slope_at
 
 INCONCLUSIVE = "inconclusive"
@@ -207,9 +207,9 @@ def _poly_from_monomials(monomials, num_vars, what):
             exps = m["exps"]
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"{what}: bad monomial {m!r}") from exc
-        if not isinstance(exps, list):
-            raise UsageError(f"{what}: exps must be a list of integers, got {exps!r}")
-        exps = tuple(_as_int(e, f"{what}: each entry of exps") for e in exps)
+        exps = tuple(
+            _as_int(e, f"{what}: each entry of exps") for e in _as_tuple(exps, f"{what}: exps")
+        )
         if len(exps) != num_vars:
             raise UsageError(
                 f"{what}: exponent vector {exps} should have length {num_vars}"

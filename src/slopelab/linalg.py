@@ -14,8 +14,9 @@ are read back as one and zero without any gcd.  Only the entries callers
 see as fractions are reduced to ``RatFunc``: the free columns (the kernel
 basis) and the right-hand side (the particular solution).  The unreduced
 numerators of the particular solution travel with it in
-``SolveResult.particular_over_det``, so a caller that combines its entries
-linearly can reduce once instead of once per entry.
+``SolveResult.particular_numerators`` (over det, the last of
+``pivot_polys``), so a caller that combines its entries linearly can reduce
+once instead of once per entry.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class SolveResult:
     kernel_basis: tuple
     approximate: bool = False
     pivot_polys: tuple = ()
-    # fraction-free path only: (numerators, det) with
-    # particular[i] == RatFunc(numerators[i], det)
-    particular_over_det: tuple | None = None
+    # fraction-free path only: particular[i] == RatFunc(num_i, det), det
+    # being pivot_polys[-1] (one when there are no pivots)
+    particular_numerators: tuple | None = None
 
 
 @dataclass
@@ -122,9 +123,8 @@ class _Echelon:
     approximate: bool = False
     pivot_polys: tuple = ()
     # fraction-free path only: the eliminated rows as polynomials, with
-    # poly_rows[r] == det * rows[r]
+    # poly_rows[r] == pivot_polys[-1] * rows[r]
     poly_rows: list | None = None
-    det: LaurentPoly | None = None
 
 
 def _echelon(rows, ncols, ctx):
@@ -211,7 +211,7 @@ def _echelon_fraction_free(rows, ncols, ctx):
         else:
             assert all(x.is_zero() for x in row), "nonzero row below the pivot rows"
             out.append([ctx.zero] * ncols)
-    return _Echelon(out, pivots, pivot_polys=tuple(pivot_polys), poly_rows=poly_rows, det=det)
+    return _Echelon(out, pivots, pivot_polys=tuple(pivot_polys), poly_rows=poly_rows)
 
 
 def _echelon_approx(rows, ncols, ctx):
@@ -282,15 +282,15 @@ def solve(m, b):
     particular = [m.ctx.zero] * m.cols
     for r, c in enumerate(ech.pivots):
         particular[c] = ech.rows[r][m.cols]
-    over_det = None
-    if ech.det is not None:
+    numerators = None
+    if ech.poly_rows is not None:
         numerators = [LaurentPoly.zero(m.ctx.num_vars)] * m.cols
         for r, c in enumerate(ech.pivots):
             numerators[c] = ech.poly_rows[r][m.cols]
-        over_det = (tuple(numerators), ech.det)
+        numerators = tuple(numerators)
     status = UNIQUE if not kernel else UNDERDETERMINED
     return SolveResult(
-        status, tuple(particular), kernel, ech.approximate, ech.pivot_polys, over_det
+        status, tuple(particular), kernel, ech.approximate, ech.pivot_polys, numerators
     )
 
 

@@ -98,13 +98,14 @@ def slope_from_operator(e_matrix, kappa_scalars, collect_certificate=False):
     whether it vanishes), so Undefined needs an operator that is not
     self-adjoint, such as one passed in directly.
 
-    Over the rational function field with polynomial kappa (always the
-    case for ``slope_at``), the pairing is formed on the numerators of the
-    fraction-free solution, alpha_i = num_i / det, as
-    -RatFunc(sum_i kappa_i num_i, det): one gcd reduction instead of a
-    reduced product and sum per term.  Both are the same rational function,
-    and a ``RatFunc`` is stored in the canonical reduced form, so the value
-    is structurally identical to the term-by-term sum.
+    Over the rational function field the pairing is formed on the
+    numerators of the fraction-free solution, alpha_i = num_i / det, as
+    -(sum_i kappa_i num_i) / det.  With polynomial kappa (always the case
+    for ``slope_at``) the sum stays a polynomial, and the division is the
+    one gcd reduction instead of a reduced product and sum per term.  Both
+    are the same rational function, and a ``RatFunc`` is stored in the
+    canonical reduced form, so the value is structurally identical to the
+    term-by-term sum.
     """
     ctx = e_matrix.ctx
     kappa = list(kappa_scalars)
@@ -128,12 +129,12 @@ def slope_from_operator(e_matrix, kappa_scalars, collect_certificate=False):
             certificate = certificate * p
     if in_image and in_annihilator:
         alpha = sol.particular
-        if sol.particular_over_det is not None and all(k.is_polynomial() for k in kappa):
-            numerators, det = sol.particular_over_det
-            acc = LaurentPoly.zero(ctx.num_vars)
-            for num, k in zip(numerators, kappa):
-                acc = acc + k.num * num
-            pairing = RatFunc(acc, det)
+        if sol.particular_numerators is not None:
+            det = sol.pivot_polys[-1] if sol.pivot_polys else LaurentPoly.one(ctx.num_vars)
+            pairing = ctx.zero
+            for num, k in zip(sol.particular_numerators, kappa):
+                pairing = pairing + k * RatFunc.from_poly(num)
+            pairing = pairing / RatFunc.from_poly(det)
         else:
             pairing = ctx.zero
             for a, k in zip(alpha, kappa):

@@ -377,7 +377,7 @@ def test_symbolic_value_is_pairing_of_witness(rng):
 )
 def test_symbolic_underdetermined_operator(shape, kappa, kind):
     """Operators with a kernel over the rational function field keep their
-    kind; a rational kappa entry takes the term-by-term pairing."""
+    kind; the numerator pairing also holds for a rational kappa entry."""
     rf = RationalFunctionField(1)
     [w] = rf.variables()
     scalars = {0: rf.zero, 1: rf.one, "1/(1-w)": rf.one / (rf.one - w)}
