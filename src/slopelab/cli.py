@@ -36,12 +36,18 @@ EXIT_OBSTRUCTED = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 
+# Most characters a zeta:N:* grid may expand to; the point count
+# (N-1)^(number of '*') is checked before anything is built.
+GRID_LIMIT = 4096
 
-def parse_character_spec(spec, mu=None):
+
+def parse_character_spec(spec, mu=None, single=None):
     """Parse a character spec: symbolic | zeta:N:k1,..,kmu | num:re+imi,..
 
     Exponent entries may be '*' (grid over 1..N-1); the result is then a
-    list of characters, otherwise a single character.
+    list of characters, otherwise a single character.  A grid above
+    GRID_LIMIT points is refused before expansion, and so is any grid when
+    ``single`` (the refusal message) is given.
     """
     spec = spec.strip()
     if spec == "symbolic":
@@ -70,6 +76,17 @@ def parse_character_spec(spec, mu=None):
             raise UsageError(f"bad exponents in {spec!r}") from exc
         if not grid:
             return Character.root_of_unity(conductor, [k for (k,) in pools])
+        if single is not None:
+            raise UsageError(single)
+        stars = raw.count("*")
+        points = 1
+        for _ in range(stars):
+            points = min(points * (conductor - 1), GRID_LIMIT + 1)
+        if points > GRID_LIMIT:
+            count = f"{conductor - 1}^{stars}" if stars > 1 else f"{conductor - 1}"
+            raise UsageError(
+                f"grid {spec!r} has {count} points, above the limit of {GRID_LIMIT}"
+            )
         return [
             Character.root_of_unity(conductor, exps) for exps in itertools.product(*pools)
         ]
@@ -168,9 +185,9 @@ def cmd_slope(args):
     )
     if violations:
         return _refusal(violations)
-    omega = parse_character_spec(args.char, mu=presentation.mu)
-    if isinstance(omega, list):
-        raise UsageError("slope takes a single character, not a grid")
+    omega = parse_character_spec(
+        args.char, mu=presentation.mu, single="slope takes a single character, not a grid"
+    )
     if omega.kind == "symbolic":
         sv = slope_symbolic(presentation, check_transpose=not args.no_transpose_check)
     else:
@@ -303,9 +320,9 @@ def cmd_characters(args):
             )
         return EXIT_OK, {"components": rows}, lines
     if args.root_status:
-        omega = parse_character_spec(args.root_status)
-        if isinstance(omega, list):
-            raise UsageError("--root-status takes a single character")
+        omega = parse_character_spec(
+            args.root_status, single="--root-status takes a single character"
+        )
         status = concordance_root_status(omega)
         witness = status.witness.render() if status.witness is not None else None
         verified = (
@@ -380,13 +397,13 @@ def cmd_conway(args):
         return EXIT_OK, result, lines
     if not args.sqrt:
         raise UsageError("conway needs explicit square roots via --sqrt")
-    sqrt_char = parse_character_spec(args.sqrt, mu=data.mu)
-    if isinstance(sqrt_char, list):
-        raise UsageError("--sqrt takes a single character")
+    sqrt_char = parse_character_spec(
+        args.sqrt, mu=data.mu, single="--sqrt takes a single character"
+    )
     if args.char:
-        omega = parse_character_spec(args.char, mu=data.mu)
-        if isinstance(omega, list):
-            raise UsageError("--char takes a single character")
+        omega = parse_character_spec(
+            args.char, mu=data.mu, single="--char takes a single character"
+        )
         _check_sqrt_consistency(omega, sqrt_char, args.tol)
     ctx = ApproxComplex(args.tol) if sqrt_char.kind == "numeric" else None
     value = conway_quotient(data, sqrt_char, ctx)

@@ -1,35 +1,48 @@
 """Multivariate Laurent polynomials with exact rational coefficients.
 
 A polynomial is stored sparsely as a map from integer exponent vectors
-(entries may be negative) to nonzero :class:`~fractions.Fraction`
-coefficients, so two polynomials are equal in the ring exactly when their
-stored term maps are equal.  The module also provides the polynomial gcd
-machinery used to keep rational functions reduced (recursive
-content/primitive-part with a subresultant remainder sequence in the main
-variable) and cyclotomic polynomials.
+(entries may be negative) to nonzero exact coefficients: a Python ``int``
+when the value is integral and a :class:`~fractions.Fraction` otherwise.
+An ``int`` and a ``Fraction`` of equal value compare and hash equal, so
+two polynomials are equal in the ring exactly when their stored term maps
+are equal, whichever type holds an integral value.  Polynomials built from
+integer data (the theta matrices, Bareiss rows, subresultant remainders)
+therefore run on ``int`` arithmetic throughout; every division stays exact
+and no coefficient is ever a float.  The module also provides the
+polynomial gcd machinery used to keep rational functions reduced
+(recursive content/primitive-part with a subresultant remainder sequence
+in the main variable) and cyclotomic polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 
 from .errors import UsageError
 
-_ZERO = Fraction(0)
 
-
-def _as_fraction(x):
+def _as_coeff(x):
+    """An exact coefficient: an ``int`` when integral, else a ``Fraction``."""
     if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, str):
+        return _as_coeff(Fraction(x))
     raise UsageError(f"expected an exact rational coefficient, got {type(x).__name__}")
 
 
 class LaurentPoly:
-    """A Laurent polynomial in ``num_vars`` variables over the rationals."""
+    """A Laurent polynomial in ``num_vars`` variables over the rationals.
+
+    ``terms`` maps exponent tuples to nonzero coefficients, each an ``int``
+    when integral and a ``Fraction`` otherwise (equal values of the two
+    types compare and hash equal, so ``==`` and ``hash`` do not see the
+    difference).
+    """
 
     __slots__ = ("num_vars", "terms")
 
@@ -46,7 +59,7 @@ class LaurentPoly:
                     raise UsageError(
                         f"exponent vector {exps} has length {len(exps)}, expected {num_vars}"
                     )
-                c = clean.get(exps, _ZERO) + _as_fraction(coeff)
+                c = _as_coeff(clean.get(exps, 0) + _as_coeff(coeff))
                 if c:
                     clean[exps] = c
                 elif exps in clean:
@@ -55,6 +68,14 @@ class LaurentPoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _make(cls, num_vars, terms):
+        """Wrap an already-clean term map (tuple keys, nonzero coefficients)."""
+        out = cls.__new__(cls)
+        out.num_vars = num_vars
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, num_vars):
@@ -126,23 +147,17 @@ class LaurentPoly:
         self._check_same(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.num_vars = self.num_vars
-        out.terms = terms
-        return out
+        return LaurentPoly._make(self.num_vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.num_vars = self.num_vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._make(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,13 +171,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _as_coeff(other)
             if not c:
                 return LaurentPoly.zero(self.num_vars)
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.num_vars = self.num_vars
-            out.terms = {e: cc * c for e, cc in self.terms.items()}
-            return out
+            return LaurentPoly._make(
+                self.num_vars, {e: _as_coeff(cc * c) for e, cc in self.terms.items()}
+            )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same(other)
@@ -170,15 +184,12 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, _ZERO) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 elif e in terms:
                     del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.num_vars = self.num_vars
-        out.terms = terms
-        return out
+        return LaurentPoly._make(self.num_vars, terms)
 
     __rmul__ = __mul__
 
@@ -200,7 +211,9 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise UsageError("only monomials are invertible in the Laurent ring")
         (e, c), = self.terms.items()
-        return LaurentPoly.monomial(self.num_vars, tuple(-x for x in e), Fraction(1) / c)
+        return LaurentPoly._make(
+            self.num_vars, {tuple(-x for x in e): _as_coeff(Fraction(1) / c)}
+        )
 
     def shift(self, exps):
         """Multiply by the monomial with the given exponent vector."""
@@ -209,22 +222,21 @@ class LaurentPoly:
             raise UsageError("shift exponent vector has wrong length")
         if not any(exps):
             return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.num_vars = self.num_vars
-        out.terms = {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._make(
+            self.num_vars,
+            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
+        )
 
     def subst_inverse(self):
         """Substitute every variable by its inverse."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.num_vars = self.num_vars
-        out.terms = {tuple(-x for x in e): c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._make(
+            self.num_vars, {tuple(-x for x in e): c for e, c in self.terms.items()}
+        )
 
-    def evaluate(self, values, zero=_ZERO):
+    def evaluate(self, values, zero=0):
         """Evaluate at a point.
 
-        ``values`` must support multiplication with Fractions and integer
+        ``values`` must support multiplication with ints, Fractions and integer
         powers (negative powers are needed when negative exponents occur).
         ``zero`` is the additive identity of the target scalars and anchors
         the result type (constant polynomials coerce through it).
@@ -280,7 +292,6 @@ class LaurentPoly:
 
 
 def _fmt_fraction(q):
-    q = _as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -316,32 +327,42 @@ def _div_ordinary(p, d):
         diff = tuple(a - b for a, b in zip(e, lead_e))
         if any(x < 0 for x in diff):
             raise ArithmeticError("inexact polynomial division")
-        qc = c / lead_c
-        q[diff] = q.get(diff, _ZERO) + qc
+        if type(c) is int and type(lead_c) is int:
+            qc, r = divmod(c, lead_c)
+            if r:
+                qc = Fraction(c, lead_c)
+        else:
+            qc = _as_coeff(c / lead_c)
+        # the leading exponent of rem strictly decreases, so each diff is new
+        q[diff] = qc
         for ee, cc in d.terms.items():
             key = tuple(a + b for a, b in zip(diff, ee))
-            s = rem.get(key, _ZERO) - qc * cc
+            s = rem.get(key, 0) - qc * cc
             if s:
                 rem[key] = s
             elif key in rem:
                 del rem[key]
-    return LaurentPoly(p.num_vars, q)
+    return LaurentPoly._make(p.num_vars, q)
 
 
 # -- gcd ----------------------------------------------------------------------
 
 
 def _int_primitive(p):
-    """Scale by a rational so the coefficients are coprime integers."""
+    """Scale by a positive rational so the coefficients are coprime integers.
+
+    Returns ``p`` itself when it already is.
+    """
     if p.is_zero():
         return p
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator) * (den_lcm // c.denominator))
-    return p * Fraction(den_lcm, num_gcd)
+    # reduce rather than gcd(*nums): argument tuples of every length would
+    # pile up in the interpreter's tuple free lists and raise peak memory
+    den = reduce(_int_lcm, (c.denominator for c in p.terms.values()), 1)
+    nums = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+    g = reduce(_int_gcd, nums, 0)
+    if den == 1 and g == 1:
+        return p
+    return LaurentPoly._make(p.num_vars, {e: n // g for e, n in zip(p.terms, nums)})
 
 
 def normalize_poly(p):
@@ -374,7 +395,7 @@ def _coeff_split(p, v):
         ne = list(e)
         ne[v] = 0
         out.setdefault(k, {})[tuple(ne)] = c
-    return {k: LaurentPoly(p.num_vars, t) for k, t in out.items()}
+    return {k: LaurentPoly._make(p.num_vars, t) for k, t in out.items()}
 
 
 def _lead_coeff_in(p, v):
@@ -385,7 +406,7 @@ def _lead_coeff_in(p, v):
             ne = list(e)
             ne[v] = 0
             terms[tuple(ne)] = c
-    return LaurentPoly(p.num_vars, terms)
+    return LaurentPoly._make(p.num_vars, terms)
 
 
 def _times_v_pow(p, v, k):
@@ -430,7 +451,7 @@ def _gcd_univariate(a, b, v):
 
     def dense(d):
         n = max(d)
-        return [d.get(i, _ZERO) for i in range(n + 1)]
+        return [d.get(i, 0) for i in range(n + 1)]
 
     x, y = dense(da), dense(db)
     while y and any(y):

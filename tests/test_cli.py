@@ -14,7 +14,7 @@ from slopelab.seifert import (
 from slopelab.datasets import builtin_path
 
 
-def _run(*args):
+def _run(*args, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -23,6 +23,7 @@ def _run(*args):
         text=True,
         env=env,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        timeout=timeout,
     )
 
 
@@ -447,6 +448,57 @@ def test_numpy_imported_only_for_signatures():
 def test_malformed_grid_spec_exit_2():
     p = _run("characters", "--root-status", "zeta:5:*,x")
     assert (p.returncode, p.stderr) == (2, "error: bad exponents in 'zeta:5:*,x'\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ("signature", "--in", "trefoil.json", "--char", "zeta:1000001:*"),
+            "grid 'zeta:1000001:*' has 1000000 points, above the limit of 4096",
+        ),
+        (
+            ("characters", "--root-status", "zeta:1000001:*,*,*"),
+            "--root-status takes a single character",
+        ),
+        (
+            ("slope", "--in", "whitehead.json", "--char", "zeta:1000001:*"),
+            "slope takes a single character, not a grid",
+        ),
+        (
+            ("conway", "--in", "l10n36_conway.json", "--sqrt", "zeta:1000001:*"),
+            "--sqrt takes a single character",
+        ),
+        (
+            ("conway", "--in", "l10n36_conway.json", "--sqrt", "zeta:10:1", "--char", "zeta:1000001:*"),
+            "--char takes a single character",
+        ),
+    ],
+)
+def test_grid_refused_before_expansion(args, message):
+    # expanding these grids would build 10^6 or 10^18 characters; the timeout catches it
+    p = _run(*args, timeout=60)
+    assert (p.returncode, p.stdout, p.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_grid_limit_counts_points_before_expansion():
+    from slopelab.cli import GRID_LIMIT, parse_character_spec
+    from slopelab.errors import UsageError
+
+    assert GRID_LIMIT == 4096
+    assert len(parse_character_spec("zeta:4097:*")) == 4096
+    assert len(parse_character_spec("zeta:65:*,*,1", mu=3)) == 4096
+    for spec, count in [
+        ("zeta:4098:*", "4097"),
+        ("zeta:66:*,*,1", "65^2"),
+        ("zeta:3:" + ",".join(["*"] * 13), "2^13"),
+        ("zeta:1000001:*,*,*", "1000000^3"),
+    ]:
+        with pytest.raises(UsageError) as exc:
+            parse_character_spec(spec)
+        assert str(exc.value) == (
+            f"grid {spec!r} has {count} points, above the limit of 4096"
+        )
 
 
 @pytest.mark.parametrize(

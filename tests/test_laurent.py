@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopelab.errors import UsageError
+from slopelab.fields import RatFunc
 from slopelab.laurent import (
     LaurentPoly,
     cyclotomic_minimal_poly,
@@ -183,3 +184,106 @@ def test_render_canonical_order():
     assert p.render() == "2*w1^-1 - 1/2 + w1*w2^-1"
     assert LaurentPoly.zero(2).render() == "0"
     assert p.render(names=["s1", "s2"]) == "2*s1^-1 - 1/2 + s1*s2^-1"
+
+
+# -- coefficient storage: int when integral, Fraction otherwise ---------------
+
+
+def _coeffs(*polys):
+    return [c for p in polys for c in p.terms.values()]
+
+
+def _all_int(*polys):
+    return all(type(c) is int for c in _coeffs(*polys))
+
+
+def test_integer_data_keeps_int_coefficients():
+    rng = random.Random(5)
+    lead = LaurentPoly.monomial(2, (3, 0))  # lex-leading coefficient 1 for q
+    for _ in range(30):
+        p = random_nonzero_laurent(rng, 2, max_terms=4, exp_range=2)
+        q = random_nonzero_laurent(rng, 2, max_terms=3, exp_range=2) + lead
+        # g normalized: the reduced denominator is q, so its unit factor is 1
+        g = normalize_poly(random_nonzero_laurent(rng, 2, max_terms=3, exp_range=1))
+        assert _all_int(p, q, g)
+        results = [
+            p + q,
+            p - q,
+            p * q,
+            -3 * p,
+            p * 6,
+            p ** 3,
+            q ** 2,
+            LaurentPoly.monomial(2, (1, -1), -1) ** -3,
+            p.shift((2, -1)),
+            p.subst_inverse(),
+            exact_div(p * q, q),
+            normalize_poly(6 * p),
+            poly_gcd(p * g, q * g),
+            poly_lcm(p * g, q * g),
+        ]
+        assert _all_int(*results)
+        r = RatFunc(p * g, q * g)
+        assert _all_int(r.num, r.den)
+        assert r == RatFunc(p, q)
+
+
+def test_exact_div_by_non_primitive_divisor_is_exact():
+    t = LaurentPoly.var(1, 0)
+    half = exact_div(t + 1, 2 * t + 2)
+    ((e, c),) = half.terms.items()
+    assert e == (0,) and type(c) is Fraction and c == Fraction(1, 2)
+    # -9/2 w^-1 + 3/2 w, from integer operands through the Fraction fallback
+    got = exact_div(3 * (t ** 2 - 3) * (t + 1), t ** 2 * 2 + t * 2)
+    assert got == LaurentPoly(1, {(-1,): Fraction(-9, 2), (1,): Fraction(3, 2)})
+    assert [type(c) for _, c in sorted(got.terms.items())] == [Fraction, Fraction]
+    assert exact_div(4 * t + 2, 2 * t + 1) == 2
+    assert _all_int(exact_div(4 * t + 2, 2 * t + 1), (t * Fraction(1, 2)).inverse_unit())
+    # no float is ever stored, nor accepted
+    u = LaurentPoly(1, {(0,): Fraction(1, 3), (1,): 2})
+    produced = [
+        half,
+        got,
+        u * u,
+        u * 3,
+        u + half,
+        exact_div(u * (t + 2), t + 2),
+        (2 * t).inverse_unit(),
+        normalize_poly(u),
+        poly_gcd(u * (t + 1), 2 * t + 2),
+    ]
+    assert not any(isinstance(c, float) for c in _coeffs(*produced))
+    with pytest.raises(UsageError):
+        LaurentPoly(1, {(0,): 0.5})
+
+
+def test_fraction_coefficients_agree_with_int_path():
+    # the same polynomials scaled by non-integral rationals run the Fraction path
+    rng = random.Random(17)
+    third, two_fifths = Fraction(1, 3), Fraction(2, 5)
+    for _ in range(25):
+        p = random_nonzero_laurent(rng, 2, max_terms=4, exp_range=2)
+        q = random_nonzero_laurent(rng, 2, max_terms=3, exp_range=2)
+        g = random_nonzero_laurent(rng, 2, max_terms=3, exp_range=1)
+        p3, q25 = p * third, q * two_fifths
+        assert any(type(c) is Fraction for c in _coeffs(p3, q25))
+        assert poly_gcd(p3 * g, q25 * g) == poly_gcd(p * g, q * g)
+        assert poly_lcm(p3, q25) == poly_lcm(p, q)
+        assert exact_div(p * q * third, q) == p3
+        assert exact_div(p3 * q25, q25) == p3
+        assert normalize_poly(p3) == normalize_poly(p)
+        assert RatFunc(p * third, q * Fraction(1, 5)) == RatFunc(5 * p, 3 * q)
+
+
+def test_integral_fraction_equals_and_hashes_like_int():
+    t = LaurentPoly.var(1, 0)
+    p = 2 * t ** 2 - 3 * t + 1
+    built = LaurentPoly(1, {(2,): Fraction(2), (1,): Fraction(-6, 2), (0,): Fraction(1)})
+    assert built == p and hash(built) == hash(p)
+    assert _all_int(built)
+    # Fraction sums with integral values, stored as they come out of __add__
+    x = p * Fraction(1, 3)
+    y = x + x + x
+    assert any(type(c) is Fraction for c in y.terms.values())
+    assert y == p and hash(y) == hash(p) and y.render() == p.render()
+    assert {y: 1}[p] == 1

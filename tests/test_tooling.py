@@ -6,7 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from slopelab.fields import CyclotomicNumber
+from slopelab.fields import CyclotomicNumber, RatFunc
+from slopelab.laurent import LaurentPoly
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -65,3 +66,20 @@ def test_benchmark_value_stats_reads_cyclotomic_coords(monkeypatch):
     assert workloads.value_stats([x]) == (3, 10)
     assert workloads.value_stats([x, y, 1j]) == (3, 10)
     assert workloads.value_stats([y]) == (2, 9)
+
+
+def test_benchmark_value_stats_reads_mixed_laurent_coefficients(monkeypatch):
+    # RatFunc terms hold ints when integral and Fractions otherwise; value_stats
+    # reads .numerator and .denominator of both
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "slopebench"))
+    workloads = _load_bench_module("workloads")
+    w = LaurentPoly.var(1, 0)
+    # reduced to (1000 w^-1 - 7/4 + 3 w) / (1 + w^-1)
+    x = RatFunc(1000 - Fraction(7, 4) * w + 3 * w ** 2, w + 1)
+    assert sorted(type(c).__name__ for c in x.num.terms.values()) == ["Fraction", "int", "int"]
+    # reduced to (1/2050 w^-1) / 1
+    y = RatFunc(LaurentPoly.const(1, Fraction(1, 1025)), 2 * w)
+    assert y.num.terms == {(-1,): Fraction(1, 2050)} and y.den.terms == {(0,): 1}
+    assert workloads.value_stats([x]) == (5, 10)
+    assert workloads.value_stats([x, y, 1j]) == (5, 12)
+    assert workloads.value_stats([y]) == (2, 12)
