@@ -39,7 +39,6 @@ from .linalg import (
     Matrix,
     SolveResult,
     hermitian_signature,
-    kernel_basis,
     rank,
     solve,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "exact_div",
     "hermitian_signature",
     "is_admissible",
-    "kernel_basis",
     "load_conway",
     "load_presentation",
     "poly_gcd",

@@ -131,10 +131,7 @@ class Character:
         """Order of a torsion character as an element of the torus."""
         if self.kind != ROOT_OF_UNITY:
             raise UsageError("exact_order only applies to root-of-unity characters")
-        g = self.conductor
-        for k in self.exponents:
-            g = _int_gcd(g, k)
-        return self.conductor // g
+        return self.reduced().conductor
 
     def reduced(self):
         """The same torsion character at its minimal conductor."""
@@ -193,12 +190,12 @@ def embed_character(omega, ctx):
     raise UsageError(f"unknown character kind {omega.kind!r}")
 
 
-def default_context_for(omega, tol=None):
+def default_context_for(omega):
     if omega.kind == SYMBOLIC:
         return RationalFunctionField(omega.mu)
     if omega.kind == ROOT_OF_UNITY:
         return Cyclotomic(omega.conductor)
-    return ApproxComplex(tol)
+    return ApproxComplex()
 
 
 # -- admissible variety ---------------------------------------------------------
@@ -220,7 +217,7 @@ class AdmissibleComponent:
     multiplicity: int
 
 
-def is_admissible(omega, linking, tol=None):
+def is_admissible(omega, linking):
     """True iff prod_i omega_i^(lambda_i) = 1."""
     linking = tuple(int(x) for x in linking)
     if len(linking) != omega.mu:
@@ -231,11 +228,10 @@ def is_admissible(omega, linking, tol=None):
         return False
     if omega.kind == ROOT_OF_UNITY:
         return sum(l * k for l, k in zip(linking, omega.exponents)) % omega.conductor == 0
-    tol = default_tolerance() if tol is None else tol
     prod = 1 + 0j
     for v, l in zip(omega.values, linking):
         prod *= v ** l
-    return abs(prod - 1) <= tol
+    return abs(prod - 1) <= default_tolerance()
 
 
 def components(linking):
@@ -328,16 +324,20 @@ def concordance_root_status(omega):
     )
 
 
+# conductors searched by sample_safe_characters
+SAMPLE_MAX_CONDUCTOR = 64
+
+
 def _prime_powers_up_to(bound):
     return [n for n in range(2, bound + 1) if is_prime_power(n)]
 
 
-def sample_safe_characters(mu, linking, budget, seed=0, max_conductor=64):
+def sample_safe_characters(mu, linking, budget, seed=0):
     """Torsion characters that are admissible, non-vanishing, and not
     concordance roots (prime-power order), deterministically from a seed.
 
     Returns up to ``budget`` characters; the list is empty when nothing
-    admissible exists within the conductor search bound.
+    admissible exists up to conductor ``SAMPLE_MAX_CONDUCTOR``.
     """
     mu = int(mu)
     if mu < 1:
@@ -349,7 +349,7 @@ def sample_safe_characters(mu, linking, budget, seed=0, max_conductor=64):
     if budget <= 0:
         return []
     rng = random.Random(seed)
-    conductors = _prime_powers_up_to(max_conductor)
+    conductors = _prime_powers_up_to(SAMPLE_MAX_CONDUCTOR)
     pools = {}
     positions = {}
 

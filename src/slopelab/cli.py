@@ -109,11 +109,7 @@ def parse_character_spec(spec, mu=None, single=None):
 def render_value(value):
     if value is None:
         return None
-    if isinstance(value, RatFunc):
-        return value.render()
-    if isinstance(value, CyclotomicNumber):
-        return value.render()
-    if isinstance(value, LaurentPoly):
+    if isinstance(value, (RatFunc, CyclotomicNumber, LaurentPoly)):
         return value.render()
     if isinstance(value, complex):
         return format_complex(value)
@@ -235,6 +231,7 @@ def cmd_signature(args):
             omega,
             tol_sig=args.tol_sig,
             check_transpose=not args.no_transpose_check,
+            tol=args.tol,
         )
         rows.append(
             {

@@ -14,8 +14,9 @@ Three kinds of scalar are supported:
   tests use the context tolerance and all results count as approximate.
 
 Every scalar type implements the usual arithmetic operators, so generic
-code (the linear algebra in particular) only consults the context for
-``is_zero``, ``invert``, ``eq`` and ``conjugate``.
+code (the linear algebra in particular) only consults the context for its
+``zero`` and ``one`` and for ``from_int``, ``is_zero``, ``invert``, ``eq``
+and ``conjugate``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import UsageError
 from .laurent import (
     LaurentPoly,
     _cyclotomic_coeffs,
+    _power,
     euler_phi,
     exact_div,
     poly_gcd,
@@ -147,29 +149,13 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def invert(self):
         if self.is_zero():
             raise ZeroDivisionError("the zero rational function has no inverse")
         return RatFunc(self.den, self.num)
 
     def __pow__(self, exponent):
-        exponent = int(exponent)
-        if exponent < 0:
-            return self.invert() ** (-exponent)
-        result = RatFunc.const(self.num_vars, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return _power(self, exponent, RatFunc.const(self.num_vars, 1), RatFunc.invert)
 
     def subst_inverse(self):
         """The formal involution substituting every variable by its inverse."""
@@ -213,8 +199,12 @@ def _reduce_fraction(num, den):
         den = exact_div(den, g)
     # unit-normalize: make the denominator's lex-leading term the constant 1
     e, c = den.lex_leading()
-    unit = LaurentPoly.monomial(num.num_vars, tuple(-x for x in e), Fraction(1) / c)
-    return num * unit, den * unit
+    e = tuple(-x for x in e)
+    num, den = num.shift(e), den.shift(e)
+    if c != 1:
+        inv = Fraction(1) / c
+        num, den = num * inv, den * inv
+    return num, den
 
 
 # -- cyclotomic numbers --------------------------------------------------------
@@ -391,24 +381,10 @@ class CyclotomicNumber:
             return NotImplemented
         return self * other.invert()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.invert()
-
     def __pow__(self, exponent):
-        exponent = int(exponent)
-        if exponent < 0:
-            return self.invert() ** (-exponent)
-        result = CyclotomicNumber.one(self.conductor)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return _power(
+            self, exponent, CyclotomicNumber.one(self.conductor), CyclotomicNumber.invert
+        )
 
     def galois(self, k):
         """Apply the substitution t -> t^k (k coprime to the conductor)."""
@@ -432,9 +408,6 @@ class CyclotomicNumber:
             total = total * zeta + complex(c)
         return total
 
-    def is_rational(self):
-        return not any(self.num[1:])
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CyclotomicNumber.from_fraction(self.conductor, other)
@@ -445,9 +418,9 @@ class CyclotomicNumber:
     def __hash__(self):
         return hash((self.conductor, self.num, self.den))
 
-    def render(self, varname="z"):
+    def render(self):
         poly = LaurentPoly(1, {(i,): c for i, c in enumerate(self.coords) if c})
-        return poly.render(names=[varname])
+        return poly.render(names=["z"])
 
     def __repr__(self):
         return f"CyclotomicNumber(N={self.conductor}, {self.render()!r})"
@@ -476,9 +449,6 @@ class RationalFunctionField:
 
     def from_int(self, k):
         return RatFunc.const(self.num_vars, k)
-
-    def from_fraction(self, q):
-        return RatFunc.const(self.num_vars, q)
 
     def is_zero(self, x):
         return x.is_zero()
@@ -518,9 +488,6 @@ class Cyclotomic:
     def from_int(self, k):
         return CyclotomicNumber.from_fraction(self.conductor, k)
 
-    def from_fraction(self, q):
-        return CyclotomicNumber.from_fraction(self.conductor, q)
-
     def is_zero(self, x):
         return x.is_zero()
 
@@ -558,9 +525,6 @@ class ApproxComplex:
 
     def from_int(self, k):
         return complex(k)
-
-    def from_fraction(self, q):
-        return complex(Fraction(q))
 
     def is_zero(self, x):
         return abs(x) <= self.tol

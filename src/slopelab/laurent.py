@@ -79,15 +79,16 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, num_vars):
-        return cls(num_vars)
+        return cls._make(num_vars, {})
 
     @classmethod
     def const(cls, num_vars, c):
-        return cls(num_vars, {(0,) * num_vars: c})
+        c = _as_coeff(c)
+        return cls._make(num_vars, {(0,) * num_vars: c} if c else {})
 
     @classmethod
     def one(cls, num_vars):
-        return cls.const(num_vars, 1)
+        return cls._make(num_vars, {(0,) * num_vars: 1})
 
     @classmethod
     def var(cls, num_vars, index, power=1):
@@ -194,17 +195,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        exponent = int(exponent)
-        if exponent < 0:
-            return self.inverse_unit() ** (-exponent)
-        result = LaurentPoly.one(self.num_vars)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return _power(self, exponent, LaurentPoly.one(self.num_vars), LaurentPoly.inverse_unit)
 
     def inverse_unit(self):
         """Invert a unit (a single monomial).  Raises otherwise."""
@@ -289,6 +280,21 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.num_vars}, {self.render()!r})"
+
+
+def _power(x, exponent, one, inverse):
+    """x ** exponent by square-and-multiply, from the identity ``one``;
+    a negative exponent powers ``inverse(x)`` instead."""
+    exponent = int(exponent)
+    if exponent < 0:
+        x, exponent = inverse(x), -exponent
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * x
+        x = x * x
+        exponent >>= 1
+    return result
 
 
 def _fmt_fraction(q):
@@ -598,30 +604,19 @@ def is_prime_power(n):
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(n):
-    """Dense integer coefficients of the n-th cyclotomic polynomial, low to high."""
+    """Dense integer coefficients of Phi_n, low to high.
+
+    With p the least prime factor of n and m = n/p: Phi_n(t) = Phi_m(t^p) if
+    p | m, else Phi_m(t^p) / Phi_m(t) (one exact division per prime of n).
+    """
     if n == 1:
         return (-1, 1)
-    coeffs = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        coeffs = _dense_exact_div(coeffs, list(_cyclotomic_coeffs(d)))
-    return tuple(coeffs)
-
-
-def _dense_exact_div(a, b):
-    """Exact division of dense integer coefficient lists (low to high)."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1]
-        if c % b[-1]:
-            raise ArithmeticError("inexact dense division")
-        q[i] = c // b[-1]
-        if q[i]:
-            for j, bj in enumerate(b):
-                a[i + j] -= q[i] * bj
-    if any(a):
-        raise ArithmeticError("inexact dense division")
-    return q
+    p = divisors(n)[1]
+    inner = cyclotomic_minimal_poly(n // p)
+    outer = LaurentPoly._make(1, {(e * p,): c for (e,), c in inner.terms.items()})
+    if (n // p) % p:
+        outer = _div_ordinary(outer, inner)
+    return tuple(outer.terms.get((i,), 0) for i in range(euler_phi(n) + 1))
 
 
 def cyclotomic_minimal_poly(n):

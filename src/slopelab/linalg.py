@@ -4,7 +4,8 @@ Exact contexts use deterministic first-nonzero pivoting; over the rational
 function field, forward and backward elimination run fraction-free on
 cleared numerators (one-step Bareiss style divisions, always exact) so the
 intermediate polynomials stay small.  The approximate context uses
-magnitude pivoting with a relative threshold and flags its results.
+magnitude pivoting with a relative threshold; callers mark its results
+approximate through ``ctx.is_exact``.
 
 Each fraction-free step multiplies every other row by the new pivot p_k and
 divides exactly by the previous pivot, so once all pivots are taken every
@@ -53,13 +54,6 @@ class Matrix:
         self.rows = len(entries)
         self.cols = cols
 
-    @classmethod
-    def zeros(cls, ctx, rows, cols):
-        return cls(ctx, [[ctx.zero] * cols for _ in range(rows)], cols=cols)
-
-    def get(self, i, j):
-        return self.entries[i][j]
-
     def map(self, fn, ctx=None):
         return Matrix(ctx or self.ctx, [[fn(x) for x in row] for row in self.entries], cols=self.cols)
 
@@ -84,20 +78,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise UsageError("matrix shapes differ")
-        return Matrix(
-            self.ctx,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.ctx!r})"
 
@@ -109,7 +89,6 @@ class SolveResult:
     status: str
     particular: tuple | None
     kernel_basis: tuple
-    approximate: bool = False
     pivot_polys: tuple = ()
     # fraction-free path only: particular[i] == RatFunc(num_i, det), det
     # being pivot_polys[-1] (one when there are no pivots)
@@ -120,7 +99,6 @@ class SolveResult:
 class _Echelon:
     rows: list
     pivots: list
-    approximate: bool = False
     pivot_polys: tuple = ()
     # fraction-free path only: the eliminated rows as polynomials, with
     # poly_rows[r] == pivot_polys[-1] * rows[r]
@@ -239,7 +217,7 @@ def _echelon_approx(rows, ncols, ctx):
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
-    return _Echelon(work, pivots, approximate=True)
+    return _Echelon(work, pivots)
 
 
 def rank(m):
@@ -278,7 +256,7 @@ def solve(m, b):
     inconsistent = m.cols in ech.pivots
     kernel = _kernel_from_echelon(ech, m.cols, m.ctx)
     if inconsistent:
-        return SolveResult(INCONSISTENT, None, kernel, ech.approximate, ech.pivot_polys)
+        return SolveResult(INCONSISTENT, None, kernel, ech.pivot_polys)
     particular = [m.ctx.zero] * m.cols
     for r, c in enumerate(ech.pivots):
         particular[c] = ech.rows[r][m.cols]
@@ -289,14 +267,7 @@ def solve(m, b):
             numerators[c] = ech.poly_rows[r][m.cols]
         numerators = tuple(numerators)
     status = UNIQUE if not kernel else UNDERDETERMINED
-    return SolveResult(
-        status, tuple(particular), kernel, ech.approximate, ech.pivot_polys, numerators
-    )
-
-
-def kernel_basis(m):
-    ech = _echelon(m.entries, m.cols, m.ctx)
-    return _kernel_from_echelon(ech, m.cols, m.ctx)
+    return SolveResult(status, tuple(particular), kernel, ech.pivot_polys, numerators)
 
 
 def hermitian_signature(m, tol_sig=1e-8):

@@ -80,13 +80,10 @@ def _check_slope_preconditions(presentation, omega, check_transpose=True):
         )
     if omega.mu != presentation.mu:
         raise UsageError("character length does not match the presentation")
-    if not omega.is_nonvanishing():
-        raise UnsupportedHypothesisError(
-            "vanishing character coordinate (omega_i = 1): patching is not supported"
-        )
+    # build_E refuses a vanishing coordinate, at the computing context's tolerance
 
 
-def slope_from_operator(e_matrix, kappa_scalars, collect_certificate=False):
+def slope_from_operator(e_matrix, kappa_scalars):
     """The trichotomy applied to an explicit operator matrix and class.
 
     The image is the column span of E, the kernel is the right kernel
@@ -105,7 +102,8 @@ def slope_from_operator(e_matrix, kappa_scalars, collect_certificate=False):
     one gcd reduction instead of a reduced product and sum per term.  Both
     are the same rational function, and a ``RatFunc`` is stored in the
     canonical reduced form, so the value is structurally identical to the
-    term-by-term sum.
+    term-by-term sum.  The same context also returns ``valid_away_from``,
+    the product of the non-unit pivot polynomials.
     """
     ctx = e_matrix.ctx
     kappa = list(kappa_scalars)
@@ -122,7 +120,7 @@ def slope_from_operator(e_matrix, kappa_scalars, collect_certificate=False):
     report = CaseReport(in_image, in_annihilator)
     approximate = not ctx.is_exact
     certificate = None
-    if collect_certificate:
+    if isinstance(ctx, RationalFunctionField):
         polys = certificate_polys(sol.pivot_polys)
         certificate = LaurentPoly.one(ctx.num_vars)
         for p in polys:
@@ -155,10 +153,9 @@ def slope_at(presentation, omega, ctx=None, check_transpose=True):
     _check_slope_preconditions(presentation, omega, check_transpose)
     if ctx is None:
         ctx = default_context_for(omega)
-    collect = isinstance(ctx, RationalFunctionField)
     e = build_E(presentation, omega, ctx)
     kappa = [ctx.from_int(k) for k in presentation.kappa]
-    return slope_from_operator(e, kappa, collect_certificate=collect)
+    return slope_from_operator(e, kappa)
 
 
 def slope_symbolic(presentation, check_transpose=True):
@@ -184,28 +181,30 @@ class SignatureResult:
     eta_exact: bool = True
 
 
-def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True):
+def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True, tol=None):
     """Signature and nullity of E(omega) at a unitary non-vanishing character.
 
     The nullity (kernel dimension plus b0 - 1) is computed exactly in the
     cyclotomic field for torsion characters; the signature always goes
     through floating-point eigenvalues of the (exactly constructed when
-    possible) Hermitian matrix.
+    possible) Hermitian matrix.  ``tol`` (default: ``default_tolerance()``)
+    is the numeric zero tolerance of the unitarity and non-vanishing checks
+    and of the approximate context.
     """
     violations = validate(presentation, check_transpose=check_transpose)
     if violations:
         raise InvalidPresentationError(violations)
     if omega.mu != presentation.mu:
         raise UsageError("character length does not match the presentation")
-    if not omega.is_unitary():
+    if not omega.is_unitary(tol):
         raise UnsupportedHypothesisError(
             "signature and nullity need a unitary character"
         )
-    if not omega.is_nonvanishing():
+    if not omega.is_nonvanishing(tol):
         raise UnsupportedHypothesisError(
             "vanishing character coordinate (omega_i = 1) is not supported"
         )
-    approx_ctx = ApproxComplex()
+    approx_ctx = ApproxComplex(tol)
     if omega.kind == "zeta":
         exact_ctx = Cyclotomic(omega.conductor)
         e_exact = build_E(presentation, omega, exact_ctx)
@@ -223,7 +222,7 @@ def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True):
 ZERO_CERT_ORDERS = (2, 3, 4, 5, 8, 9)
 
 
-def certify_zero_slope(presentation, check_transpose=True):
+def certify_zero_slope(presentation):
     """True iff the symbolic slope is the zero function and every pointwise
     check at the battery of prime-power torsion characters (all coordinate
     orders in {2,3,4,5,8,9}) is exactly zero.
@@ -231,14 +230,14 @@ def certify_zero_slope(presentation, check_transpose=True):
     This certifies that the computed slope function vanishes; it does not
     certify sliceness.
     """
-    symbolic = slope_symbolic(presentation, check_transpose)
+    symbolic = slope_symbolic(presentation)
     if not symbolic.is_finite() or not symbolic.value.is_zero():
         return False
     for orders in itertools.product(ZERO_CERT_ORDERS, repeat=presentation.mu):
         conductor = lcm(*orders)
         exponents = tuple(conductor // o for o in orders)
         omega = Character.root_of_unity(conductor, exponents)
-        point = slope_at(presentation, omega, check_transpose=check_transpose)
+        point = slope_at(presentation, omega)
         if not point.is_finite() or not point.value.is_zero():
             return False
     return True

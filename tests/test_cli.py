@@ -14,8 +14,8 @@ from slopelab.seifert import (
 from slopelab.datasets import builtin_path
 
 
-def _run(*args, timeout=None):
-    env = dict(os.environ)
+def _run(*args, timeout=None, env=None):
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "slopelab", *args],
@@ -518,3 +518,34 @@ def test_non_finite_numeric_character_exit_2(args):
         "",
         "error: character coordinates must be finite\n",
     )
+
+
+@pytest.mark.parametrize(
+    "args, tol, expected",
+    [
+        # 1 + 1e-11 is a non-vanishing coordinate at tolerance 1e-12
+        (
+            ("slope", "--in", "whitehead.json", "--char", "num:1.00000000001+0i"),
+            "1e-12",
+            "slope: finite",
+        ),
+        # zeta_6 rotated by 1e-6: within 1e-3 of the root where the nullity jumps
+        (
+            ("signature", "--in", "trefoil.json", "--char",
+             "num:0.49999913397434637+0.8660259037840056i"),
+            "1e-3",
+            "eta=1 (approximate)",
+        ),
+    ],
+)
+def test_tol_flag_acts_like_environment_tolerance(args, tol, expected):
+    # --tol once reached only the approximate context: slope refused the first
+    # point as vanishing (exit 3) and signature printed eta=0 at the second
+    flag = _run(*args, "--tol", tol)
+    environment = _run(*args, env={"SLOPELAB_TOL": tol})
+    assert (flag.returncode, flag.stdout, flag.stderr) == (
+        environment.returncode,
+        environment.stdout,
+        environment.stderr,
+    )
+    assert flag.returncode == 0 and expected in flag.stdout

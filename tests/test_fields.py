@@ -88,6 +88,33 @@ def test_ratfunc_evaluate_matches_field_arithmetic():
     assert f.evaluate(pt) == (Fraction(9, 4) - 1) / (Fraction(3, 2) + 2)
 
 
+# -- integer powers -------------------------------------------------------------
+
+
+def _repeated_product(x, k, one, inverse):
+    base = x if k >= 0 else inverse(x)
+    out = one
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def test_pow_is_repeated_multiplication():
+    w = LaurentPoly.var(2, 0)
+    monomial = LaurentPoly.monomial(2, (1, -2), Fraction(-2, 3))
+    ratfunc = RatFunc(w + 2, w * w - 3)
+    cyclo = CyclotomicNumber(5, [1, 2, 0, Fraction(-1, 2)])
+    cases = [
+        (monomial, LaurentPoly.one(2), LaurentPoly.inverse_unit),
+        (ratfunc, RatFunc.const(2, 1), RatFunc.invert),
+        (cyclo, CyclotomicNumber.one(5), CyclotomicNumber.invert),
+    ]
+    for x, one, inverse in cases:
+        for k in range(-3, 5):
+            assert x ** k == _repeated_product(x, k, one, inverse)
+            assert x ** -k * x ** k == one
+
+
 # -- cyclotomic numbers -----------------------------------------------------------
 
 
@@ -100,7 +127,7 @@ def test_zeta_powers_and_order():
 
 def test_conductor_one_is_rationals():
     x = CyclotomicNumber.from_fraction(1, Fraction(3, 4))
-    assert x.is_rational() and x.coords == (Fraction(3, 4),)
+    assert x.coords == (Fraction(3, 4),) and (x.num, x.den) == ((3,), 4)
     assert (x * x.invert()).coords == (1,)
 
 

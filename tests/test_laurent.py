@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from slopelab.errors import UsageError
 from slopelab.fields import RatFunc
 from slopelab.laurent import (
     LaurentPoly,
+    _cyclotomic_coeffs,
     cyclotomic_minimal_poly,
     divisors,
     euler_phi,
@@ -171,6 +173,20 @@ def test_cyclotomic_brute_force_oracle():
         assert max(e[0] for e in cyclotomic_minimal_poly(n).terms) == euler_phi(n)
 
 
+def test_cyclotomic_coeffs_pinned_and_divide_t_n_minus_one():
+    # digest of the coefficient tuples for n = 1..200, pinned from an
+    # independent dense integer division of t^n - 1 by every Phi_d, d | n, d < n
+    table = [_cyclotomic_coeffs(n) for n in range(1, 201)]
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == "b36b7d125fee9041ad83a3190743aa793312d5cd27add75b46f3696a403fb610"
+    t = LaurentPoly.var(1, 0)
+    for n in range(1, 201):
+        product = LaurentPoly.one(1)
+        for d in divisors(n):
+            product = product * cyclotomic_minimal_poly(d)
+        assert product == t ** n - 1
+
+
 def test_divisors_and_prime_powers():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert [n for n in range(2, 20) if is_prime_power(n)] == [
@@ -200,6 +216,7 @@ def _all_int(*polys):
 def test_integer_data_keeps_int_coefficients():
     rng = random.Random(5)
     lead = LaurentPoly.monomial(2, (3, 0))  # lex-leading coefficient 1 for q
+    two_unit = LaurentPoly.monomial(2, (1, -1), 2)
     for _ in range(30):
         p = random_nonzero_laurent(rng, 2, max_terms=4, exp_range=2)
         q = random_nonzero_laurent(rng, 2, max_terms=3, exp_range=2) + lead
@@ -224,6 +241,11 @@ def test_integer_data_keeps_int_coefficients():
         ]
         assert _all_int(*results)
         r = RatFunc(p * g, q * g)
+        assert _all_int(r.num, r.den)
+        assert r == RatFunc(p, q)
+        # the unit 2*w1*w2^-1 leaves lex-leading coefficient 2 on the
+        # denominator; dividing it out must not turn integral values into Fractions
+        r = RatFunc(p * two_unit, q * two_unit)
         assert _all_int(r.num, r.den)
         assert r == RatFunc(p, q)
 

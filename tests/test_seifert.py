@@ -1,6 +1,7 @@
 import cmath
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from slopelab.errors import UnsupportedHypothesisError, UsageError
 from slopelab.fields import (
     ApproxComplex,
     Cyclotomic,
+    CyclotomicNumber,
     RatFunc,
     RationalFunctionField,
 )
@@ -155,7 +157,7 @@ def test_build_E_whitehead_symbolic(whitehead):
 def test_build_E_whitehead_at_minus_one(whitehead):
     ctx = Cyclotomic(2)
     e = build_E(whitehead, Character.root_of_unity(2, (1,)), ctx)
-    half = ctx.from_fraction("1/2")
+    half = CyclotomicNumber.from_fraction(2, Fraction(1, 2))
     assert e.entries[0][0] == ctx.zero
     assert e.entries[0][1] == half
     assert e.entries[1][0] == half

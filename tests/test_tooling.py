@@ -41,6 +41,43 @@ def test_obstruction_sweep_runs_without_test_dependencies():
     ]
 
 
+def test_whitehead_demo_runs_without_test_dependencies():
+    runner = (
+        "import runpy, sys; sys.modules['pytest'] = sys.modules['conftest'] = None; "
+        "sys.argv = ['whitehead_demo.py']; "
+        "runpy.run_path('scripts/whitehead_demo.py', run_name='__main__')"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    p = subprocess.run(
+        [sys.executable, "-c", runner], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == [
+        "dataset: Whitehead link, distinguished unknotted component (mu=1, n=2, b0=1)",
+        "theta[+] = [[0, 0], [1, 1]]",
+        "theta[-] = [[0, 1], [0, 1]]",
+        "kappa = [1, 0]",
+        "",
+        "A(w):",
+        "  [0, -w1]",
+        "  [1, 1 - w1]",
+        "E(w):",
+        "  [0, (-w1^-1)/(-w1^-1 + 1)]",
+        "  [(1)/(-w1^-1 + 1), 1]",
+        "",
+        "symbolic slope: finite = -w1^-1 + 2 - w1",
+        "",
+        "order  slope        sigma  eta",
+        "    2  4                0    0",
+        "    3  3                0    0",
+        "    4  2                0    0",
+        "    5  3 + z^2 + z^3      0    0",
+        "    6  1                0    0",
+        "    8  2 - z + z^3      0    0",
+        "   12  2 - 2*z + z^3      0    0",
+    ]
+
+
 def test_benchmark_tracer_bindings_resolve():
     # install() raises when a module:name binding the tracer patches is gone
     import slopelab.cli
