@@ -13,8 +13,8 @@ from slopelab.seifert import build_A, build_E, load_presentation, sign_string
 from slopelab.slope import signature_nullity, slope_at, slope_symbolic
 
 
-def matrix_lines(m, ctx):
-    return ["  [" + ", ".join(ctx.render_scalar(x) for x in row) + "]" for row in m.entries]
+def matrix_lines(m):
+    return ["  [" + ", ".join(x.render() for x in row) + "]" for row in m.entries]
 
 
 def main():
@@ -32,9 +32,9 @@ def main():
     ctx = RationalFunctionField(p.mu)
     sym = Character.symbolic(p.mu)
     print("\nA(w):")
-    print("\n".join(matrix_lines(build_A(p, sym, ctx), ctx)))
+    print("\n".join(matrix_lines(build_A(p, sym, ctx))))
     print("E(w):")
-    print("\n".join(matrix_lines(build_E(p, sym, ctx), ctx)))
+    print("\n".join(matrix_lines(build_E(p, sym, ctx))))
 
     sv = slope_symbolic(p)
     print(f"\nsymbolic slope: {sv.kind} = {sv.value.render()}")

@@ -336,6 +336,11 @@ def sample_safe_characters(mu, linking, budget, seed=0):
     """Torsion characters that are admissible, non-vanishing, and not
     concordance roots (prime-power order), deterministically from a seed.
 
+    Only admissibility is tested.  Conductors are prime powers p^a and
+    exponents are drawn from 1..p^a - 1, so no coordinate equals 1, and
+    the exact order divides p^a and exceeds 1: a prime power, which is
+    never a concordance root.
+
     Returns up to ``budget`` characters; the list is empty when nothing
     admissible exists up to conductor ``SAMPLE_MAX_CONDUCTOR``.
     """
@@ -386,10 +391,6 @@ def sample_safe_characters(mu, linking, budget, seed=0):
                 if key in seen:
                     continue
                 if not is_admissible(ch, linking):
-                    continue
-                if not ch.is_nonvanishing():
-                    continue
-                if concordance_root_status(ch).status != NOT_ROOT:
                     continue
                 seen.add(key)
                 out.append(ch)

@@ -26,7 +26,7 @@ from .characters import (
 from .conway import conway_quotient, cross_check, load_conway
 from .datasets import resolve_input
 from .errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
-from .fields import ApproxComplex, CyclotomicNumber, RatFunc, format_complex
+from .fields import ApproxComplex, CyclotomicNumber, RatFunc, default_tolerance, format_complex
 from .laurent import LaurentPoly
 from .seifert import load_presentation, validate
 from .slope import compare_slopes, signature_nullity, slope_at, slope_symbolic
@@ -432,7 +432,7 @@ def _check_sqrt_consistency(omega, sqrt_char, tol):
         return
     wv = omega.complex_values()
     sv = sqrt_char.complex_values()
-    eps = tol if tol is not None else 1e-9
+    eps = default_tolerance() if tol is None else tol
     if any(abs(s * s - w) > eps for s, w in zip(sv, wv)):
         raise UsageError("--sqrt squared does not equal --char")
 

@@ -13,10 +13,11 @@ Three kinds of scalar are supported:
 * plain ``complex`` -- the scalars of :class:`ApproxComplex`, where zero
   tests use the context tolerance and all results count as approximate.
 
-Every scalar type implements the usual arithmetic operators, so generic
-code (the linear algebra in particular) only consults the context for its
-``zero`` and ``one`` and for ``from_int``, ``is_zero``, ``invert``, ``eq``
-and ``conjugate``.
+Every scalar type implements the usual arithmetic operators, with integer
+operands, and ``bool`` as exact nonzero-ness, so generic code (the linear
+algebra in particular) only consults the context for its ``zero`` and
+``one``, for ``from_int``, ``is_zero``, ``invert``, ``eq`` and
+``conjugate``, and for ``is_exact`` (with ``tol`` when it is false).
 """
 
 from __future__ import annotations
@@ -175,11 +176,11 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def render(self, names=None, prefix="w", start=1):
-        num = self.num.render(names, prefix, start)
+    def render(self):
+        num = self.num.render()
         if self.is_polynomial():
             return num
-        return f"({num})/({self.den.render(names, prefix, start)})"
+        return f"({num})/({self.den.render()})"
 
     def __repr__(self):
         return f"RatFunc({self.render()!r})"
@@ -434,10 +435,8 @@ class RationalFunctionField:
 
     is_exact = True
 
-    def __init__(self, num_vars, prefix="w", start=1):
+    def __init__(self, num_vars):
         self.num_vars = int(num_vars)
-        self.prefix = prefix
-        self.start = start
         self.zero = RatFunc.const(self.num_vars, 0)
         self.one = RatFunc.const(self.num_vars, 1)
 
@@ -462,9 +461,6 @@ class RationalFunctionField:
     def conjugate(self, x):
         # formal involution w -> w^-1, the adjoint-side substitution
         return x.subst_inverse()
-
-    def render_scalar(self, x):
-        return x.render(prefix=self.prefix, start=self.start)
 
     def __repr__(self):
         return f"RationalFunctionField(mu={self.num_vars})"
@@ -499,9 +495,6 @@ class Cyclotomic:
 
     def conjugate(self, x):
         return x.conjugate()
-
-    def render_scalar(self, x):
-        return x.render()
 
     def __repr__(self):
         return f"Cyclotomic(N={self.conductor})"
@@ -540,15 +533,13 @@ class ApproxComplex:
     def conjugate(self, x):
         return x.conjugate()
 
-    def render_scalar(self, x):
-        return format_complex(x)
-
     def __repr__(self):
         return f"ApproxComplex(tol={self.tol})"
 
 
 def format_complex(z):
-    re, im = z.real, z.imag
+    # adding 0.0 turns a negative zero into 0.0 and leaves every other value
+    re, im = z.real + 0.0, z.imag + 0.0
     if im == 0:
         return f"{re:.12g}"
     sign = "+" if im >= 0 else "-"

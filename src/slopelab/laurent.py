@@ -91,11 +91,11 @@ class LaurentPoly:
         return cls._make(num_vars, {(0,) * num_vars: 1})
 
     @classmethod
-    def var(cls, num_vars, index, power=1):
+    def var(cls, num_vars, index):
         if not 0 <= index < num_vars:
             raise UsageError(f"variable index {index} out of range for {num_vars} variables")
         e = [0] * num_vars
-        e[index] = power
+        e[index] = 1
         return cls(num_vars, {tuple(e): 1})
 
     @classmethod
@@ -255,10 +255,10 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.num_vars, frozenset(self.terms.items())))
 
-    def render(self, names=None, prefix="w", start=1):
+    def render(self, names=None):
         """Canonical text form: terms in ascending lex exponent order."""
         if names is None:
-            names = [f"{prefix}{i}" for i in range(start, start + self.num_vars)]
+            names = [f"w{i}" for i in range(1, self.num_vars + 1)]
         if not self.terms:
             return "0"
         parts = []

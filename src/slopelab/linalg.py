@@ -1,11 +1,11 @@
 """Dense linear algebra generic over a field context.
 
-Exact contexts use deterministic first-nonzero pivoting; over the rational
-function field, forward and backward elimination run fraction-free on
-cleared numerators (one-step Bareiss style divisions, always exact) so the
-intermediate polynomials stay small.  The approximate context uses
-magnitude pivoting with a relative threshold; callers mark its results
-approximate through ``ctx.is_exact``.
+There are two eliminations.  Over the rational function field, forward
+and backward elimination run fraction-free on cleared numerators
+(one-step Bareiss style divisions, always exact) so the intermediate
+polynomials stay small.  Q(zeta_N) and the approximate complex numbers
+share one Gauss-Jordan loop with two pivot rules; callers mark
+approximate results through ``ctx.is_exact``.
 
 Each fraction-free step multiplies every other row by the new pivot p_k and
 divides exactly by the previous pivot, so once all pivots are taken every
@@ -64,9 +64,6 @@ class Matrix:
             cols=self.rows,
         )
 
-    def scalar_mul(self, s):
-        return self.map(lambda x: s * x)
-
     def matvec(self, v):
         if len(v) != self.cols:
             raise UsageError("vector length does not match matrix columns")
@@ -108,33 +105,39 @@ class _Echelon:
 def _echelon(rows, ncols, ctx):
     if isinstance(ctx, RationalFunctionField):
         return _echelon_fraction_free(rows, ncols, ctx)
-    if isinstance(ctx, ApproxComplex):
-        return _echelon_approx(rows, ncols, ctx)
     return _echelon_division(rows, ncols, ctx)
 
 
 def _echelon_division(rows, ncols, ctx):
+    """Gauss-Jordan elimination to reduced row echelon form.
+
+    Exact contexts pivot on the first nonzero entry of the column (``bool``
+    of a scalar is nonzero-ness); the approximate context on the largest
+    magnitude above tol * max(1, largest entry), the first on a tie.
+    """
     work = [list(r) for r in rows]
+    if not ctx.is_exact:
+        scale = max((abs(x) for row in work for x in row), default=0.0)
+        thresh = ctx.tol * max(1.0, scale)
     pivots = []
     r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, len(work)):
-            if not ctx.is_zero(work[i][c]):
-                sel = i
-                break
+        if ctx.is_exact:
+            sel = next((i for i in range(r, len(work)) if work[i][c]), None)
+        else:
+            sel, best = None, thresh
+            for i in range(r, len(work)):
+                if abs(work[i][c]) > best:
+                    sel, best = i, abs(work[i][c])
         if sel is None:
             continue
         work[r], work[sel] = work[sel], work[r]
         inv = ctx.invert(work[r][c])
         work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i == r:
-                continue
-            f = work[i][c]
-            if ctx.is_zero(f):
-                continue
-            work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and f:
+                work[i] = [x - f * y for x, y in zip(row, work[r])]
         pivots.append(c)
         r += 1
     return _Echelon(work, pivots)
@@ -190,34 +193,6 @@ def _echelon_fraction_free(rows, ncols, ctx):
             assert all(x.is_zero() for x in row), "nonzero row below the pivot rows"
             out.append([ctx.zero] * ncols)
     return _Echelon(out, pivots, pivot_polys=tuple(pivot_polys), poly_rows=poly_rows)
-
-
-def _echelon_approx(rows, ncols, ctx):
-    work = [list(r) for r in rows]
-    scale = max((abs(x) for row in work for x in row), default=0.0)
-    thresh = ctx.tol * max(1.0, scale)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        best, best_mag = None, thresh
-        for i in range(r, len(work)):
-            m = abs(work[i][c])
-            if m > best_mag:
-                best, best_mag = i, m
-        if best is None:
-            continue
-        work[r], work[best] = work[best], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return _Echelon(work, pivots)
 
 
 def rank(m):

@@ -198,8 +198,7 @@ def _assemble_A(presentation, scalars, ctx):
             for j in range(n):
                 c = theta[i][j]
                 if c:
-                    term = factor * ctx.from_int(sign * c)
-                    rows[i][j] = rows[i][j] + term
+                    rows[i][j] = rows[i][j] + factor * (sign * c)
     return Matrix(ctx, rows, cols=n)
 
 
@@ -229,8 +228,8 @@ def build_E(presentation, omega, ctx):
                 "vanishing character coordinate (omega_i = 1): patching is not supported"
             )
         pi = pi * factor
-    a = _assemble_A(presentation, inverted, ctx)
-    return a.scalar_mul(ctx.invert(pi))
+    scale = ctx.invert(pi)
+    return _assemble_A(presentation, inverted, ctx).map(lambda x: scale * x)
 
 
 # -- transforms -------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -226,3 +228,21 @@ def test_sample_every_output_safe():
             assert is_admissible(ch, (2, -2))
             assert ch.is_nonvanishing()
             assert concordance_root_status(ch).status == NOT_ROOT
+    # a grid of (mu 1-3, linking, budget 1-40, seed): every output is safe,
+    # and the samples are pinned by the sha256 of their descriptions, taken
+    # while the sampler also filtered on non-vanishing and root status
+    grid = random.Random(15)
+    digest = hashlib.sha256()
+    for _ in range(24):
+        mu = grid.randint(1, 3)
+        linking = tuple(grid.randint(-3, 3) for _ in range(mu))
+        budget, seed = grid.randint(1, 40), grid.randint(0, 9)
+        chars = sample_safe_characters(mu, linking, budget, seed=seed)
+        for ch in chars:
+            assert is_admissible(ch, linking)
+            assert ch.is_nonvanishing()
+            assert concordance_root_status(ch).status == NOT_ROOT
+        digest.update((";".join(ch.describe() for ch in chars) + "\n").encode())
+    assert digest.hexdigest() == (
+        "4d10d40655815689bec59dc0dee9e9267e6cb6c495d3735e36806fca61e3bfd2"
+    )

@@ -549,3 +549,33 @@ def test_tol_flag_acts_like_environment_tolerance(args, tol, expected):
         environment.stderr,
     )
     assert flag.returncode == 0 and expected in flag.stdout
+
+
+SQRT_NEAR = ("conway", "--in", "l10n36_conway.json", "--char", "num:0.6+0.8i",
+             "--sqrt", "num:0.8944271912235227+0.4472135956117614i")
+
+
+def test_sqrt_check_uses_the_numeric_tolerance():
+    # the squares of --sqrt differ from --char by about 5e-10; the check
+    # once used 1e-9 without --tol, whatever SLOPELAB_TOL said
+    refused = [
+        _run(*SQRT_NEAR),
+        _run(*SQRT_NEAR, env={"SLOPELAB_TOL": "1e-12"}),
+        _run(*SQRT_NEAR, "--tol", "1e-12"),
+    ]
+    for p in refused:
+        assert p.returncode == 2
+        assert "--sqrt squared does not equal --char" in p.stderr
+    for p in (_run(*SQRT_NEAR, env={"SLOPELAB_TOL": "1e-9"}), _run(*SQRT_NEAR, "--tol", "1e-9")):
+        assert p.returncode == 0, p.stderr
+
+
+def test_conway_numeric_zero_has_no_sign():
+    # 0 divided by a complex denominator is -0.0, once printed as "-0"
+    args = ("conway", "--in", "l10n36_conway.json",
+            "--sqrt", "num:0.8944271912235227+0.4472135956117614i")
+    text = _run(*args)
+    assert text.returncode == 0
+    assert text.stdout.splitlines()[-1] == "0"
+    out = json.loads(_run(*args, "--format", "json").stdout)["result"]
+    assert (out["value"], out["numerator"]) == ("0", "0")

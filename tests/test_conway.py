@@ -95,7 +95,7 @@ def test_synthetic_identity_quotient():
     g2 = s1 - s1.subst_inverse()
     g1 = LaurentPoly.var(1, 0) - LaurentPoly.var(1, 0).subst_inverse()
     data = ConwayData.build(1, s0 ** 2 * g2 - s0 ** -2 * g2, g1)
-    ctx = RationalFunctionField(1, prefix="s")
+    ctx = RationalFunctionField(1)
     v = conway_quotient(data, Character.symbolic(1), ctx)
     assert v.kind == FINITE
     assert v.value == RatFunc.const(1, -1)

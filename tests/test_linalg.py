@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from slopelab.fields import (
 )
 from slopelab.laurent import LaurentPoly, exact_div, poly_lcm
 from slopelab.linalg import (
+    _echelon,
     INCONSISTENT,
     UNDERDETERMINED,
     UNIQUE,
@@ -362,6 +364,156 @@ def test_fraction_free_solve_matches_reduced_reference(rng):
         seen.add((res.status, rows == cols))
     assert {s for s, _ in seen} == {UNIQUE, UNDERDETERMINED, INCONSISTENT}
     assert {square for _, square in seen} == {True, False}
+
+
+
+# -- Gauss-Jordan elimination against the two routines it replaced ------------------
+
+
+def old_echelon_division(rows, ncols, ctx):
+    """The former exact Gauss-Jordan routine (first nonzero pivot)."""
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, len(work)):
+            if not ctx.is_zero(work[i][c]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        inv = ctx.invert(work[r][c])
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i == r:
+                continue
+            f = work[i][c]
+            if ctx.is_zero(f):
+                continue
+            work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def old_echelon_approx(rows, ncols, ctx):
+    """The former approximate routine (largest magnitude above a threshold)."""
+    work = [list(r) for r in rows]
+    scale = max((abs(x) for row in work for x in row), default=0.0)
+    thresh = ctx.tol * max(1.0, scale)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        best, best_mag = None, thresh
+        for i in range(r, len(work)):
+            m = abs(work[i][c])
+            if m > best_mag:
+                best, best_mag = i, m
+        if best is None:
+            continue
+        work[r], work[best] = work[best], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i == r:
+                continue
+            f = work[i][c]
+            if f:
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def exact_key(x):
+    """Storage of a scalar, down to the sign of a float zero."""
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
+    return (x.conductor, x.num, x.den)
+
+
+def degenerate_rows(rng, rows, ncols, combine, zero):
+    """Append a combination of two rows (rank deficiency) and zero a column."""
+    if len(rows) >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(rows, 2)
+        s, t = combine()
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    if rng.random() < 0.3:
+        c = rng.randrange(ncols)
+        for row in rows:
+            row[c] = zero
+    rng.shuffle(rows)
+    return rows
+
+
+def random_cyclotomic_rows(rng, ctx):
+    ncols = rng.randint(1, 5)
+
+    def entry():
+        if rng.random() < 0.35:
+            return ctx.zero
+        return sum(
+            (
+                ctx.zeta(rng.randrange(ctx.conductor)) * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            ),
+            ctx.zero,
+        )
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+    return degenerate_rows(rng, rows, ncols, lambda: (entry(), entry()), ctx.zero), ncols
+
+
+def random_complex_rows(rng, ctx):
+    ncols = rng.randint(1, 5)
+
+    def big():
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    rows = [[big() for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+    scale = max(abs(x) for row in rows for x in row)
+    thresh = ctx.tol * max(1.0, scale)
+    # entries within a factor of two of the pivot threshold, zeros of both
+    # signs, and magnitude ties with the first row (x * 1j has |x|)
+    for row in rows:
+        for j in range(ncols):
+            u = rng.random()
+            if u < 0.25:
+                row[j] = thresh * 2 ** rng.uniform(-1, 1) * cmath.exp(1j * rng.uniform(0, 6.3))
+            elif u < 0.35:
+                row[j] = complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
+            elif u < 0.45:
+                row[j] = rows[0][j] * 1j
+    return degenerate_rows(rng, rows, ncols, lambda: (big(), big()), 0j), ncols
+
+
+def test_gauss_jordan_matches_former_routines_bit_for_bit(rng):
+    """Q(zeta_N) and complex elimination take the same pivots and produce
+    the same rows, float bits included, as the routines they replaced."""
+    cases = []
+    for _ in range(120):
+        ctx = Cyclotomic(rng.choice([1, 3, 4, 5, 8, 9, 12]))
+        cases.append((ctx, *random_cyclotomic_rows(rng, ctx), old_echelon_division))
+    for _ in range(400):
+        ctx = ApproxComplex(rng.choice([None, 1e-3, 1e-6]))
+        cases.append((ctx, *random_complex_rows(rng, ctx), old_echelon_approx))
+    deficient = inconsistent = near = 0
+    for ctx, rows, ncols, old in cases:
+        want_rows, want_pivots = old(rows, ncols, ctx)
+        got = _echelon(rows, ncols, ctx)
+        assert got.pivots == want_pivots
+        assert [[exact_key(x) for x in row] for row in got.rows] == [
+            [exact_key(x) for x in row] for row in want_rows
+        ]
+        deficient += len(want_pivots) < min(len(rows), ncols)
+        # the last column read as an augmented right-hand side
+        inconsistent += ncols - 1 in want_pivots and ncols > 1
+        if not ctx.is_exact:
+            thresh = ctx.tol * max(1.0, max(abs(x) for row in rows for x in row))
+            near += any(thresh / 2 <= abs(x) <= 2 * thresh for row in rows for x in row)
+    assert deficient >= 100 and inconsistent >= 100 and near >= 200
 
 
 # -- hermitian signature -------------------------------------------------------------
