@@ -33,12 +33,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 
 from .errors import ContextMismatchError, UsageError
 from .fields import (
     ApproxComplex,
     Cyclotomic,
+    CyclotomicNumber,
     RationalFunctionField,
+    _reduce_mod_phi,
     default_tolerance,
 )
 from .laurent import (
@@ -158,9 +161,10 @@ class Character:
             return "symbolic"
         if self.kind == ROOT_OF_UNITY:
             return f"zeta:{self.conductor}:" + ",".join(str(k) for k in self.exponents)
+        # adding 0.0 turns a negative zero into 0.0, as in format_complex
+        parts = ((v.real + 0.0, v.imag + 0.0) for v in self.values)
         return "num:" + ",".join(
-            f"{v.real:.12g}{'+' if v.imag >= 0 else '-'}{abs(v.imag):.12g}i"
-            for v in self.values
+            f"{re:.12g}{'+' if im >= 0 else '-'}{abs(im):.12g}i" for re, im in parts
         )
 
 
@@ -188,6 +192,27 @@ def embed_character(omega, ctx):
             return list(omega.values)
         raise ContextMismatchError("numeric characters only embed into ApproxComplex")
     raise UsageError(f"unknown character kind {omega.kind!r}")
+
+
+def evaluate_at_torsion(p, omega):
+    """The exact value p(omega) in Q(zeta_N), N the conductor of omega.
+
+    The term c * w^e goes to c * zeta_N^(e . k), k the exponent vector, so
+    the value is one length-N coefficient list over the common denominator
+    of the coefficients, reduced once modulo Phi_N: no field
+    multiplication, no inversion and no power.
+    """
+    if omega.kind != ROOT_OF_UNITY:
+        raise UsageError("evaluate_at_torsion needs a torsion character")
+    if p.num_vars != omega.mu:
+        raise UsageError("wrong number of variables for the character")
+    n = omega.conductor
+    den = _int_lcm(*(c.denominator for c in p.terms.values()))
+    coeffs = [0] * n
+    for e, c in p.terms.items():
+        k = sum(a * b for a, b in zip(e, omega.exponents)) % n
+        coeffs[k] += c.numerator * (den // c.denominator)
+    return CyclotomicNumber._from_ints(n, _reduce_mod_phi(coeffs, n), den)
 
 
 def default_context_for(omega):
@@ -385,12 +410,13 @@ def sample_safe_characters(mu, linking, budget, seed=0):
             while pos < len(pool):
                 exps = pool[pos]
                 pos += 1
+                # admissibility does not change under reduction: test it first
+                if sum(l * k for l, k in zip(linking, exps)) % conductor:
+                    continue
                 ch = Character.root_of_unity(conductor, exps)
                 reduced = ch.reduced()
                 key = (reduced.conductor, reduced.exponents)
                 if key in seen:
-                    continue
-                if not is_admissible(ch, linking):
                     continue
                 seen.add(key)
                 out.append(ch)
@@ -409,6 +435,4 @@ def verify_root_witness(omega, witness):
         return False
     if omega.kind != ROOT_OF_UNITY:
         raise UsageError("witness verification needs a torsion character")
-    ctx = Cyclotomic(omega.conductor)
-    values = embed_character(omega, ctx)
-    return witness.evaluate(values, zero=ctx.zero).is_zero()
+    return evaluate_at_torsion(witness, omega).is_zero()

@@ -20,7 +20,12 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .characters import Character, default_context_for, sample_safe_characters
+from .characters import (
+    Character,
+    default_context_for,
+    evaluate_at_torsion,
+    sample_safe_characters,
+)
 from .errors import (
     InvalidPresentationError,
     UnsupportedHypothesisError,
@@ -223,12 +228,41 @@ ZERO_CERT_ORDERS = (2, 3, 4, 5, 8, 9)
 
 
 def certify_zero_slope(presentation):
-    """True iff the symbolic slope is the zero function and every pointwise
-    check at the battery of prime-power torsion characters (all coordinate
-    orders in {2,3,4,5,8,9}) is exactly zero.
+    """True iff the symbolic slope is the zero function and the pointwise
+    slope is exactly zero at the battery of prime-power torsion characters
+    (all coordinate orders in {2,3,4,5,8,9}).
 
     This certifies that the computed slope function vanishes; it does not
     certify sliceness.
+
+    Only battery characters on the zero locus of the symbolic solve's
+    certificate ``valid_away_from`` get a direct solve.  At every other
+    one the pointwise slope is the specialization of the symbolic slope,
+    here the zero function.  Proof, for a character omega with no
+    coordinate 1 where the certificate does not vanish: the certificate is
+    the product of the non-unit pivots of the fraction-free elimination of
+    [E | kappa], and the units it leaves out are monomials, which do not
+    vanish on the torus, so no pivot p_1, ..., p_r vanishes at omega.
+
+    * Each row of [E | kappa] is cleared by the lcm of its entries'
+      denominators.  E = A(w^-1) / prod_i (1 - w_i^-1), so these divide
+      prod_i (1 - w_i^-1) up to a unit and are nonzero at omega.  The
+      cleared rows at omega are nonzero multiples of the rows of
+      [E(omega) | kappa] and have the same reduced row echelon form.
+    * After step k the fraction-free rows are p_k times the Gauss-Jordan
+      rows with the same pivots (one-step Bareiss).  Evaluation at omega is
+      a ring homomorphism, so this identity holds at omega too.
+    * Each pivot is the first entry of its column that is nonzero as a
+      polynomial.  Entries that are zero as polynomials vanish at omega
+      and the pivot does not, so first-nonzero pivoting at omega makes the
+      same choices.  The final rows at omega are therefore det(omega)
+      times the reduced row echelon form of [E(omega) | kappa].
+    * Hence the kappa column holds no pivot at omega, so kappa is in the
+      image; the kernel basis at omega is the specialized symbolic one, so
+      its pairing with kappa is the specialized zero; and the slope at
+      omega is -(sum_i kappa_i num_i(omega)) / det(omega), the specialized
+      symbolic value.  A zero pairing and a finite value therefore
+      specialize, and omega passes without a solve.
     """
     symbolic = slope_symbolic(presentation)
     if not symbolic.is_finite() or not symbolic.value.is_zero():
@@ -237,6 +271,8 @@ def certify_zero_slope(presentation):
         conductor = lcm(*orders)
         exponents = tuple(conductor // o for o in orders)
         omega = Character.root_of_unity(conductor, exponents)
+        if not evaluate_at_torsion(symbolic.valid_away_from, omega).is_zero():
+            continue
         point = slope_at(presentation, omega)
         if not point.is_finite() or not point.value.is_zero():
             return False

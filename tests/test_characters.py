@@ -13,6 +13,7 @@ from slopelab.characters import (
     components,
     concordance_root_status,
     embed_character,
+    evaluate_at_torsion,
     is_admissible,
     sample_safe_characters,
     verify_root_witness,
@@ -31,6 +32,11 @@ def test_root_of_unity_normalization_and_order():
     assert ch.exact_order() == 12
     assert Character.root_of_unity(12, (4, 8)).exact_order() == 3
     assert Character.root_of_unity(12, (4, 8)).reduced() == Character.root_of_unity(3, (1, 2))
+
+
+def test_numeric_describe_keeps_zero_parts_without_sign():
+    ch = Character.numeric([complex(-0.0, 1), complex(1, -0.0)])
+    assert ch.describe() == "num:0+1i,1+0i"
 
 
 def test_nonvanishing_and_unitary():
@@ -171,6 +177,47 @@ def test_root_witness_is_unit_at_one_and_vanishes():
         at_one = st.witness.evaluate([Fraction(1)] * ch.mu)
         assert at_one in (1, -1)
         assert verify_root_witness(ch, st.witness)
+
+
+def test_root_witness_rejects_a_character_it_does_not_vanish_at():
+    witness = concordance_root_status(Character.root_of_unity(6, (1,))).witness
+    assert not verify_root_witness(Character.root_of_unity(10, (1,)), witness)
+
+
+def _random_fraction_poly(rng, mu):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = tuple(rng.randint(-6, 6) for _ in range(mu))
+        terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return LaurentPoly(mu, terms)
+
+
+def test_evaluate_at_torsion_matches_laurent_evaluate():
+    # differential against term-by-term evaluation on the embedded
+    # coordinates, with negative exponents, Fraction coefficients and
+    # character exponents that share a factor with N
+    rng = random.Random(16)
+    for conductor in (1, 2, 9, 12, 25, 72, 125):
+        ctx = Cyclotomic(conductor)
+        step = next((d for d in range(2, conductor + 1) if conductor % d == 0), 1)
+        for mu in (1, 2, 3):
+            characters = [
+                Character.root_of_unity(conductor, [rng.randrange(conductor) for _ in range(mu)]),
+                Character.root_of_unity(conductor, [step * (i + 1) for i in range(mu)]),
+            ]
+            polys = [LaurentPoly.zero(mu)] + [_random_fraction_poly(rng, mu) for _ in range(2)]
+            for omega in characters:
+                values = embed_character(omega, ctx)
+                for p in polys:
+                    assert evaluate_at_torsion(p, omega) == p.evaluate(values, zero=ctx.zero)
+
+
+def test_evaluate_at_torsion_refusals():
+    p = LaurentPoly.var(2, 0)
+    with pytest.raises(UsageError, match="torsion character"):
+        evaluate_at_torsion(p, Character.numeric([1j, -1j]))
+    with pytest.raises(UsageError, match="number of variables"):
+        evaluate_at_torsion(p, Character.root_of_unity(5, (1,)))
 
 
 def test_exhaustive_small_annihilator_search_for_zeta8():

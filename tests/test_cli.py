@@ -94,6 +94,13 @@ def test_slope_json_format():
     assert payload["config"]["command"] == "slope"
 
 
+@pytest.mark.parametrize("spec", ["num:-0+1i", "num:0+1i"])
+def test_numeric_character_prints_no_negative_zero(spec):
+    p = _run("slope", "--in", "whitehead.json", "--char", spec)
+    assert p.returncode == 0
+    assert "character: num:0+1i\n" in p.stdout
+
+
 def test_slope_vanishing_character_exit_3():
     p = _run("slope", "--in", "whitehead.json", "--char", "zeta:4:0")
     assert p.returncode == 3

@@ -1,13 +1,16 @@
 import cmath
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
-from slopelab.characters import Character, sample_safe_characters
+import slopelab.slope as slope_module
+from slopelab.characters import Character, evaluate_at_torsion, sample_safe_characters
 from slopelab.errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
 from slopelab.fields import (
     ApproxComplex,
@@ -29,6 +32,7 @@ from slopelab.slope import (
     FINITE,
     INFINITY,
     UNDEFINED,
+    ZERO_CERT_ORDERS,
     certify_zero_slope,
     compare_slopes,
     signature_nullity,
@@ -472,6 +476,91 @@ def test_certify_zero_boundary_style_random(rng):
     for mu in (1, 2):
         p = random_presentation(rng, mu=mu, n=2, kappa_zero=True)
         assert certify_zero_slope(p)
+
+
+def _battery(mu):
+    for orders in itertools.product(ZERO_CERT_ORDERS, repeat=mu):
+        conductor = lcm(*orders)
+        yield Character.root_of_unity(conductor, tuple(conductor // o for o in orders))
+
+
+def _on_locus(symbolic, mu):
+    return [
+        omega
+        for omega in _battery(mu)
+        if evaluate_at_torsion(symbolic.valid_away_from, omega).is_zero()
+    ]
+
+
+def _certify_by_direct_solves(p):
+    """The zero certification with a direct solve at every battery character."""
+    symbolic = slope_symbolic(p)
+    if not symbolic.is_finite() or not symbolic.value.is_zero():
+        return False
+    points = (slope_at(p, omega) for omega in _battery(p.mu))
+    return all(point.is_finite() and point.value.is_zero() for point in points)
+
+
+def test_certify_zero_slope_matches_direct_solves():
+    # differential against the per-character loop, on kappa zero and nonzero;
+    # the cases reach the certificate's zero locus and a rejection made there
+    rng = random.Random(5)
+    on_locus = rejected_on_locus = 0
+    for i in range(40):
+        mu, n = rng.randint(1, 2), rng.randint(1, 3)
+        p = random_presentation(rng, mu=mu, n=n, bound=1, kappa_zero=i % 2 == 0)
+        certified = certify_zero_slope(p)
+        assert certified == _certify_by_direct_solves(p)
+        symbolic = slope_symbolic(p)
+        if symbolic.is_finite() and symbolic.value.is_zero():
+            on_locus += len(_on_locus(symbolic, mu))
+            rejected_on_locus += not certified
+    assert on_locus > 0 and rejected_on_locus > 0
+
+
+def test_symbolic_slope_specializes_off_the_certificate_locus():
+    # at a battery character where the certificate does not vanish, slope_at
+    # is finite with the symbolic value evaluated there
+    rng = random.Random(11)
+    checked = nonzero = 0
+    for _ in range(12):
+        mu, n = rng.randint(1, 2), rng.randint(1, 3)
+        p = random_presentation(rng, mu=mu, n=n)
+        symbolic = slope_symbolic(p)
+        if not symbolic.is_finite():
+            continue
+        locus = _on_locus(symbolic, mu)
+        for omega in _battery(mu):
+            if omega in locus:
+                continue
+            value = symbolic.value
+            expected = evaluate_at_torsion(value.num, omega) / evaluate_at_torsion(
+                value.den, omega
+            )
+            point = slope_at(p, omega)
+            assert point.kind == FINITE and point.value == expected
+            checked += 1
+            nonzero += not expected.is_zero()
+    assert checked > 0 and nonzero > 0
+
+
+def test_certify_solves_directly_only_on_the_certificate_locus(monkeypatch):
+    p = CComplexPresentation.build(
+        2, 2, {"++": [[2, 0], [-1, 0]], "-+": [[-1, 0], [1, 0]]}, [0, 0]
+    )
+    locus = _on_locus(slope_symbolic(p), 2)
+    assert len(locus) == 7
+    calls = []
+    direct = slope_module.slope_at
+
+    def counting(presentation, omega, *args, **kwargs):
+        calls.append(omega)
+        return direct(presentation, omega, *args, **kwargs)
+
+    monkeypatch.setattr(slope_module, "slope_at", counting)
+    assert certify_zero_slope(p)
+    # the one symbolic solve, then one direct solve per character on the locus
+    assert calls == [Character.symbolic(2)] + locus
 
 
 def test_three_colors_smoke(rng):
