@@ -10,7 +10,6 @@ from .characters import (
     components,
     concordance_root_status,
     embed_character,
-    is_admissible,
     sample_safe_characters,
 )
 from .conway import (
@@ -100,7 +99,6 @@ __all__ = [
     "embed_character",
     "exact_div",
     "hermitian_signature",
-    "is_admissible",
     "load_conway",
     "load_presentation",
     "poly_gcd",

@@ -112,30 +112,6 @@ class Character:
             return all(abs(abs(v) - 1) <= tol for v in self.values)
         return False
 
-    # -- companions ---------------------------------------------------------
-
-    def inverse(self):
-        if self.kind == ROOT_OF_UNITY:
-            return Character.root_of_unity(
-                self.conductor, tuple((-k) % self.conductor for k in self.exponents)
-            )
-        if self.kind == NUMERIC:
-            return Character.numeric(tuple(1 / v for v in self.values))
-        raise UsageError("the symbolic character has no pointwise inverse")
-
-    def conjugate(self):
-        if self.kind == ROOT_OF_UNITY:
-            return self.inverse()
-        if self.kind == NUMERIC:
-            return Character.numeric(tuple(v.conjugate() for v in self.values))
-        raise UsageError("the symbolic character has no pointwise conjugate")
-
-    def exact_order(self):
-        """Order of a torsion character as an element of the torus."""
-        if self.kind != ROOT_OF_UNITY:
-            raise UsageError("exact_order only applies to root-of-unity characters")
-        return self.reduced().conductor
-
     def reduced(self):
         """The same torsion character at its minimal conductor."""
         if self.kind != ROOT_OF_UNITY:
@@ -215,12 +191,21 @@ def evaluate_at_torsion(p, omega):
     return CyclotomicNumber._from_ints(n, _reduce_mod_phi(coeffs, n), den)
 
 
-def default_context_for(omega):
+def default_context_for(omega, tol=None):
+    """The field every computation at ``omega`` runs in.
+
+    This is the one rule that maps a character to its field: the rational
+    function field in mu variables for the symbolic character, Q(zeta_N)
+    at its conductor N for a torsion character, and ApproxComplex for a
+    numeric one.  ``tol`` acts only on a numeric character, where it is
+    the zero tolerance (default: ``default_tolerance()``); the exact
+    fields never read it.
+    """
     if omega.kind == SYMBOLIC:
         return RationalFunctionField(omega.mu)
     if omega.kind == ROOT_OF_UNITY:
         return Cyclotomic(omega.conductor)
-    return ApproxComplex()
+    return ApproxComplex(tol)
 
 
 # -- admissible variety ---------------------------------------------------------
@@ -240,23 +225,6 @@ class AdmissibleComponent:
     defining_poly: LaurentPoly
     lambda_prime: tuple
     multiplicity: int
-
-
-def is_admissible(omega, linking):
-    """True iff prod_i omega_i^(lambda_i) = 1."""
-    linking = tuple(int(x) for x in linking)
-    if len(linking) != omega.mu:
-        raise UsageError("linking vector length does not match the character")
-    if all(x == 0 for x in linking):
-        return True
-    if omega.kind == SYMBOLIC:
-        return False
-    if omega.kind == ROOT_OF_UNITY:
-        return sum(l * k for l, k in zip(linking, omega.exponents)) % omega.conductor == 0
-    prod = 1 + 0j
-    for v, l in zip(omega.values, linking):
-        prod *= v ** l
-    return abs(prod - 1) <= default_tolerance()
 
 
 def components(linking):

@@ -26,7 +26,7 @@ from .characters import (
 from .conway import conway_quotient, cross_check, load_conway
 from .datasets import resolve_input
 from .errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
-from .fields import ApproxComplex, CyclotomicNumber, RatFunc, default_tolerance, format_complex
+from .fields import CyclotomicNumber, RatFunc, default_tolerance, format_complex
 from .laurent import LaurentPoly
 from .seifert import load_presentation, validate
 from .slope import compare_slopes, signature_nullity, slope_at, slope_symbolic
@@ -187,9 +187,8 @@ def cmd_slope(args):
     if omega.kind == "symbolic":
         sv = slope_symbolic(presentation, check_transpose=not args.no_transpose_check)
     else:
-        ctx = ApproxComplex(args.tol) if omega.kind == "numeric" else None
         sv = slope_at(
-            presentation, omega, ctx, check_transpose=not args.no_transpose_check
+            presentation, omega, tol=args.tol, check_transpose=not args.no_transpose_check
         )
     result = {
         "dataset": presentation.label or path,
@@ -402,8 +401,7 @@ def cmd_conway(args):
             args.char, mu=data.mu, single="--char takes a single character"
         )
         _check_sqrt_consistency(omega, sqrt_char, args.tol)
-    ctx = ApproxComplex(args.tol) if sqrt_char.kind == "numeric" else None
-    value = conway_quotient(data, sqrt_char, ctx)
+    value = conway_quotient(data, sqrt_char, tol=args.tol)
     result = {
         "dataset": data.label or path,
         "sqrt": sqrt_char.describe(),

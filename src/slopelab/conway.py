@@ -37,7 +37,6 @@ from .errors import (
     UnsupportedHypothesisError,
     UsageError,
 )
-from .fields import Cyclotomic
 from .laurent import LaurentPoly
 from .seifert import _as_int, _as_tuple, validate
 from .slope import FINITE, INFINITY, slope_at
@@ -95,18 +94,19 @@ class ConwayValue:
     denominator: object
 
 
-def conway_quotient(data, sqrt_char, ctx=None):
+def conway_quotient(data, sqrt_char, *, tol=None):
     """Evaluate the quotient at the square roots sigma (sigma_i^2 = omega_i).
 
     ``sqrt_char`` is a character supplying the sigma_i explicitly; the
-    underlying omega must be non-vanishing (sigma_i != +-1).
+    underlying omega must be non-vanishing (sigma_i != +-1).  The field is
+    derived from ``sqrt_char`` by ``characters.default_context_for``, with
+    ``tol`` the zero tolerance of a numeric one.
     """
     if sqrt_char is None:
         raise UsageError("explicit square roots sigma are required")
     if sqrt_char.mu != data.mu:
         raise UsageError("square-root character length does not match the data")
-    if ctx is None:
-        ctx = default_context_for(sqrt_char)
+    ctx = default_context_for(sqrt_char, tol)
     sigma = embed_character(sqrt_char, ctx)
     for s in sigma:
         if ctx.is_zero(s * s - ctx.one):
@@ -171,17 +171,17 @@ def cross_check(presentation, data, trials, seed=0):
     agreements = disagreements = skipped = 0
     for omega in characters:
         sqrt = canonical_sqrt(omega)
-        ctx = Cyclotomic(sqrt.conductor)
+        # both at conductor 2N, so both values lie in Q(zeta_2N)
         lifted = Character.root_of_unity(
             sqrt.conductor, tuple(2 * k for k in omega.exponents)
         )
-        sv = slope_at(presentation, lifted, ctx)
-        cv = conway_quotient(data, sqrt, ctx)
+        sv = slope_at(presentation, lifted)
+        cv = conway_quotient(data, sqrt)
         if cv.kind == INCONCLUSIVE:
             agree = None
             skipped += 1
         elif sv.kind == FINITE and cv.kind == FINITE:
-            agree = ctx.eq(sv.value, cv.value)
+            agree = sv.value == cv.value
         else:
             agree = sv.kind == cv.kind
         if agree is True:

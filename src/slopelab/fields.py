@@ -16,8 +16,9 @@ Three kinds of scalar are supported:
 Every scalar type implements the usual arithmetic operators, with integer
 operands, and ``bool`` as exact nonzero-ness, so generic code (the linear
 algebra in particular) only consults the context for its ``zero`` and
-``one``, for ``from_int``, ``is_zero``, ``invert``, ``eq`` and
-``conjugate``, and for ``is_exact`` (with ``tol`` when it is false).
+``one``, for ``from_int``, ``is_zero`` and ``invert``, and for
+``is_exact`` (with ``tol`` when it is false).  Equality of exact scalars
+is ``==``.
 """
 
 from __future__ import annotations
@@ -455,13 +456,6 @@ class RationalFunctionField:
     def invert(self, x):
         return x.invert()
 
-    def eq(self, a, b):
-        return a == b
-
-    def conjugate(self, x):
-        # formal involution w -> w^-1, the adjoint-side substitution
-        return x.subst_inverse()
-
     def __repr__(self):
         return f"RationalFunctionField(mu={self.num_vars})"
 
@@ -489,12 +483,6 @@ class Cyclotomic:
 
     def invert(self, x):
         return x.invert()
-
-    def eq(self, a, b):
-        return a == b
-
-    def conjugate(self, x):
-        return x.conjugate()
 
     def __repr__(self):
         return f"Cyclotomic(N={self.conductor})"
@@ -526,12 +514,6 @@ class ApproxComplex:
         if self.is_zero(x):
             raise ZeroDivisionError("inverting a numerically zero value")
         return 1 / x
-
-    def eq(self, a, b):
-        return abs(a - b) <= self.tol
-
-    def conjugate(self, x):
-        return x.conjugate()
 
     def __repr__(self):
         return f"ApproxComplex(tol={self.tol})"

@@ -57,13 +57,6 @@ class Matrix:
     def map(self, fn, ctx=None):
         return Matrix(ctx or self.ctx, [[fn(x) for x in row] for row in self.entries], cols=self.cols)
 
-    def transpose(self):
-        return Matrix(
-            self.ctx,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def matvec(self, v):
         if len(v) != self.cols:
             raise UsageError("vector length does not match matrix columns")

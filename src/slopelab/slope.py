@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedHypothesisError,
     UsageError,
 )
-from .fields import ApproxComplex, Cyclotomic, RatFunc, RationalFunctionField
+from .fields import ApproxComplex, RatFunc, RationalFunctionField
 from .laurent import LaurentPoly
 from .linalg import (
     INCONSISTENT,
@@ -148,19 +148,25 @@ def slope_from_operator(e_matrix, kappa_scalars):
     return SlopeValue(UNDEFINED, None, None, report, approximate, certificate)
 
 
-def slope_at(presentation, omega, ctx=None, check_transpose=True):
+def _slope_in(presentation, omega, ctx):
+    """The slope at omega of a checked presentation, E built in ``ctx``."""
+    e = build_E(presentation, omega, ctx)
+    return slope_from_operator(e, [ctx.from_int(k) for k in presentation.kappa])
+
+
+def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     """The slope at one character.
 
-    The context defaults to the exact home of the character: the rational
-    function field for the symbolic character, Q(zeta_N) for torsion
-    characters, ApproxComplex for numeric ones.
+    The field is derived from the character by
+    ``characters.default_context_for``: the rational function field for
+    the symbolic character, Q(zeta_N) for torsion characters, ApproxComplex
+    for numeric ones, whose zero tolerance is ``tol``.  The field is built
+    before the presentation is checked, so a bad tolerance is refused
+    first.
     """
+    ctx = default_context_for(omega, tol)
     _check_slope_preconditions(presentation, omega, check_transpose)
-    if ctx is None:
-        ctx = default_context_for(omega)
-    e = build_E(presentation, omega, ctx)
-    kappa = [ctx.from_int(k) for k in presentation.kappa]
-    return slope_from_operator(e, kappa)
+    return _slope_in(presentation, omega, ctx)
 
 
 def slope_symbolic(presentation, check_transpose=True):
@@ -171,9 +177,8 @@ def slope_symbolic(presentation, check_transpose=True):
     value can differ (jump to infinity or become undefined) on its zero
     locus.
     """
-    ctx = RationalFunctionField(presentation.mu)
     return slope_at(
-        presentation, Character.symbolic(presentation.mu), ctx, check_transpose
+        presentation, Character.symbolic(presentation.mu), check_transpose=check_transpose
     )
 
 
@@ -189,12 +194,13 @@ class SignatureResult:
 def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True, tol=None):
     """Signature and nullity of E(omega) at a unitary non-vanishing character.
 
-    The nullity (kernel dimension plus b0 - 1) is computed exactly in the
-    cyclotomic field for torsion characters; the signature always goes
-    through floating-point eigenvalues of the (exactly constructed when
-    possible) Hermitian matrix.  ``tol`` (default: ``default_tolerance()``)
-    is the numeric zero tolerance of the unitarity and non-vanishing checks
-    and of the approximate context.
+    The nullity (kernel dimension plus b0 - 1) is computed in the
+    character's field (``characters.default_context_for``), exactly for
+    torsion characters; the signature always goes through floating-point
+    eigenvalues of the Hermitian matrix, mapped from the exact one when
+    there is one.  ``tol`` (default: ``default_tolerance()``) is the
+    numeric zero tolerance of the unitarity and non-vanishing checks and of
+    the approximate context.
     """
     violations = validate(presentation, check_transpose=check_transpose)
     if violations:
@@ -209,19 +215,13 @@ def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True, t
         raise UnsupportedHypothesisError(
             "vanishing character coordinate (omega_i = 1) is not supported"
         )
-    approx_ctx = ApproxComplex(tol)
-    if omega.kind == "zeta":
-        exact_ctx = Cyclotomic(omega.conductor)
-        e_exact = build_E(presentation, omega, exact_ctx)
-        eta = (presentation.n - rank(e_exact)) + presentation.b0 - 1
-        e_num = e_exact.map(lambda x: x.to_complex(), ctx=approx_ctx)
-        eta_exact = True
-    else:
-        e_num = build_E(presentation, omega, approx_ctx)
-        eta = (presentation.n - rank(e_num)) + presentation.b0 - 1
-        eta_exact = False
-    counts = hermitian_signature(e_num, tol_sig=tol_sig)
-    return SignatureResult(counts[0] - counts[1], eta, counts, True, eta_exact)
+    ctx = default_context_for(omega, tol)
+    e = build_E(presentation, omega, ctx)
+    eta = (presentation.n - rank(e)) + presentation.b0 - 1
+    if ctx.is_exact:
+        e = e.map(lambda x: x.to_complex(), ctx=ApproxComplex(tol))
+    counts = hermitian_signature(e, tol_sig=tol_sig)
+    return SignatureResult(counts[0] - counts[1], eta, counts, True, ctx.is_exact)
 
 
 ZERO_CERT_ORDERS = (2, 3, 4, 5, 8, 9)
@@ -304,7 +304,14 @@ def compare_slopes(first, second, budget, seed=0):
     non-vanishing, of prime-power order) are never roots, so a difference
     at any sampled point proves the links are not concordant; agreement
     at every point proves nothing.
+
+    Each presentation is validated once, first then second, before the
+    mu and linking checks and before any character is sampled.
     """
+    for presentation in (first, second):
+        violations = validate(presentation)
+        if violations:
+            raise InvalidPresentationError(violations)
     if first.mu != second.mu:
         raise UsageError("datasets have different numbers of colors")
     if not (first.linking_is_zero() and second.linking_is_zero()):
@@ -313,8 +320,9 @@ def compare_slopes(first, second, budget, seed=0):
         )
     points = []
     for omega in sample_safe_characters(first.mu, first.linking, budget, seed=seed):
-        a = slope_at(first, omega)
-        b = slope_at(second, omega)
+        ctx = default_context_for(omega)
+        a = _slope_in(first, omega, ctx)
+        b = _slope_in(second, omega, ctx)
         equal = a.kind == b.kind and (a.kind != FINITE or a.value == b.value)
         points.append(ComparisonPoint(omega, a, b, equal))
     witness = next((pt.omega for pt in points if not pt.equal), None)

@@ -26,6 +26,12 @@ def int_matrix(ctx, rows):
     return Matrix(ctx, [[ctx.from_int(x) for x in row] for row in rows])
 
 
+def transpose(m):
+    return Matrix(
+        m.ctx, [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)], cols=m.rows
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240917)

@@ -14,7 +14,6 @@ from slopelab.characters import (
     concordance_root_status,
     embed_character,
     evaluate_at_torsion,
-    is_admissible,
     sample_safe_characters,
     verify_root_witness,
 )
@@ -29,8 +28,8 @@ from slopelab.laurent import LaurentPoly, cyclotomic_minimal_poly, normalize_pol
 def test_root_of_unity_normalization_and_order():
     ch = Character.root_of_unity(12, (14, -3))
     assert ch.exponents == (2, 9)
-    assert ch.exact_order() == 12
-    assert Character.root_of_unity(12, (4, 8)).exact_order() == 3
+    assert ch.reduced().conductor == 12
+    assert Character.root_of_unity(12, (4, 8)).reduced().conductor == 3
     assert Character.root_of_unity(12, (4, 8)).reduced() == Character.root_of_unity(3, (1, 2))
 
 
@@ -50,15 +49,6 @@ def test_nonvanishing_and_unitary():
     assert not Character.numeric([1 + 0j]).is_nonvanishing()
 
 
-def test_inverse_and_conjugate():
-    ch = Character.root_of_unity(7, (2, 3))
-    assert ch.inverse().exponents == (5, 4)
-    assert ch.conjugate() == ch.inverse()
-    assert ch.conjugate().inverse() == ch
-    num = Character.numeric([0.5 + 0.5j])
-    assert abs(num.inverse().values[0] - 1 / (0.5 + 0.5j)) < 1e-15
-
-
 def test_embedding():
     ch = Character.root_of_unity(6, (1,))
     ctx = Cyclotomic(6)
@@ -72,22 +62,6 @@ def test_embedding():
         embed_character(ch, Cyclotomic(4))
     with pytest.raises(ContextMismatchError):
         embed_character(Character.symbolic(2), RationalFunctionField(1))
-
-
-# -- admissibility ------------------------------------------------------------------
-
-
-def test_admissible_lambda_zero_always():
-    assert is_admissible(Character.symbolic(3), (0, 0, 0))
-    assert is_admissible(Character.root_of_unity(5, (1, 2, 3)), (0, 0, 0))
-
-
-def test_admissible_examples():
-    # omega = (i, i), lambda = (2, -2): i^2 * i^-2 = 1
-    assert is_admissible(Character.root_of_unity(4, (1, 1)), (2, -2))
-    # omega = (zeta3, zeta5), lambda = (1, 0): zeta3 != 1
-    assert not is_admissible(Character.root_of_unity(15, (5, 3)), (1, 0))
-    assert is_admissible(Character.numeric([1j, 1j]), (2, -2))
 
 
 # -- components ---------------------------------------------------------------------
@@ -156,7 +130,7 @@ def test_root_status_zeta8_not_root():
 
 def test_root_status_multivariate_order12():
     ch = Character.root_of_unity(12, (1, 5))
-    assert ch.exact_order() == 12
+    assert ch.reduced().conductor == 12
     st = concordance_root_status(ch)
     assert st.status == ROOT
     assert verify_root_witness(ch, st.witness)
@@ -243,10 +217,15 @@ def test_exhaustive_small_annihilator_search_for_zeta8():
 # -- sampling ------------------------------------------------------------------------
 
 
+def admissible(ch, linking):
+    """omega^lambda = 1 for a torsion character."""
+    return sum(l * k for l, k in zip(linking, ch.exponents)) % ch.conductor == 0
+
+
 def test_sample_lambda_zero_orders():
     chars = sample_safe_characters(1, (0,), 3, seed=0)
     assert len(chars) == 3
-    orders = sorted(c.exact_order() for c in chars)
+    orders = sorted(c.reduced().conductor for c in chars)
     assert orders == [2, 3, 4]
 
 
@@ -254,7 +233,7 @@ def test_sample_admissible_filter():
     chars = sample_safe_characters(2, (1, 1), 2, seed=1)
     assert len(chars) == 2
     for ch in chars:
-        assert is_admissible(ch, (1, 1))
+        assert admissible(ch, (1, 1))
         assert ch.is_nonvanishing()
         assert concordance_root_status(ch).status == NOT_ROOT
 
@@ -272,7 +251,7 @@ def test_sample_deterministic_given_seed():
 def test_sample_every_output_safe():
     for seed in (0, 1, 2):
         for ch in sample_safe_characters(2, (2, -2), 4, seed=seed):
-            assert is_admissible(ch, (2, -2))
+            assert admissible(ch, (2, -2))
             assert ch.is_nonvanishing()
             assert concordance_root_status(ch).status == NOT_ROOT
     # a grid of (mu 1-3, linking, budget 1-40, seed): every output is safe,
@@ -286,7 +265,7 @@ def test_sample_every_output_safe():
         budget, seed = grid.randint(1, 40), grid.randint(0, 9)
         chars = sample_safe_characters(mu, linking, budget, seed=seed)
         for ch in chars:
-            assert is_admissible(ch, linking)
+            assert admissible(ch, linking)
             assert ch.is_nonvanishing()
             assert concordance_root_status(ch).status == NOT_ROOT
         digest.update((";".join(ch.describe() for ch in chars) + "\n").encode())

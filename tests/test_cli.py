@@ -543,6 +543,15 @@ def test_non_finite_numeric_character_exit_2(args):
             "1e-3",
             "eta=1 (approximate)",
         ),
+        # the same point as a square root: the numerator is 0 and the
+        # denominator 6e-12, zero at the default tolerance (inconclusive)
+        # but not at 1e-13; the last line, the value, is 0
+        (
+            ("conway", "--in", "l10n36_conway.json", "--sqrt",
+             "num:0.49999913397434637+0.8660259037840056i"),
+            "1e-13",
+            "\n0\n",
+        ),
     ],
 )
 def test_tol_flag_acts_like_environment_tolerance(args, tol, expected):
@@ -556,6 +565,38 @@ def test_tol_flag_acts_like_environment_tolerance(args, tol, expected):
         environment.stderr,
     )
     assert flag.returncode == 0 and expected in flag.stdout
+
+
+TOL_ZERO = "error: tolerance must be positive\n"
+TOL_NOT_FLOAT = "error: SLOPELAB_TOL is not a float: 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "args, env, code, stderr",
+    [
+        # a num: character reads the tolerance, before the linking check
+        (("slope", "--in", "linked", "--char", "num:0.6+0.8i", "--tol", "0"), {}, 2, TOL_ZERO),
+        (("slope", "--in", "whitehead.json", "--char", "num:0.6+0.8i"),
+         {"SLOPELAB_TOL": "abc"}, 2, TOL_NOT_FLOAT),
+        (("conway", "--in", "l10n36_conway.json", "--sqrt", "num:0.6+0.8i", "--tol", "0"),
+         {}, 2, TOL_ZERO),
+        # the exact fields never read it
+        (("slope", "--in", "whitehead.json", "--char", "zeta:5:1", "--tol", "0"), {}, 0, ""),
+        (("slope", "--in", "whitehead.json", "--char", "zeta:5:1"),
+         {"SLOPELAB_TOL": "abc"}, 0, ""),
+        (("conway", "--in", "l10n36_conway.json", "--sqrt", "zeta:10:1", "--tol", "0"),
+         {}, 0, ""),
+        # every signature reads it for its floating-point eigenvalue count
+        (("signature", "--in", "trefoil.json", "--char", "zeta:5:1", "--tol", "0"),
+         {}, 2, TOL_ZERO),
+        (("signature", "--in", "trefoil.json", "--char", "zeta:5:1"),
+         {"SLOPELAB_TOL": "abc"}, 2, TOL_NOT_FLOAT),
+    ],
+)
+def test_bad_tolerance_refused_where_it_is_read(tmp_path, args, env, code, stderr):
+    linked = _write(tmp_path, "linked.json", LINKED)
+    p = _run(*(linked if a == "linked" else a for a in args), env=env)
+    assert (p.returncode, p.stderr) == (code, stderr)
 
 
 SQRT_NEAR = ("conway", "--in", "l10n36_conway.json", "--char", "num:0.6+0.8i",

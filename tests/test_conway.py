@@ -16,7 +16,7 @@ from slopelab.conway import (
 )
 from slopelab.datasets import builtin_path
 from slopelab.errors import UnsupportedHypothesisError, UsageError
-from slopelab.fields import ApproxComplex, Cyclotomic, RationalFunctionField, RatFunc
+from slopelab.fields import Cyclotomic, RatFunc
 from slopelab.laurent import LaurentPoly
 from slopelab.seifert import CComplexPresentation
 from slopelab.slope import FINITE, INFINITY
@@ -95,8 +95,7 @@ def test_synthetic_identity_quotient():
     g2 = s1 - s1.subst_inverse()
     g1 = LaurentPoly.var(1, 0) - LaurentPoly.var(1, 0).subst_inverse()
     data = ConwayData.build(1, s0 ** 2 * g2 - s0 ** -2 * g2, g1)
-    ctx = RationalFunctionField(1)
-    v = conway_quotient(data, Character.symbolic(1), ctx)
+    v = conway_quotient(data, Character.symbolic(1))
     assert v.kind == FINITE
     assert v.value == RatFunc.const(1, -1)
     # pointwise too
@@ -134,6 +133,13 @@ def test_missing_sqrt_rejected():
         conway_quotient(l10n36(), None)
 
 
+def test_conway_quotient_takes_no_context():
+    # the field is derived from sqrt_char; a context passed where the
+    # parameter once was is refused, not ignored
+    with pytest.raises(TypeError):
+        conway_quotient(l10n36(), Character.root_of_unity(10, (1,)), Cyclotomic(20))
+
+
 def test_vanishing_omega_rejected():
     # sigma = -1 means omega = 1
     with pytest.raises(UnsupportedHypothesisError):
@@ -147,11 +153,10 @@ def test_sqrt_flip_invariance_for_even_data():
     even_kl = s0 ** 2 * s1 ** 2 - 3 * s0 ** -2 + s1 ** 4
     even_l = LaurentPoly.var(1, 0) ** 2 + 1
     data = ConwayData.build(1, even_kl, even_l)
-    ctx = ApproxComplex()
     for angle in (0.13, 0.29, 0.41):
         sigma = cmath.exp(2j * cmath.pi * angle)
-        a = conway_quotient(data, Character.numeric([sigma]), ctx)
-        b = conway_quotient(data, Character.numeric([-sigma]), ctx)
+        a = conway_quotient(data, Character.numeric([sigma]))
+        b = conway_quotient(data, Character.numeric([-sigma]))
         assert a.kind == b.kind == FINITE
         assert abs(a.value - b.value) < 1e-9
 

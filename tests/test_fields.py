@@ -255,7 +255,7 @@ def test_approx_context_tolerance():
     assert not ctx.is_zero(1e-3)
     with pytest.raises(ZeroDivisionError):
         ctx.invert(0j)
-    assert ctx.eq(ctx.invert(2 + 0j), 0.5 + 0j)
+    assert ctx.is_zero(ctx.invert(2 + 0j) - 0.5)
 
 
 def test_env_tolerance_override(monkeypatch):
@@ -288,7 +288,7 @@ def test_field_axioms_random_triples_all_contexts():
     for ctx, make in ((rf, rf_elt), (cyc, cyc_elt), (ac, ac_elt)):
         for _ in range(15):
             a, b, c = make(), make(), make()
-            assert ctx.eq(a + b, b + a)
-            assert ctx.eq(a * (b + c), a * b + a * c)
+            assert ctx.is_zero((a + b) - (b + a))
+            assert ctx.is_zero(a * (b + c) - (a * b + a * c))
             if not ctx.is_zero(a):
-                assert ctx.eq(a * ctx.invert(a), ctx.one)
+                assert ctx.is_zero(a * ctx.invert(a) - ctx.one)

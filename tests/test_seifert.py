@@ -33,6 +33,8 @@ from slopelab.seifert import (
     validate,
 )
 
+from conftest import transpose
+
 
 # -- validation ------------------------------------------------------------------
 
@@ -180,7 +182,7 @@ def test_E_hermitian_at_unitary_numeric(rng):
         if not omega.is_nonvanishing():
             continue
         e = build_E(p, omega, ctx)
-        h = e.transpose().map(ctx.conjugate)
+        h = transpose(e).map(complex.conjugate)
         for i in range(p.n):
             for j in range(p.n):
                 assert abs(e.entries[i][j] - h.entries[i][j]) < 1e-10
@@ -193,7 +195,7 @@ def test_E_adjoint_identity_symbolic(rng):
         ctx = RationalFunctionField(mu)
         p = random_presentation(rng, mu=mu, n=rng.randint(1, 3))
         e = build_E(p, Character.symbolic(mu), ctx)
-        et = e.transpose()
+        et = transpose(e)
         for i in range(p.n):
             for j in range(p.n):
                 assert et.entries[i][j] == e.entries[i][j].subst_inverse()

@@ -13,7 +13,6 @@ import slopelab.slope as slope_module
 from slopelab.characters import Character, evaluate_at_torsion, sample_safe_characters
 from slopelab.errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
 from slopelab.fields import (
-    ApproxComplex,
     Cyclotomic,
     RatFunc,
     RationalFunctionField,
@@ -75,7 +74,7 @@ def test_whitehead_pointwise_matches_closed_form_exactly(whitehead):
     for order in (2, 3, 4, 5, 8):
         ctx = Cyclotomic(order)
         omega = Character.root_of_unity(order, (1,))
-        sv = slope_at(whitehead, omega, ctx)
+        sv = slope_at(whitehead, omega)
         assert sv.kind == FINITE
         z = ctx.zeta(1)
         expected = closed.num.evaluate([z], zero=ctx.zero)
@@ -251,7 +250,7 @@ def test_preimage_independence(rng):
         kb = [sum(sym[i][j] * x[j] for j in range(2)) for i in range(2)]
         theta = [[b[0][0], b[0][1], 0], [b[1][0], b[1][1], 0], [0, 0, 0]]
         p = CComplexPresentation.build(1, 3, {"+": theta}, kb + [0])
-        sv = slope_at(p, omega, ctx)
+        sv = slope_at(p, omega)
         if sv.kind != FINITE:
             continue
         e = build_E(p, omega, ctx)
@@ -329,7 +328,6 @@ def test_block_presentation_reduces_to_block(whitehead, rng):
 def test_symbolic_pointwise_consistency(rng):
     """The symbolic slope evaluated numerically matches slope_at in the
     approximate context, at unitary points away from the denominator."""
-    ctx = ApproxComplex()
     done = 0
     while done < 20:
         mu = rng.choice([1, 2])
@@ -343,7 +341,7 @@ def test_symbolic_pointwise_consistency(rng):
         den = sym.value.den.evaluate(values, zero=0j)
         if abs(den) < 1e-6:
             continue
-        numeric = slope_at(p, Character.numeric(values), ctx)
+        numeric = slope_at(p, Character.numeric(values))
         if numeric.kind != FINITE:
             continue
         expected = sym.value.num.evaluate(values, zero=0j) / den
@@ -432,7 +430,7 @@ def test_signature_conjugation_symmetry(rng):
         n_order = rng.choice([3, 4, 5, 7, 8])
         exps = tuple(rng.randint(1, n_order - 1) for _ in range(mu))
         omega = Character.root_of_unity(n_order, exps)
-        conj = omega.conjugate()
+        conj = Character.root_of_unity(n_order, [-k for k in exps])
         a = signature_nullity(p, omega)
         b = signature_nullity(p, conj)
         assert a.sigma == b.sigma
@@ -617,3 +615,34 @@ def test_compare_slopes_refusals(whitehead):
         compare_slopes(linked, whitehead, 4)
     with pytest.raises(UnsupportedHypothesisError, match="vanishing linking vectors"):
         compare_slopes(whitehead, linked, 4)
+    # validation comes first, on both sides, before the mu and linking checks
+    # and before any character is sampled
+    broken = CComplexPresentation.build(1, 1, {"+": [[1]], "-": [[2]]}, [0])
+    with pytest.raises(InvalidPresentationError):
+        compare_slopes(broken, whitehead, 0)
+    with pytest.raises(InvalidPresentationError):
+        compare_slopes(two_colors, broken, 4)
+
+
+def test_compare_slopes_validates_each_side_once(whitehead, monkeypatch):
+    validated = []
+    original = slope_module.validate
+
+    def counting(presentation, *args, **kwargs):
+        validated.append(presentation)
+        return original(presentation, *args, **kwargs)
+
+    monkeypatch.setattr(slope_module, "validate", counting)
+    kappa_zero = replace(whitehead, kappa=(0, 0))
+    for budget in (0, 8):
+        validated.clear()
+        result = compare_slopes(whitehead, kappa_zero, budget)
+        assert len(result.points) == budget
+        assert [id(p) for p in validated] == [id(whitehead), id(kappa_zero)]
+
+
+def test_slope_at_takes_no_context(whitehead):
+    # the field is derived from the character; a context passed where the
+    # parameter once was is refused, not ignored
+    with pytest.raises(TypeError):
+        slope_at(whitehead, Character.root_of_unity(2, (1,)), Cyclotomic(4))
