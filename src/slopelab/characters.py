@@ -42,7 +42,7 @@ from .fields import (
     CyclotomicNumber,
     RationalFunctionField,
     _reduce_mod_phi,
-    default_tolerance,
+    resolve_tolerance,
 )
 from .laurent import (
     LaurentPoly,
@@ -101,14 +101,14 @@ class Character:
             return True
         if self.kind == ROOT_OF_UNITY:
             return all(k != 0 for k in self.exponents)
-        tol = default_tolerance() if tol is None else tol
+        tol = resolve_tolerance(tol)
         return all(abs(v - 1) > tol for v in self.values)
 
     def is_unitary(self, tol=None):
         if self.kind == ROOT_OF_UNITY:
             return True
         if self.kind == NUMERIC:
-            tol = default_tolerance() if tol is None else tol
+            tol = resolve_tolerance(tol)
             return all(abs(abs(v) - 1) <= tol for v in self.values)
         return False
 
@@ -198,7 +198,7 @@ def default_context_for(omega, tol=None):
     function field in mu variables for the symbolic character, Q(zeta_N)
     at its conductor N for a torsion character, and ApproxComplex for a
     numeric one.  ``tol`` acts only on a numeric character, where it is
-    the zero tolerance (default: ``default_tolerance()``); the exact
+    the zero tolerance (default: ``resolve_tolerance()``); the exact
     fields never read it.
     """
     if omega.kind == SYMBOLIC:

@@ -26,7 +26,7 @@ from .characters import (
 from .conway import conway_quotient, cross_check, load_conway
 from .datasets import resolve_input
 from .errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
-from .fields import CyclotomicNumber, RatFunc, default_tolerance, format_complex
+from .fields import CyclotomicNumber, RatFunc, format_complex, resolve_tolerance
 from .laurent import LaurentPoly
 from .seifert import load_presentation, validate
 from .slope import compare_slopes, signature_nullity, slope_at, slope_symbolic
@@ -430,7 +430,7 @@ def _check_sqrt_consistency(omega, sqrt_char, tol):
         return
     wv = omega.complex_values()
     sv = sqrt_char.complex_values()
-    eps = default_tolerance() if tol is None else tol
+    eps = resolve_tolerance(tol)
     if any(abs(s * s - w) > eps for s, w in zip(sv, wv)):
         raise UsageError("--sqrt squared does not equal --char")
 

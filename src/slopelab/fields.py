@@ -9,7 +9,8 @@ Three kinds of scalar are supported:
   positive denominator with no common factor, so that equal numbers have
   equal storage; the inverse of x is the product of its other Galois
   conjugates divided by the norm N(x), a rational because every sigma_u
-  fixes it;
+  fixes it, and that product is formed along a chain of subgroups of
+  (Z/N)^* in O(log phi(N)) multiplications per step of the chain;
 * plain ``complex`` -- the scalars of :class:`ApproxComplex`, where zero
   tests use the context tolerance and all results count as approximate.
 
@@ -26,7 +27,8 @@ from __future__ import annotations
 import cmath
 import os
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, inf, lcm
 
 from .errors import UsageError
 from .laurent import (
@@ -41,17 +43,27 @@ from .laurent import (
 DEFAULT_TOLERANCE = 1e-10
 
 
-def default_tolerance():
-    """The numeric zero tolerance, overridable via SLOPELAB_TOL."""
-    raw = os.environ.get("SLOPELAB_TOL")
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise UsageError(f"SLOPELAB_TOL is not a float: {raw!r}") from exc
-    if tol <= 0:
-        raise UsageError("SLOPELAB_TOL must be positive")
+def resolve_tolerance(tol=None):
+    """The numeric zero tolerance: ``tol``, else SLOPELAB_TOL, else 1e-10.
+
+    This is the one place a tolerance is read and checked: anything but a
+    positive finite float (zero, a negative, nan, inf) is refused.
+    """
+    name = "tolerance"
+    if tol is None:
+        raw = os.environ.get("SLOPELAB_TOL")
+        if raw is None:
+            return DEFAULT_TOLERANCE
+        try:
+            tol = float(raw)
+        except ValueError as exc:
+            raise UsageError(f"SLOPELAB_TOL is not a float: {raw!r}") from exc
+        name = "SLOPELAB_TOL"
+    tol = float(tol)
+    if not tol > 0:
+        raise UsageError(f"{name} must be positive")
+    if tol == inf:
+        raise UsageError(f"{name} must be finite")
     return tol
 
 
@@ -212,23 +224,56 @@ def _reduce_fraction(num, den):
 # -- cyclotomic numbers --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _phi_low_terms(conductor):
+    """phi(N) and the nonzero terms (j, c) of Phi_N below its leading one."""
+    phi = _cyclotomic_coeffs(conductor)
+    deg = len(phi) - 1
+    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+
+
 def _reduce_mod_phi(coeffs, conductor):
     """Remainder of a dense integer coefficient list modulo Phi_N.
 
-    Phi_N is monic with integer coefficients, so the remainder of an
+    Phi_N divides t^N - 1, so t^i = t^(i mod N) modulo Phi_N: the list is
+    first folded onto degrees below N, adding each coefficient of degree
+    i >= N onto degree i mod N, and only degrees phi(N) .. N-1 are then
+    cancelled with the nonzero lower terms of Phi_N (one degree for prime
+    N).  Phi_N is monic with integer coefficients, so the remainder of an
     integer list stays integral.
     """
-    phi = _cyclotomic_coeffs(conductor)
-    deg = len(phi) - 1
-    low = [(j, p) for j, p in enumerate(phi[:deg]) if p]
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
+    deg, low = _phi_low_terms(conductor)
+    out = list(coeffs[:conductor])
+    for i in range(conductor, len(coeffs)):
+        out[i % conductor] += coeffs[i]
+    for i in range(len(out) - 1, deg - 1, -1):
+        c = out[i]
         if c:
             for j, p in low:
-                coeffs[i - deg + j] -= c * p
-    coeffs = coeffs[:deg]
-    return coeffs + [0] * (deg - len(coeffs))
+                out[i - deg + j] -= c * p
+    del out[deg:]
+    return out + [0] * (deg - len(out))
+
+
+@lru_cache(maxsize=None)
+def _galois_chain(conductor):
+    """Steps (g, m) of a subgroup chain {1} = H_0 < H_1 < ... = (Z/N)^*.
+
+    g is the least unit outside H_i and m the least exponent with g^m in
+    H_i, so H_(i+1) = <H_i, g> is the disjoint union of the cosets g^j H_i
+    for 0 <= j < m.
+    """
+    group = {1}
+    chain = []
+    for g in range(2, conductor):
+        if gcd(g, conductor) != 1 or g in group:
+            continue
+        m, power = 1, g
+        while power not in group:
+            m, power = m + 1, power * g % conductor
+        group = {h * pow(g, j, conductor) % conductor for h in group for j in range(m)}
+        chain.append((g, m))
+    return tuple(chain)
 
 
 class CyclotomicNumber:
@@ -242,7 +287,15 @@ class CyclotomicNumber:
     embedding sends t to exp(2*pi*i/N).
 
     The inverse is the product of the other Galois conjugates over the
-    norm: the norm is fixed by every sigma_u, hence rational.
+    norm: the norm is fixed by every sigma_u, hence rational.  The product
+    is formed along the chain {1} = H_0 < H_1 < ... = (Z/N)^* of
+    ``_galois_chain``.  If y = prod over h in H_i of sigma_h(x) and
+    H_(i+1) is the disjoint union of the cosets g^j H_i, 0 <= j < m, then
+    prod over j < m of sigma_(g^j)(y) is the product over H_(i+1), each
+    unit counted once; its m - 1 factors with j >= 1 come from an
+    addition chain of O(log m) products.  After the last step y is the
+    norm.  One-term elements (c/d) t^j skip all this: their inverse is
+    (d/c) zeta^(-j).
     """
 
     __slots__ = ("conductor", "num", "den")
@@ -262,8 +315,12 @@ class CyclotomicNumber:
     def _set(self, num, den):
         """Store num/den in lowest terms; den must be positive."""
         g = gcd(den, *num)
-        self.num = tuple(c // g for c in num)
-        self.den = den // g
+        if g == 1:
+            self.num = tuple(num)
+            self.den = den
+        else:
+            self.num = tuple(c // g for c in num)
+            self.den = den // g
 
     @classmethod
     def _from_ints(cls, conductor, num, den=1):
@@ -369,13 +426,28 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
         n = self.conductor
-        others = CyclotomicNumber.one(n)
-        for u in range(2, n):
-            if gcd(u, n) == 1:
-                others = others * self.galois(u)
-        # the norm is fixed by every sigma_u, so it is a nonzero rational
-        norm = self * others
-        return others * Fraction(norm.den, norm.num[0])
+        terms = [j for j, c in enumerate(self.num) if c]
+        if len(terms) == 1:
+            # (c/d) t^j inverts to (d/c) zeta^(-j)
+            j = terms[0]
+            return CyclotomicNumber.zeta_pow(n, -j) * Fraction(self.den, self.num[j])
+        # invariant: y is the product of sigma_h(self) over the subgroup H
+        # reached so far, and self * others == y (others None standing for 1)
+        y, others = self, None
+        for g, m in _galois_chain(n):
+            # p = P(a) = prod_{j < a} sigma_{g^j}(y), built up to a = m - 1
+            # by doubling, P(2a) = P(a) sigma_{g^a}(P(a)), and by one more
+            # factor, P(a + 1) = P(a) sigma_{g^a}(y)
+            p, a = y, 1
+            for bit in bin(m - 1)[3:]:
+                p, a = p * p.galois(pow(g, a, n)), 2 * a
+                if bit == "1":
+                    p, a = p * y.galois(pow(g, a, n)), a + 1
+            r = p.galois(g)
+            others = r if others is None else others * r
+            y = y * r
+        # y is now the norm, fixed by every sigma_u, so a nonzero rational
+        return others * Fraction(y.den, y.num[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -498,9 +570,7 @@ class ApproxComplex:
     is_exact = False
 
     def __init__(self, tol=None):
-        self.tol = default_tolerance() if tol is None else float(tol)
-        if self.tol <= 0:
-            raise UsageError("tolerance must be positive")
+        self.tol = resolve_tolerance(tol)
         self.zero = 0j
         self.one = 1 + 0j
 

@@ -23,6 +23,7 @@ once instead of once per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .errors import UsageError
 from .fields import ApproxComplex, RatFunc, RationalFunctionField
@@ -242,8 +243,13 @@ def hermitian_signature(m, tol_sig=1e-8):
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a Hermitian matrix.
 
     Only available in the ApproxComplex context; the input is asserted
-    Hermitian to within the context tolerance.
+    Hermitian to within the context tolerance.  An eigenvalue counts as
+    zero when its magnitude is at most ``tol_sig``, which must be a
+    non-negative finite float (a negative one would count an eigenvalue
+    both positive and negative).
     """
+    if not 0 <= tol_sig < inf:
+        raise UsageError("signature tolerance must be non-negative and finite")
     if not isinstance(m.ctx, ApproxComplex):
         raise UsageError("hermitian_signature requires the ApproxComplex context")
     if m.rows != m.cols:

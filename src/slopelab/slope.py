@@ -198,7 +198,7 @@ def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True, t
     character's field (``characters.default_context_for``), exactly for
     torsion characters; the signature always goes through floating-point
     eigenvalues of the Hermitian matrix, mapped from the exact one when
-    there is one.  ``tol`` (default: ``default_tolerance()``) is the
+    there is one.  ``tol`` (default: ``resolve_tolerance()``) is the
     numeric zero tolerance of the unitarity and non-vanishing checks and of
     the approximate context.
     """

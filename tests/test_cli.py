@@ -599,6 +599,38 @@ def test_bad_tolerance_refused_where_it_is_read(tmp_path, args, env, code, stder
     assert (p.returncode, p.stderr) == (code, stderr)
 
 
+TOL_SIG_BAD = "error: signature tolerance must be non-negative and finite\n"
+WHITEHEAD_NUM = ("slope", "--in", "whitehead.json", "--char", "num:0.6+0.8i")
+TREFOIL_NUM = ("signature", "--in", "trefoil.json", "--char", "num:0.6+0.8i")
+
+
+@pytest.mark.parametrize(
+    "args, env, stderr",
+    [
+        # the unitarity and sqrt checks read the tolerance through the same check
+        (TREFOIL_NUM + ("--tol", "-1"), {}, TOL_ZERO),
+        (("conway", "--in", "l10n36_conway.json", "--char", "num:0.36+0.48i",
+          "--sqrt", "num:0.6+0.4i", "--tol", "-1"), {}, TOL_ZERO),
+        # nan passed a `<= 0` test, and an infinite tolerance makes every value zero
+        (WHITEHEAD_NUM + ("--tol", "nan"), {}, TOL_ZERO),
+        (WHITEHEAD_NUM + ("--tol", "inf"), {}, "error: tolerance must be finite\n"),
+        (WHITEHEAD_NUM, {"SLOPELAB_TOL": "nan"}, "error: SLOPELAB_TOL must be positive\n"),
+        (WHITEHEAD_NUM, {"SLOPELAB_TOL": "inf"}, "error: SLOPELAB_TOL must be finite\n"),
+        # a negative --tol-sig counted an eigenvalue both positive and negative
+        (TREFOIL_NUM + ("--tol-sig", "-1"), {}, TOL_SIG_BAD),
+        (TREFOIL_NUM + ("--tol-sig", "nan"), {}, TOL_SIG_BAD),
+        (TREFOIL_NUM + ("--tol-sig", "inf"), {}, TOL_SIG_BAD),
+    ],
+)
+def test_tolerance_not_positive_and_finite_refused(args, env, stderr):
+    p = _run(*args, env=env)
+    assert (p.returncode, p.stdout, p.stderr) == (2, "", stderr)
+
+
+def test_zero_signature_tolerance_is_accepted():
+    assert _run(*TREFOIL_NUM, "--tol-sig", "0").stdout == _run(*TREFOIL_NUM).stdout
+
+
 SQRT_NEAR = ("conway", "--in", "l10n36_conway.json", "--char", "num:0.6+0.8i",
              "--sqrt", "num:0.8944271912235227+0.4472135956117614i")
 

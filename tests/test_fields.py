@@ -14,9 +14,10 @@ from slopelab.fields import (
     CyclotomicNumber,
     RatFunc,
     RationalFunctionField,
-    default_tolerance,
+    _reduce_mod_phi,
+    resolve_tolerance,
 )
-from slopelab.laurent import LaurentPoly, euler_phi
+from slopelab.laurent import LaurentPoly, cyclotomic_minimal_poly, euler_phi
 
 from conftest import random_laurent, random_nonzero_laurent
 
@@ -193,6 +194,89 @@ def test_invert_non_integral_coordinates():
             assert a.invert().invert() == a
 
 
+INVERT_CONDUCTORS = (1, 2, 3, 4, 8, 9, 12, 16, 24, 25, 27, 32, 60, 64, 72, 105, 125, 360)
+
+
+def _invert_by_every_conjugate(x):
+    """The inverse as the product of sigma_u(x) over every unit u != 1, one
+    factor at a time, over the norm: the reference the subgroup chain of
+    ``CyclotomicNumber.invert`` must agree with."""
+    n = x.conductor
+    others = CyclotomicNumber.one(n)
+    for u in range(2, n):
+        if gcd(u, n) == 1:
+            others = others * x.galois(u)
+    norm = x * others
+    return others * Fraction(norm.den, norm.num[0])
+
+
+def test_invert_matches_the_product_of_every_conjugate():
+    rng = random.Random(18)
+    for n in INVERT_CONDUCTORS:
+        deg = euler_phi(n)
+        samples = [
+            # one-term elements (c/d) t^j, rationals among them
+            CyclotomicNumber(n, [Fraction(-3, 7) if i == j else 0 for i in range(deg)])
+            for j in sorted({0, deg // 2, deg - 1})
+        ]
+        samples.append(CyclotomicNumber.zeta_pow(n, n - 1) * 5)
+        # integral, den > 1 and wide coordinates
+        samples.append(CyclotomicNumber(n, [rng.randint(-3, 3) for _ in range(deg)]))
+        samples.append(
+            CyclotomicNumber(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(deg)])
+        )
+        samples.append(CyclotomicNumber(n, [rng.randint(-(2 ** 80), 2 ** 80) for _ in range(deg)]))
+        for x in samples:
+            if not x:
+                continue
+            inverse = x.invert()
+            assert inverse == _invert_by_every_conjugate(x), (n, x)
+            assert x * inverse == 1
+            assert inverse.den > 0 and gcd(inverse.den, *inverse.num) == 1
+
+
+def test_invert_multiplies_log_many_times(monkeypatch):
+    # the subgroup chain at N = 125 is one cyclic step of order 100: nine
+    # products for the addition chain of 99, one for the norm and one
+    # scalar product; the per-unit product needed phi(N) - 1 = 99 and more
+    x = CyclotomicNumber(125, [(i % 7) - 3 for i in range(100)])
+    calls = []
+    multiply = CyclotomicNumber.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counting)
+    inverse = x.invert()
+    assert len(calls) <= 16
+    monkeypatch.undo()
+    assert x * inverse == 1
+
+
+def _remainder_by_long_division(coeffs, n):
+    """Dense remainder modulo Phi_N by cancelling the top coefficient."""
+    phi = cyclotomic_minimal_poly(n)
+    deg = euler_phi(n)
+    rest = list(coeffs)
+    for top in range(len(rest) - 1, deg - 1, -1):
+        c = rest[top]
+        for (j,), p in phi.terms.items():
+            rest[top - deg + j] -= c * p
+    return (rest + [0] * deg)[:deg]
+
+
+def test_reduce_mod_phi_matches_long_division():
+    rng = random.Random(19)
+    for n in INVERT_CONDUCTORS:
+        for length in range(2 * n + 2):
+            coeffs = [rng.randint(-(2 ** 70), 2 ** 70) for _ in range(length)]
+            assert _reduce_mod_phi(coeffs, n) == _remainder_by_long_division(coeffs, n), (
+                n,
+                length,
+            )
+
+
 def test_coords_are_fractions():
     x = CyclotomicNumber(5, [Fraction(1, 2), 3, Fraction(-4, 6), 0])
     assert x.coords == (Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(0))
@@ -260,12 +344,12 @@ def test_approx_context_tolerance():
 
 def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv("SLOPELAB_TOL", "1e-4")
-    assert default_tolerance() == 1e-4
+    assert resolve_tolerance() == 1e-4
     ctx = ApproxComplex()
     assert ctx.tol == 1e-4
     monkeypatch.setenv("SLOPELAB_TOL", "bogus")
     with pytest.raises(UsageError):
-        default_tolerance()
+        resolve_tolerance()
 
 
 def test_field_axioms_random_triples_all_contexts():
