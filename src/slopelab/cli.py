@@ -20,6 +20,7 @@ from .characters import (
     Character,
     components,
     concordance_root_status,
+    default_context_for,
     sample_safe_characters,
     verify_root_witness,
 )
@@ -29,7 +30,18 @@ from .errors import InvalidPresentationError, UnsupportedHypothesisError, UsageE
 from .fields import CyclotomicNumber, RatFunc, format_complex, resolve_tolerance
 from .laurent import LaurentPoly
 from .seifert import load_presentation, validate
-from .slope import compare_slopes, signature_nullity, slope_at, slope_symbolic
+# The handlers validate each dataset once, at load, and then call the
+# slope module's helpers for validated presentations.  slope_at,
+# slope_symbolic and signature_nullity are not called here but stay bound,
+# for tools that patch this module's bindings (slopebench/tracer.py).
+from .slope import (
+    _signature_in,
+    _slope_in,
+    compare_slopes,
+    signature_nullity,
+    slope_at,
+    slope_symbolic,
+)
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 1
@@ -184,12 +196,7 @@ def cmd_slope(args):
     omega = parse_character_spec(
         args.char, mu=presentation.mu, single="slope takes a single character, not a grid"
     )
-    if omega.kind == "symbolic":
-        sv = slope_symbolic(presentation, check_transpose=not args.no_transpose_check)
-    else:
-        sv = slope_at(
-            presentation, omega, tol=args.tol, check_transpose=not args.no_transpose_check
-        )
+    sv = _slope_in(presentation, omega, default_context_for(omega, args.tol))
     result = {
         "dataset": presentation.label or path,
         "character": omega.describe(),
@@ -225,13 +232,7 @@ def cmd_signature(args):
     rows = []
     lines = [f"dataset: {presentation.label or path}"]
     for omega in grid:
-        sig = signature_nullity(
-            presentation,
-            omega,
-            tol_sig=args.tol_sig,
-            check_transpose=not args.no_transpose_check,
-            tol=args.tol,
-        )
+        sig = _signature_in(presentation, omega, args.tol_sig, args.tol)
         rows.append(
             {
                 "character": omega.describe(),

@@ -1,17 +1,26 @@
 """Multivariate Laurent polynomials with exact rational coefficients.
 
 A polynomial is stored sparsely as a map from integer exponent vectors
-(entries may be negative) to nonzero exact coefficients: a Python ``int``
-when the value is integral and a :class:`~fractions.Fraction` otherwise.
-An ``int`` and a ``Fraction`` of equal value compare and hash equal, so
-two polynomials are equal in the ring exactly when their stored term maps
-are equal, whichever type holds an integral value.  Polynomials built from
+(entries may be negative) to nonzero exact coefficients, each an ``int``
+or a :class:`~fractions.Fraction`; no coefficient is ever a float.  An
+``int`` and a ``Fraction`` of equal value compare and hash equal, so two
+polynomials are equal in the ring exactly when their stored term maps are
+equal, whichever type holds an integral value.  Polynomials built from
 integer data (the theta matrices, Bareiss rows, subresultant remainders)
-therefore run on ``int`` arithmetic throughout; every division stays exact
-and no coefficient is ever a float.  The module also provides the
-polynomial gcd machinery used to keep rational functions reduced
-(recursive content/primitive-part with a subresultant remainder sequence
-in the main variable) and cyclotomic polynomials.
+run on ``int`` arithmetic throughout, and every division stays exact.
+
+The module also provides the polynomial gcd that keeps rational functions
+reduced, and cyclotomic polynomials.  ``poly_gcd`` normalizes both
+operands and then tries a modular front end: equal operands are their own
+gcd; one image of the pair modulo the prime 2^61 - 1 per shared variable,
+taken where the first operand's leading coefficient in that variable
+survives, bounds the degree of the gcd in that variable (Gauss's lemma),
+so all-zero bounds prove the gcd is 1; and bounds equal to one operand's
+degrees make that operand the candidate, accepted only if it divides the
+other exactly.  Everything else goes to the recursive
+content/primitive-part gcd with a subresultant remainder sequence in the
+main variable, which also serves the tests as the oracle.  The full proof
+is in the ``poly_gcd`` docstring.
 """
 
 from __future__ import annotations
@@ -39,9 +48,12 @@ class LaurentPoly:
     """A Laurent polynomial in ``num_vars`` variables over the rationals.
 
     ``terms`` maps exponent tuples to nonzero coefficients, each an ``int``
-    when integral and a ``Fraction`` otherwise (equal values of the two
-    types compare and hash equal, so ``==`` and ``hash`` do not see the
-    difference).
+    or a ``Fraction``.  The constructor, scalar multiples, ``exact_div``
+    and ``normalize_poly`` store integral values as ``int``; a sum,
+    difference or product of two polynomials keeps a ``Fraction`` whose
+    value came out integral, such as ``Fraction(1, 1)``.
+    Equal values of the two types compare and hash equal, so ``==`` and
+    ``hash`` do not see the difference.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -366,7 +378,7 @@ def _int_primitive(p):
     den = reduce(_int_lcm, (c.denominator for c in p.terms.values()), 1)
     nums = [c.numerator * (den // c.denominator) for c in p.terms.values()]
     g = reduce(_int_gcd, nums, 0)
-    if den == 1 and g == 1:
+    if g == 1 and all(type(c) is int for c in p.terms.values()):
         return p
     return LaurentPoly._make(p.num_vars, {e: n // g for e, n in zip(p.terms, nums)})
 
@@ -527,8 +539,77 @@ def _gcd_rec(a, b):
     return _gcd_rec(ca, cb) * _subresultant(pa, pb, v)
 
 
+_P = (1 << 61) - 1  # the prime the front end of poly_gcd takes images modulo
+_POINTS_TRIED = 3  # evaluation points per variable before giving up on an image
+
+
+def _image(p, v, point):
+    """p mod _P with every variable but v fixed at ``point``: dense, low to high."""
+    dense = [0] * (_deg_in(p, v) + 1)
+    for e, c in p.terms.items():
+        for i, k in enumerate(e):
+            if k and i != v:
+                c *= pow(point[i], k, _P)
+        dense[e[v]] += c
+    return [c % _P for c in dense]
+
+
+def _image_gcd_degree(a, b, v):
+    """deg_v of gcd(a, b) mod _P, the other variables fixed at a point of
+    small integers where lc_v(a) survives; None when none of the points
+    tried is such a point."""
+    n = a.num_vars
+    for attempt in range(_POINTS_TRIED):
+        point = range(2 + attempt * n, 2 + (attempt + 1) * n)
+        x = _image(a, v, point)
+        if not x[-1]:
+            continue
+        y = _image(b, v, point)
+        while y and not y[-1]:
+            y.pop()
+        while y:  # Euclid over F_p; x and y carry no zero leading entries
+            inv = pow(y[-1], -1, _P)
+            while len(x) >= len(y):
+                f = x[-1] * inv % _P
+                off = len(x) - len(y)
+                for i in range(len(y) - 1):
+                    x[off + i] = (x[off + i] - f * y[i]) % _P
+                x.pop()
+                while x and not x[-1]:
+                    x.pop()
+            x, y = y, x
+        return len(x) - 1
+    return None
+
+
 def poly_gcd(p, q):
-    """Gcd up to units, as a normalized polynomial (see normalize_poly)."""
+    """Gcd up to units, as a normalized polynomial (see normalize_poly).
+
+    After normalization a modular front end answers most calls without the
+    subresultant (``_gcd_rec``), which stays the only fallback.  Let g be
+    the normalized gcd of the normalized operands a and b.
+
+    * Equal operands: g = a.
+    * For each variable v active in both, fix the other variables at small
+      integers where lc_v(a), the leading coefficient of a in v, is nonzero
+      modulo the prime p = 2^61 - 1, and take the degree d_v of the gcd of
+      the two images in F_p[v].  Then deg_v g <= d_v.  Proof: g is
+      primitive and divides a over Q, so by Gauss's lemma a = g h with h
+      integral; lc_v(a) = lc_v(g) lc_v(h), so lc_v(g) does not vanish at
+      the point modulo p and the image of g keeps its degree in v.  The
+      image of g divides both images, hence their gcd.  A variable active
+      in only one operand does not occur in g (g divides the other).  So
+      d_v = 0 for every shared v proves g = 1.
+    * If d_v = deg_v b for every v and b has no variable a lacks, b is the
+      only candidate the bounds leave, and it is tried by exact division
+      of a; likewise a.  The division alone is the proof: b | a and b | b
+      make b a common divisor, and every common divisor divides b, so b is
+      the gcd; being normalized, it is the normalized gcd.
+
+    Anything else (a shared d_v that matches neither operand, no point
+    where lc_v(a) survives, an inexact division) falls through to
+    ``_gcd_rec``.  Both paths return the same normalized polynomial.
+    """
     if not isinstance(p, LaurentPoly) or not isinstance(q, LaurentPoly):
         raise UsageError("poly_gcd expects LaurentPoly operands")
     p._check_same(q)
@@ -540,6 +621,25 @@ def poly_gcd(p, q):
     b = normalize_poly(q)
     if a.is_constant() or b.is_constant():
         return LaurentPoly.one(p.num_vars)
+    if a == b:
+        return a
+    va, vb = a.active_vars(), b.active_vars()
+    bounds = {}
+    for v in va & vb:
+        d = _image_gcd_degree(a, b, v)
+        if d is None or d not in (0, _deg_in(a, v), _deg_in(b, v)):
+            break
+        bounds[v] = d
+    else:
+        if not any(bounds.values()):
+            return LaurentPoly.one(p.num_vars)
+        for c, other, vc in ((b, a, vb), (a, b, va)):
+            if vc == bounds.keys() and all(d == _deg_in(c, v) for v, d in bounds.items()):
+                try:
+                    exact_div(other, c)
+                except ArithmeticError:
+                    continue
+                return c
     return normalize_poly(_gcd_rec(a, b))
 
 

@@ -75,17 +75,10 @@ class SlopeValue:
         return self.kind == FINITE
 
 
-def _check_slope_preconditions(presentation, omega, check_transpose=True):
+def _refuse_invalid(presentation, check_transpose=True):
     violations = validate(presentation, check_transpose=check_transpose)
     if violations:
         raise InvalidPresentationError(violations)
-    if not presentation.linking_is_zero():
-        raise UnsupportedHypothesisError(
-            "slope computations require a vanishing linking vector (lambda = 0)"
-        )
-    if omega.mu != presentation.mu:
-        raise UsageError("character length does not match the presentation")
-    # build_E refuses a vanishing coordinate, at the computing context's tolerance
 
 
 def slope_from_operator(e_matrix, kappa_scalars):
@@ -149,7 +142,18 @@ def slope_from_operator(e_matrix, kappa_scalars):
 
 
 def _slope_in(presentation, omega, ctx):
-    """The slope at omega of a checked presentation, E built in ``ctx``."""
+    """The slope at omega of a validated presentation, E built in ``ctx``.
+
+    Refuses a nonzero linking vector, then a character of the wrong
+    length; ``build_E`` refuses a vanishing coordinate, at the tolerance
+    of ``ctx``.
+    """
+    if not presentation.linking_is_zero():
+        raise UnsupportedHypothesisError(
+            "slope computations require a vanishing linking vector (lambda = 0)"
+        )
+    if omega.mu != presentation.mu:
+        raise UsageError("character length does not match the presentation")
     e = build_E(presentation, omega, ctx)
     return slope_from_operator(e, [ctx.from_int(k) for k in presentation.kappa])
 
@@ -165,7 +169,7 @@ def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     first.
     """
     ctx = default_context_for(omega, tol)
-    _check_slope_preconditions(presentation, omega, check_transpose)
+    _refuse_invalid(presentation, check_transpose)
     return _slope_in(presentation, omega, ctx)
 
 
@@ -202,9 +206,12 @@ def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True, t
     numeric zero tolerance of the unitarity and non-vanishing checks and of
     the approximate context.
     """
-    violations = validate(presentation, check_transpose=check_transpose)
-    if violations:
-        raise InvalidPresentationError(violations)
+    _refuse_invalid(presentation, check_transpose)
+    return _signature_in(presentation, omega, tol_sig, tol)
+
+
+def _signature_in(presentation, omega, tol_sig, tol):
+    """``signature_nullity`` of a validated presentation."""
     if omega.mu != presentation.mu:
         raise UsageError("character length does not match the presentation")
     if not omega.is_unitary(tol):
@@ -309,9 +316,7 @@ def compare_slopes(first, second, budget, seed=0):
     mu and linking checks and before any character is sampled.
     """
     for presentation in (first, second):
-        violations = validate(presentation)
-        if violations:
-            raise InvalidPresentationError(violations)
+        _refuse_invalid(presentation)
     if first.mu != second.mu:
         raise UsageError("datasets have different numbers of colors")
     if not (first.linking_is_zero() and second.linking_is_zero()):

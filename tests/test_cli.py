@@ -659,3 +659,32 @@ def test_conway_numeric_zero_has_no_sign():
     assert text.stdout.splitlines()[-1] == "0"
     out = json.loads(_run(*args, "--format", "json").stdout)["result"]
     assert (out["value"], out["numerator"]) == ("0", "0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["slope", "--in", "whitehead.json", "--char", "symbolic"],
+        ["slope", "--in", "whitehead.json", "--char", "zeta:5:2"],
+        ["slope", "--in", "whitehead.json", "--char", "num:0.6+0.8i", "--no-transpose-check"],
+        ["signature", "--in", "trefoil.json", "--char", "zeta:12:*"],
+        ["signature", "--in", "trefoil.json", "--char", "num:0.6+0.8i"],
+    ],
+)
+def test_slope_and_signature_validate_once_per_run(monkeypatch, capsys, argv):
+    import slopelab.cli as cli
+    import slopelab.seifert as seifert
+    import slopelab.slope as slope
+
+    calls = []
+
+    def counting(presentation, *args, **kwargs):
+        calls.append(kwargs)
+        return seifert.validate(presentation, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(slope, "validate", counting)
+    assert cli.main(argv) == 0
+    check = "--no-transpose-check" not in argv
+    assert calls == [{"check_transpose": check}]
+    assert "violation" not in capsys.readouterr().out

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slopelab.laurent as laurent_module
 from slopelab.errors import UsageError
 from slopelab.fields import RatFunc
 from slopelab.laurent import (
     LaurentPoly,
     _cyclotomic_coeffs,
+    _gcd_rec,
     cyclotomic_minimal_poly,
     divisors,
     euler_phi,
@@ -309,3 +311,100 @@ def test_integral_fraction_equals_and_hashes_like_int():
     assert any(type(c) is Fraction for c in y.terms.values())
     assert y == p and hash(y) == hash(p) and y.render() == p.render()
     assert {y: 1}[p] == 1
+
+
+def test_normalize_poly_stores_int_coefficients():
+    # a Fraction sum whose values turned integral and already coprime
+    a = LaurentPoly(1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    assert any(type(c) is Fraction for c in (a + a).terms.values())
+    got = normalize_poly(a + a)
+    assert got == LaurentPoly(1, {(0,): 1, (1,): 1}) and _all_int(got)
+    t = LaurentPoly.var(2, 1)
+    assert _all_int(normalize_poly((t * Fraction(1, 3) - Fraction(2, 3)) * 3))
+
+
+# -- the modular front end of poly_gcd against the subresultant path ----------
+
+
+def _gcd_oracle(p, q):
+    """poly_gcd of nonzero operands through ``_gcd_rec`` alone."""
+    return normalize_poly(_gcd_rec(normalize_poly(p), normalize_poly(q)))
+
+
+def _check_against_oracle(p, q):
+    got = poly_gcd(p, q)
+    assert got == _gcd_oracle(p, q), (p, q)
+    assert _all_int(got)
+
+
+def _front_end_cases():
+    """Hand-built pairs the front end must not get wrong.  It fixes w1, w2
+    at 2, 3 at its first evaluation point, at 4, 5 at the second and at
+    6, 7 at the third."""
+    w1, w2 = LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
+    p = 2 ** 61 - 1
+    t = LaurentPoly.var(1, 0)
+    # g maps to 1 at the first point in either variable, where lc_v(g) vanishes
+    g = (w1 - 2) * (w2 - 3) + 1
+    yield g * (w1 + w2 + 7), g * (w1 * w2 - 11)
+    # lc_w2 vanishes at w1 = 2, 4, 6: no usable point for w2
+    h = (w1 - 2) * (w1 - 4) * (w1 - 6) * w2 + 1
+    yield h * (w2 + 3), h * (w1 * w2 - 5)
+    # leading coefficient p, zero mod p at every point
+    yield (p * t + 1) * (t + 2), (p * t + 1) * (t + 3)
+    yield (p * w2 + w1) * (w2 + 2), (p * w2 + w1) * (w1 + 3)
+    # images of b divide images of a at the first point, but b does not divide a
+    b = w1 + w2 - 5
+    yield (w1 - 2) * (w2 - 3) + b, b
+    yield b, (w1 - 2) * (w2 - 3) + b
+    # a common factor in w1 alone: only the image in w2 is coprime
+    yield (w1 + 1) * (w2 + 2), (w1 + 1) * (w2 + 3)
+    # coefficients above 2^61, a divisor pair and equal operands
+    big = 3 ** 50 * w1 * w2 + 2 ** 70 * w1 - 5 ** 30
+    yield big * (w1 + 1), big
+    yield big, big * Fraction(2 ** 64, 7)
+    yield big * (w2 - 2 ** 62), big * (w1 + 2 ** 61 - 1)
+
+
+def test_poly_gcd_front_end_cases_match_oracle():
+    for a, b in _front_end_cases():
+        _check_against_oracle(a, b)
+        _check_against_oracle(b, a)
+
+
+def test_poly_gcd_matches_subresultant_oracle_random():
+    rng = random.Random(2024)
+    for trial in range(300):
+        n = trial % 4
+        kw = dict(max_terms=4, exp_range=2, coeff_range=rng.choice((3, 2 ** 64)))
+        g = random_nonzero_laurent(rng, n, **kw)
+        p = random_nonzero_laurent(rng, n, **kw)
+        q = random_nonzero_laurent(rng, n, **kw)
+        pairs = [(p, q), (p * g, q * g), (p * g, g), (g * p * q, g * p), (p, p * -3)]
+        if trial % 3 == 0:
+            # Fraction coefficients, and integral values stored as Fraction
+            x = q * g * Fraction(1, 3)
+            pairs.append((p * g * Fraction(1, 2), x + x + x))
+        for a, b in pairs:
+            _check_against_oracle(a, b)
+
+
+def test_coprime_pairs_never_reach_the_subresultant(monkeypatch):
+    rng = random.Random(7)
+    battery = []
+    while len(battery) < 40:
+        n = 1 + len(battery) % 3
+        p = random_nonzero_laurent(rng, n, max_terms=5, exp_range=2)
+        q = random_nonzero_laurent(rng, n, max_terms=5, exp_range=2)
+        if not normalize_poly(p).is_constant() and _gcd_oracle(p, q).is_constant():
+            battery.append((p, q))
+
+    def unreachable(a, b):
+        raise AssertionError("_gcd_rec reached")
+
+    monkeypatch.setattr(laurent_module, "_gcd_rec", unreachable)
+    # and neither do the divisor and equal pairs built from them
+    for p, q in battery:
+        assert poly_gcd(p, q) == LaurentPoly.one(p.num_vars)
+        assert poly_gcd(p * q, q) == normalize_poly(q)
+        assert poly_gcd(p, p * 5) == normalize_poly(p)
