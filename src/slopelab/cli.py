@@ -35,9 +35,9 @@ from .seifert import load_presentation, validate
 # slope_symbolic and signature_nullity are not called here but stay bound,
 # for tools that patch this module's bindings (slopebench/tracer.py).
 from .slope import (
+    _compare_in,
     _signature_in,
     _slope_in,
-    compare_slopes,
     signature_nullity,
     slope_at,
     slope_symbolic,
@@ -254,7 +254,7 @@ def cmd_compare(args):
     (path_a, path_b), (first, second), violations = _load_checked(args, ["input", "vs"])
     if violations:
         return _refusal(violations)
-    comparison = compare_slopes(first, second, args.budget, seed=args.seed)
+    comparison = _compare_in(first, second, args.budget, args.seed)
     points = [
         {
             "character": pt.omega.describe(),

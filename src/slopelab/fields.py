@@ -25,6 +25,7 @@ is ``==``.
 from __future__ import annotations
 
 import cmath
+import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -276,6 +277,68 @@ def _galois_chain(conductor):
     return tuple(chain)
 
 
+@lru_cache(maxsize=None)
+def _pi_bounds(q):
+    """Integers lo <= pi * 2^q <= hi, from pi = 16 atan(1/5) - 4 atan(1/239).
+
+    atan(1/x) 2^q is summed as sum_k (-1)^k floor(p_k / (2k + 1)), where
+    p_k = floor(p_(k-1) / x^2) is within 2 of 2^q / x^(2k+1), so each term
+    is within 3 of its true value; the loop ends when p_k = 0, where the
+    alternating tail is below 2.  After k terms the error is below 3k + 3.
+    """
+
+    def atan_inv(x):
+        total, power, k = 0, (1 << q) // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k & 1 else term
+            power //= x * x
+            k += 1
+        return total, 3 * k + 3
+
+    s5, e5 = atan_inv(5)
+    s239, e239 = atan_inv(239)
+    mid, err = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+    return mid - err, mid + err
+
+
+@lru_cache(maxsize=None)
+def _cos_bounds(conductor, q):
+    """Integer pairs lo <= cos(2 pi j / N) 2^q <= hi for 0 <= j < phi(N).
+
+    Interval arithmetic on integers at scale 2^q, every rounding outward.
+    With j' = min(j, N - j) the angle x = 2 pi j' / N lies in [0, pi], and
+    its enclosure comes from ``_pi_bounds``.  The Taylor terms
+    x^(2k) / (2k)! are enclosed from their predecessors; the series stops
+    at the first term whose upper bound is at most one unit, and the
+    Lagrange remainder, at most that term, widens the enclosure by it.
+    """
+    pi_lo, pi_hi = _pi_bounds(q)
+    one = 1 << q
+    out = []
+    for j in range(euler_phi(conductor)):
+        j = min(j, conductor - j)
+        x_lo = 2 * j * pi_lo // conductor
+        x_hi = -(-2 * j * pi_hi // conductor)
+        sq_lo, sq_hi = (x_lo * x_lo) >> q, -((-x_hi * x_hi) >> q)
+        lo = hi = 0
+        t_lo = t_hi = one
+        k = 0
+        while True:
+            if k & 1:
+                lo, hi = lo - t_hi, hi - t_lo
+            else:
+                lo, hi = lo + t_lo, hi + t_hi
+            k += 1
+            step = (2 * k - 1) * 2 * k
+            t_lo = ((t_lo * sq_lo) >> q) // step
+            t_hi = -(-t_hi * sq_hi // (step << q))
+            if t_hi <= 1:
+                break
+        out.append((lo - t_hi, hi + t_hi))
+    return tuple(out)
+
+
 class CyclotomicNumber:
     """An element of the cyclotomic field Q(zeta_N), N the conductor.
 
@@ -473,6 +536,61 @@ class CyclotomicNumber:
         if self.conductor == 1:
             return self
         return self.galois(self.conductor - 1)
+
+    def sign(self):
+        """The sign (1, -1 or 0) of a real element, certified.
+
+        The element is real when it equals its complex conjugate, and its
+        value is then S / den with S = sum_j a_j cos(2 pi j / N) over the
+        integer coordinates a_j and den > 0, so the sign is that of S.
+
+        First S is summed in floats, c_j = math.cos(2 pi j' / N) with
+        j' = min(j, N - j) so the argument lies in [0, pi].  With u = 2^-53,
+        A = sum_j |a_j| and each |c_j - cos(2 pi j / N)| <= eps, converting
+        a_j, the product and the phi(N) - 1 additions keep the float sum
+        within A (eps + (phi(N) + 2) u) of S, up to second-order terms that
+        the factor 1.01 in the code covers with the rounding of the bound
+        itself.  The float argument is within 4 pi u < 2^-49 of 2 pi j' / N
+        and cos is 1-Lipschitz, so eps = 2^-44 holds whenever the platform's
+        cos is accurate to 2^-45, far looser than the error of any libm.  A
+        float sum beyond the bound has the sign of S.  The float path is
+        skipped when A has 1000 bits or more (the float conversion could
+        overflow).
+
+        Otherwise S is enclosed in integer interval arithmetic at scale 2^q
+        for q = 64, 128, 256, ... (``_cos_bounds``: pi from Machin's formula
+        with bounded truncation errors, cos from its Taylor series with the
+        Lagrange remainder, every rounding outward).  The enclosure of
+        2^q S is at most O(q A) units wide while 2^q |S| doubles with each
+        bit, and S != 0, so some q separates it from 0 and the loop ends.
+        """
+        if self != self.conjugate():
+            raise UsageError("the sign of a non-real cyclotomic number")
+        if not any(self.num):
+            return 0
+        n = self.conductor
+        mass = sum(abs(a) for a in self.num)
+        if mass.bit_length() < 1000:
+            total = 0.0
+            for j, a in enumerate(self.num):
+                if a:
+                    total += float(a) * math.cos(2 * math.pi * min(j, n - j) / n)
+            bound = float(mass) * (2.0**-44 + (len(self.num) + 2) * 2.0**-53) * 1.01
+            if abs(total) > bound:
+                return 1 if total > 0 else -1
+        q = 64
+        while True:
+            lo = hi = 0
+            for a, (c_lo, c_hi) in zip(self.num, _cos_bounds(n, q)):
+                if a > 0:
+                    lo, hi = lo + a * c_lo, hi + a * c_hi
+                elif a < 0:
+                    lo, hi = lo + a * c_hi, hi + a * c_lo
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            q *= 2
 
     def to_complex(self):
         # through Fraction: num_i and den may each be too large for a float

@@ -239,6 +239,77 @@ def solve(m, b):
     return SolveResult(status, tuple(particular), kernel, ech.pivot_polys, numerators)
 
 
+def hermitian_inertia(m):
+    """Inertia (n_plus, n_minus, n_zero) of an exactly Hermitian matrix.
+
+    For matrices over Q(zeta_N), whose scalars have ``conjugate`` and a
+    certified ``sign``.  Returns None when the matrix is not square or not
+    exactly Hermitian (h_ji == conj(h_ij)), for the caller to fall back on.
+
+    One congruence diagonalization H = L D L*, with L invertible, working
+    on the upper triangle of the remaining block.  A diagonal entry that is
+    exactly nonzero is a 1x1 pivot d, and the block loses its row and
+    column: h_ij -= h_ik h_kj / d.  When every remaining diagonal entry is
+    zero but some h_ij (i < j) is not, the congruence e_i -> e_i +
+    conj(h_ij) e_j adds h_ij times row j to row i (and the conjugate to
+    column i), which makes the new h_ii = 2 |h_ij|^2 > 0, an exact form of
+    Bunch-Kaufman pivoting.  When the remaining block is exactly zero it
+    is the zero block of D.  Every pivot is real and nonzero, and by
+    Sylvester's law of inertia the congruent matrices H and D have the
+    same numbers of positive, negative and zero eigenvalues: the signs of
+    the pivots and the size of the zero block, which is dim Ker H.
+    """
+    n = m.rows
+    h = [list(row) for row in m.entries]
+    if m.cols != n or any(
+        h[j][i] != h[i][j].conjugate() for i in range(n) for j in range(i, n)
+    ):
+        return None
+
+    def at(i, j):
+        return h[i][j] if i <= j else h[j][i].conjugate()
+
+    rest = list(range(n))
+    n_plus = n_minus = 0
+    while rest:
+        k = next((i for i in rest if h[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i in rest for j in rest if i < j and h[i][j]), (None, None))
+            if k is None:
+                break
+            c = h[k][j]
+            for a in rest:
+                if a != k:
+                    v = at(k, a) + c * at(j, a)
+                    if k < a:
+                        h[k][a] = v
+                    else:
+                        h[a][k] = v.conjugate()
+            h[k][k] = 2 * c * c.conjugate()
+        d = h[k][k]
+        rest.remove(k)
+        if d.sign() > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        inv = d.invert()
+        col = [at(k, i) for i in rest]
+        for p, i in enumerate(rest):
+            if not col[p]:
+                continue
+            f = col[p].conjugate() * inv
+            for q in range(p, len(rest)):
+                if col[q]:
+                    j = rest[q]
+                    h[i][j] = h[i][j] - f * col[q]
+    return (n_plus, n_minus, len(rest))
+
+
+def _check_tol_sig(tol_sig):
+    if not 0 <= tol_sig < inf:
+        raise UsageError("signature tolerance must be non-negative and finite")
+
+
 def hermitian_signature(m, tol_sig=1e-8):
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a Hermitian matrix.
 
@@ -246,10 +317,10 @@ def hermitian_signature(m, tol_sig=1e-8):
     Hermitian to within the context tolerance.  An eigenvalue counts as
     zero when its magnitude is at most ``tol_sig``, which must be a
     non-negative finite float (a negative one would count an eigenvalue
-    both positive and negative).
+    both positive and negative).  Exact matrices over Q(zeta_N) go to
+    ``hermitian_inertia`` instead, which needs neither numpy nor a cutoff.
     """
-    if not 0 <= tol_sig < inf:
-        raise UsageError("signature tolerance must be non-negative and finite")
+    _check_tol_sig(tol_sig)
     if not isinstance(m.ctx, ApproxComplex):
         raise UsageError("hermitian_signature requires the ApproxComplex context")
     if m.rows != m.cols:

@@ -35,7 +35,9 @@ from .fields import ApproxComplex, RatFunc, RationalFunctionField
 from .laurent import LaurentPoly
 from .linalg import (
     INCONSISTENT,
+    _check_tol_sig,
     certificate_polys,
+    hermitian_inertia,
     hermitian_signature,
     rank,
     solve,
@@ -198,13 +200,24 @@ class SignatureResult:
 def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True, tol=None):
     """Signature and nullity of E(omega) at a unitary non-vanishing character.
 
-    The nullity (kernel dimension plus b0 - 1) is computed in the
-    character's field (``characters.default_context_for``), exactly for
-    torsion characters; the signature always goes through floating-point
-    eigenvalues of the Hermitian matrix, mapped from the exact one when
-    there is one.  ``tol`` (default: ``resolve_tolerance()``) is the
-    numeric zero tolerance of the unitarity and non-vanishing checks and of
-    the approximate context.
+    At a torsion character E(omega) is built in Q(zeta_N) and is exactly
+    Hermitian.  One congruence diagonalization E = L D L*
+    (``linalg.hermitian_inertia``) gives both answers exactly: by
+    Sylvester's law of inertia the signs of D count the positive and
+    negative eigenvalues of E, and its zero block has the size of Ker E,
+    so sigma = n_plus - n_minus and eta = dim Ker E + b0 - 1.  Neither
+    tolerance is read there, but both are still checked, ``tol`` first.
+
+    At a numeric character E is built in ApproxComplex: the nullity comes
+    from its rank and the signature from floating-point eigenvalues, an
+    eigenvalue of magnitude at most ``tol_sig`` counting as zero.  An exact
+    E that is not exactly Hermitian (possible only without the transpose
+    check) takes the same path, with its exact rank, after mapping to
+    ApproxComplex, where it is refused unless Hermitian within tolerance.
+    ``tol`` (default: ``resolve_tolerance()``) is the numeric zero
+    tolerance of the unitarity and non-vanishing checks and of the
+    approximate context.  ``sigma_approximate`` is reported true in every
+    case.
     """
     _refuse_invalid(presentation, check_transpose)
     return _signature_in(presentation, omega, tol_sig, tol)
@@ -224,10 +237,19 @@ def _signature_in(presentation, omega, tol_sig, tol):
         )
     ctx = default_context_for(omega, tol)
     e = build_E(presentation, omega, ctx)
-    eta = (presentation.n - rank(e)) + presentation.b0 - 1
-    if ctx.is_exact:
-        e = e.map(lambda x: x.to_complex(), ctx=ApproxComplex(tol))
-    counts = hermitian_signature(e, tol_sig=tol_sig)
+    # both tolerances are checked at every character, tol first, although
+    # the exact factorization reads neither
+    approx = ApproxComplex(tol)
+    _check_tol_sig(tol_sig)
+    counts = hermitian_inertia(e) if ctx.is_exact else None
+    if counts is None:
+        kernel = presentation.n - rank(e)
+        if ctx.is_exact:
+            e = e.map(lambda x: x.to_complex(), ctx=approx)
+        counts = hermitian_signature(e, tol_sig=tol_sig)
+    else:
+        kernel = counts[2]
+    eta = kernel + presentation.b0 - 1
     return SignatureResult(counts[0] - counts[1], eta, counts, True, ctx.is_exact)
 
 
@@ -317,6 +339,11 @@ def compare_slopes(first, second, budget, seed=0):
     """
     for presentation in (first, second):
         _refuse_invalid(presentation)
+    return _compare_in(first, second, budget, seed)
+
+
+def _compare_in(first, second, budget, seed):
+    """``compare_slopes`` of two validated presentations."""
     if first.mu != second.mu:
         raise UsageError("datasets have different numbers of colors")
     if not (first.linking_is_zero() and second.linking_is_zero()):

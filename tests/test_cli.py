@@ -431,14 +431,18 @@ codes = [
     cli.main(["slope", "--in", "whitehead.json", "--char", "symbolic"]),
     cli.main(["compare", "--in", "whitehead.json", "--vs", "kappa_zero.json"]),
     cli.main(["characters", "--root-status", "zeta:6:1"]),
+    cli.main(["signature", "--in", "trefoil.json", "--char", "zeta:12:1"]),
+    cli.main(["signature", "--in", "whitehead.json", "--char", "zeta:5:*"]),
 ]
 before = "numpy" in sys.modules
-codes.append(cli.main(["signature", "--in", "trefoil.json", "--char", "zeta:12:1"]))
+codes.append(cli.main(["signature", "--in", "trefoil.json", "--char", "num:0.6+0.8i"]))
 print("probe", codes, before, "numpy" in sys.modules, file=sys.stderr)
 """
 
 
 def test_numpy_imported_only_for_signatures():
+    # torsion signatures are exact and leave numpy unloaded; only a numeric
+    # character's eigenvalue count imports it
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     p = subprocess.run(
@@ -449,7 +453,7 @@ def test_numpy_imported_only_for_signatures():
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert p.returncode == 0, p.stderr
-    assert p.stderr == "probe [0, 0, 1, 0, 0] False True\n"
+    assert p.stderr == "probe [0, 0, 1, 0, 0, 0, 0] False True\n"
 
 
 def test_malformed_grid_spec_exit_2():
@@ -688,3 +692,21 @@ def test_slope_and_signature_validate_once_per_run(monkeypatch, capsys, argv):
     check = "--no-transpose-check" not in argv
     assert calls == [{"check_transpose": check}]
     assert "violation" not in capsys.readouterr().out
+
+
+def test_compare_validates_each_dataset_once(monkeypatch, capsys):
+    import slopelab.cli as cli
+    import slopelab.seifert as seifert
+    import slopelab.slope as slope
+
+    calls = []
+
+    def counting(presentation, *args, **kwargs):
+        calls.append(presentation.label)
+        return seifert.validate(presentation, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(slope, "validate", counting)
+    assert cli.main(["compare", "--in", "whitehead.json", "--vs", "kappa_zero.json"]) == 1
+    assert len(calls) == 2 and calls[0] != calls[1]
+    assert "OBSTRUCTED" in capsys.readouterr().out

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slopelab.fields as fields_module
 from slopelab.errors import UsageError
 from slopelab.fields import (
     ApproxComplex,
@@ -328,6 +329,53 @@ def test_mixed_conductors_rejected():
 def test_cyclotomic_render():
     assert Cyclotomic(2).from_int(4).render() == "4"
     assert CyclotomicNumber.zeta_pow(5, 1).render() == "z"
+
+
+def test_sign_of_real_cyclotomic_numbers(rng):
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 4, 5, 7, 8, 9, 12, 25, 27, 64, 72])
+        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(euler_phi(n))]
+        x = CyclotomicNumber(n, coords)
+        y = x + x.conjugate()
+        value = y.to_complex().real
+        if abs(value) > 1e-9:
+            assert y.sign() == (1 if value > 0 else -1)
+        elif y.is_zero():
+            assert y.sign() == 0
+    with pytest.raises(UsageError):
+        CyclotomicNumber.zeta_pow(5, 1).sign()
+
+
+def test_sign_certified_below_float_resolution(monkeypatch):
+    # at N = 5, zeta + zeta^-1 = (sqrt 5 - 1) / 2, so with consecutive
+    # Fibonacci numbers x = F_(k+1) (zeta + zeta^-1) - F_k is real, nonzero
+    # and about phi^-k, far below the float error bound of 2^-44 sum |a_j|;
+    # x > 0 iff 5 F_(k+1)^2 > (2 F_k + F_(k+1))^2, and the sign alternates
+    # with k
+    calls = []
+    bounds = fields_module._cos_bounds
+
+    def counting(conductor, q):
+        calls.append(q)
+        return bounds(conductor, q)
+
+    monkeypatch.setattr(fields_module, "_cos_bounds", counting)
+    ctx = Cyclotomic(5)
+    half_trace = ctx.zeta(1) + ctx.zeta(-1)
+    f_k, f_next = 0, 1
+    while f_k < 2**70:
+        f_k, f_next = f_next, f_k + f_next
+    signs = []
+    for _ in range(2):
+        x = half_trace * f_next - f_k
+        want = 1 if 5 * f_next**2 > (2 * f_k + f_next) ** 2 else -1
+        calls.clear()
+        assert x.sign() == want
+        # the float bound cannot separate x from 0: interval evaluation decided
+        assert calls and calls[-1] > 64
+        signs.append(want)
+        f_k, f_next = f_next, f_k + f_next
+    assert sorted(signs) == [-1, 1]
 
 
 # -- approximate complex ------------------------------------------------------------

@@ -18,6 +18,7 @@ from slopelab.linalg import (
     UNDERDETERMINED,
     UNIQUE,
     Matrix,
+    hermitian_inertia,
     hermitian_signature,
     rank,
     solve,
@@ -563,3 +564,84 @@ def test_signature_rejects_non_hermitian():
 def test_signature_requires_approx_context():
     with pytest.raises(UsageError):
         hermitian_signature(qmat([[1, 0], [0, 1]]))
+
+
+# -- exact hermitian inertia ---------------------------------------------------------
+
+
+def conj_transpose(m):
+    return Matrix(
+        m.ctx,
+        [[m.entries[i][j].conjugate() for i in range(m.rows)] for j in range(m.cols)],
+        cols=m.rows,
+    )
+
+
+def test_hermitian_inertia_hand_cases():
+    ctx = Cyclotomic(12)
+    h = ctx.one + 3 * ctx.zeta(1) - ctx.zeta(5)
+    # zero diagonal: only the congruence e_1 -> e_1 + conj(h) e_2 gives a pivot
+    assert hermitian_inertia(Matrix(ctx, [[ctx.zero, h], [h.conjugate(), ctx.zero]])) == (1, 1, 0)
+    assert hermitian_inertia(Matrix(ctx, [[ctx.zero] * 3] * 3)) == (0, 0, 3)
+    assert hermitian_inertia(Matrix(ctx, [])) == (0, 0, 0)
+    # not exactly Hermitian: left to the caller's fallback
+    assert hermitian_inertia(Matrix(ctx, [[ctx.zero, ctx.one], [ctx.zero, ctx.zero]])) is None
+    assert hermitian_inertia(Matrix(ctx, [[ctx.zeta(1)]])) is None
+    assert hermitian_inertia(Matrix(ctx, [[ctx.one, ctx.one]])) is None
+
+
+def test_hermitian_inertia_of_congruent_block_diagonal(rng):
+    # H = P* D P with P invertible has the inertia of D (Sylvester); D holds
+    # 1, -1, 0 and hyperbolic blocks [[0, 1], [1, 0]], and a permutation P
+    # leaves zero diagonals that need the congruence step
+    congruence = 0
+    for _ in range(60):
+        ctx = Cyclotomic(rng.choice([5, 8, 12, 25, 27]))
+        blocks = [rng.choice("+-0h") for _ in range(rng.randint(1, 4))]
+        n = sum(2 if b == "h" else 1 for b in blocks)
+        d = [[ctx.zero] * n for _ in range(n)]
+        i = 0
+        for b in blocks:
+            if b == "h":
+                d[i][i + 1] = d[i + 1][i] = ctx.one
+                i += 2
+            else:
+                d[i][i] = ctx.from_int({"+": 1, "-": -1, "0": 0}[b])
+                i += 1
+        if rng.random() < 0.4:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            p = Matrix(ctx, [[ctx.from_int(int(perm[r] == c)) for c in range(n)] for r in range(n)])
+            congruence += all(b in "0h" for b in blocks) and "h" in blocks
+        else:
+            while True:
+                rows = [[ctx.zeta(rng.randrange(12)) * rng.randint(-2, 2) for _ in range(n)]
+                        for _ in range(n)]
+                p = Matrix(ctx, rows)
+                if rank(p) == n:
+                    break
+        h = matmul(conj_transpose(p), Matrix(ctx, d), p)
+        hyper = blocks.count("h")
+        want = (blocks.count("+") + hyper, blocks.count("-") + hyper, blocks.count("0"))
+        assert hermitian_inertia(h) == want
+    assert congruence >= 3
+
+
+def test_hermitian_inertia_zero_diagonal_against_eigenvalues(rng):
+    # every pivot needs the congruence step first; differential against
+    # floating-point eigenvalues of the same matrix
+    import numpy as np
+
+    for _ in range(60):
+        ctx = Cyclotomic(rng.choice([5, 8, 12, 25]))
+        n = rng.randint(2, 5)
+        h = [[ctx.zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                h[i][j] = ctx.zeta(rng.randrange(12)) * rng.randint(-2, 2) + rng.randint(-1, 1)
+                h[j][i] = h[i][j].conjugate()
+        eigs = np.linalg.eigvalsh(np.array([[x.to_complex() for x in row] for row in h]))
+        want = (int(np.sum(eigs > 1e-8)), int(np.sum(eigs < -1e-8)))
+        counts = hermitian_inertia(Matrix(ctx, h))
+        assert counts == (*want, n - sum(want))
+

@@ -18,7 +18,7 @@ from slopelab.fields import (
     RationalFunctionField,
 )
 from slopelab.laurent import LaurentPoly
-from slopelab.linalg import Matrix, solve
+from slopelab.linalg import Matrix, hermitian_inertia, rank, solve
 from slopelab.seifert import (
     CComplexPresentation,
     build_E,
@@ -456,6 +456,57 @@ def test_signature_ignores_linking():
     p = CComplexPresentation.build(1, 1, {"+": [[1]]}, [0], linking=[5])
     sig = signature_nullity(p, Character.root_of_unity(2, (1,)))
     assert sig.sigma == 1
+
+
+def _padded(rng, p, extra):
+    """p with ``extra`` basis curves linking nothing, mixed in by a change of basis."""
+    n = p.n + extra
+    theta = {
+        eps: [list(row) + [0] * extra for row in m] + [[0] * n for _ in range(extra)]
+        for eps, m in p.theta.items()
+    }
+    padded = CComplexPresentation.build(p.mu, n, theta, list(p.kappa) + [0] * extra, b0=p.b0)
+    return change_basis(padded, random_unimodular(rng, n))
+
+
+def test_exact_signature_matches_eigenvalue_and_rank_oracles(rng):
+    # differential: the congruence diagonalization against floating-point
+    # eigenvalues of the mapped E for sigma and the exact rank for eta
+    conductors = (3, 5, 7, 8, 9, 12, 25, 27, 64, 72)
+    seen, with_kernel = set(), 0
+    for case in range(220):
+        mu, n = rng.randint(1, 2), rng.randint(1, 6)
+        p = random_presentation(rng, mu=mu, n=n, bound=rng.choice([1, 2]), b0=rng.randint(1, 2))
+        if case % 3 == 0:
+            p = _padded(rng, p, rng.randint(1, 2))
+        conductor = conductors[case % len(conductors)]
+        omega = Character.root_of_unity(
+            conductor, [rng.randint(1, conductor - 1) for _ in range(mu)]
+        )
+        e = build_E(p, omega, Cyclotomic(conductor))
+        counts = hermitian_inertia(e)
+        eigs = np.linalg.eigvalsh(np.array([[x.to_complex() for x in row] for row in e.entries]))
+        oracle_sigma = int(np.sum(eigs > 1e-8) - np.sum(eigs < -1e-8))
+        oracle_eta = p.n - rank(e) + p.b0 - 1
+        sig = signature_nullity(p, omega)
+        assert counts[0] + counts[1] + counts[2] == p.n
+        assert sig.counts == counts
+        assert (sig.sigma, sig.eta) == (counts[0] - counts[1], counts[2] + p.b0 - 1)
+        assert (sig.sigma, sig.eta) == (oracle_sigma, oracle_eta)
+        seen.add(conductor)
+        with_kernel += counts[2] > 0
+    assert seen == set(conductors) and with_kernel >= 60
+
+
+def test_signature_of_exact_non_hermitian_operator_falls_back():
+    # only reachable without the transpose check: E(omega) = (1 - 2 w^-1) /
+    # (1 - w^-1) has imaginary part proportional to Im w, so the exact
+    # factorization declines it and the floating-point path refuses it
+    broken = CComplexPresentation.build(1, 1, {"+": [[1]], "-": [[2]]}, [0])
+    omega = Character.root_of_unity(5, (1,))
+    assert hermitian_inertia(build_E(broken, omega, Cyclotomic(5))) is None
+    with pytest.raises(UsageError, match="not Hermitian within tolerance"):
+        signature_nullity(broken, omega, check_transpose=False)
 
 
 # -- zero certification ----------------------------------------------------------------
