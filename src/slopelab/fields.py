@@ -25,7 +25,6 @@ is ``==``.
 from __future__ import annotations
 
 import cmath
-import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -544,40 +543,19 @@ class CyclotomicNumber:
         value is then S / den with S = sum_j a_j cos(2 pi j / N) over the
         integer coordinates a_j and den > 0, so the sign is that of S.
 
-        First S is summed in floats, c_j = math.cos(2 pi j' / N) with
-        j' = min(j, N - j) so the argument lies in [0, pi].  With u = 2^-53,
-        A = sum_j |a_j| and each |c_j - cos(2 pi j / N)| <= eps, converting
-        a_j, the product and the phi(N) - 1 additions keep the float sum
-        within A (eps + (phi(N) + 2) u) of S, up to second-order terms that
-        the factor 1.01 in the code covers with the rounding of the bound
-        itself.  The float argument is within 4 pi u < 2^-49 of 2 pi j' / N
-        and cos is 1-Lipschitz, so eps = 2^-44 holds whenever the platform's
-        cos is accurate to 2^-45, far looser than the error of any libm.  A
-        float sum beyond the bound has the sign of S.  The float path is
-        skipped when A has 1000 bits or more (the float conversion could
-        overflow).
-
-        Otherwise S is enclosed in integer interval arithmetic at scale 2^q
-        for q = 64, 128, 256, ... (``_cos_bounds``: pi from Machin's formula
-        with bounded truncation errors, cos from its Taylor series with the
-        Lagrange remainder, every rounding outward).  The enclosure of
-        2^q S is at most O(q A) units wide while 2^q |S| doubles with each
-        bit, and S != 0, so some q separates it from 0 and the loop ends.
+        S is enclosed in integer interval arithmetic at scale 2^q for
+        q = 64, 128, 256, ... (``_cos_bounds``: pi from Machin's formula with
+        bounded truncation errors, cos from its Taylor series with the
+        Lagrange remainder, every rounding outward).  With A = sum_j |a_j|,
+        the enclosure of 2^q S is at most O(q A) units wide while 2^q |S|
+        grows as 2^q, and S != 0, so some q separates it from 0 and the loop
+        ends.
         """
         if self != self.conjugate():
             raise UsageError("the sign of a non-real cyclotomic number")
         if not any(self.num):
             return 0
         n = self.conductor
-        mass = sum(abs(a) for a in self.num)
-        if mass.bit_length() < 1000:
-            total = 0.0
-            for j, a in enumerate(self.num):
-                if a:
-                    total += float(a) * math.cos(2 * math.pi * min(j, n - j) / n)
-            bound = float(mass) * (2.0**-44 + (len(self.num) + 2) * 2.0**-53) * 1.01
-            if abs(total) > bound:
-                return 1 if total > 0 else -1
         q = 64
         while True:
             lo = hi = 0

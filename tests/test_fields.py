@@ -349,7 +349,7 @@ def test_sign_of_real_cyclotomic_numbers(rng):
 def test_sign_certified_below_float_resolution(monkeypatch):
     # at N = 5, zeta + zeta^-1 = (sqrt 5 - 1) / 2, so with consecutive
     # Fibonacci numbers x = F_(k+1) (zeta + zeta^-1) - F_k is real, nonzero
-    # and about phi^-k, far below the float error bound of 2^-44 sum |a_j|;
+    # and about phi^-k, below the resolution 2^-64 of the first enclosure;
     # x > 0 iff 5 F_(k+1)^2 > (2 F_k + F_(k+1))^2, and the sign alternates
     # with k
     calls = []
@@ -371,7 +371,7 @@ def test_sign_certified_below_float_resolution(monkeypatch):
         want = 1 if 5 * f_next**2 > (2 * f_k + f_next) ** 2 else -1
         calls.clear()
         assert x.sign() == want
-        # the float bound cannot separate x from 0: interval evaluation decided
+        # the enclosure at q = 64 cannot separate x from 0: a finer one decided
         assert calls and calls[-1] > 64
         signs.append(want)
         f_k, f_next = f_next, f_k + f_next
