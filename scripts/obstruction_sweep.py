@@ -7,7 +7,6 @@ the safe-character comparator against each variant.
 
 import argparse
 import random
-from dataclasses import replace
 
 from slopelab.seifert import (
     change_basis,
@@ -32,7 +31,7 @@ def main():
         "basis change": change_basis(base, random_unimodular(rng, args.n)),
         "stabilization": stabilize(base),
         "double stabilization": stabilize(stabilize(base)),
-        "corrupted kappa": replace(base, kappa=(base.kappa[0] + 1,) + base.kappa[1:]),
+        "corrupted kappa": base.replace(kappa=(base.kappa[0] + 1,) + base.kappa[1:]),
     }
 
     print(f"base presentation: mu={base.mu}, n={base.n}, kappa={list(base.kappa)}")

@@ -12,13 +12,6 @@ from .characters import (
     embed_character,
     sample_safe_characters,
 )
-from .conway import (
-    ConwayData,
-    ConwayValue,
-    conway_quotient,
-    cross_check,
-    load_conway,
-)
 from .errors import (
     ContextMismatchError,
     InvalidPresentationError,
@@ -115,3 +108,15 @@ __all__ = [
     "stabilize",
     "validate",
 ]
+
+# The conway module is loaded on first use of one of its names (PEP 562):
+# only the conway subcommand needs it, and every command starts cold.
+_CONWAY = ("ConwayData", "ConwayValue", "conway_quotient", "cross_check", "load_conway")
+
+
+def __getattr__(name):
+    if name in _CONWAY:
+        from . import conway
+
+        return getattr(conway, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

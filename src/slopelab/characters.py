@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
@@ -50,14 +49,14 @@ from .laurent import (
     divisors,
     is_prime_power,
 )
+from .record import Record
 
 SYMBOLIC = "symbolic"
 ROOT_OF_UNITY = "zeta"
 NUMERIC = "numeric"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """A character on the mu-dimensional torus."""
 
     kind: str
@@ -211,8 +210,7 @@ def default_context_for(omega, tol=None):
 # -- admissible variety ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibleComponent:
+class AdmissibleComponent(Record):
     """A rational irreducible component of the admissible variety.
 
     For linking vector lambda = n*lambda' (lambda' primitive, first
@@ -257,8 +255,7 @@ NOT_ROOT = "not_root"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class RootStatus:
+class RootStatus(Record):
     status: str
     order: int | None = None
     witness: LaurentPoly | None = None

@@ -24,7 +24,6 @@ from .characters import (
     sample_safe_characters,
     verify_root_witness,
 )
-from .conway import conway_quotient, cross_check, load_conway
 from .datasets import resolve_input
 from .errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
 from .fields import CyclotomicNumber, RatFunc, format_complex, resolve_tolerance
@@ -42,6 +41,21 @@ from .slope import (
     slope_at,
     slope_symbolic,
 )
+
+# Only the conway subcommand needs the conway module, so it is imported
+# there.  Its functions stay reachable as attributes of this module
+# (PEP 562) for the same tools; cmd_conway calls them through the conway
+# module, so a patch of that module's bindings is what runs.
+_CONWAY = ("conway_quotient", "cross_check", "load_conway")
+
+
+def __getattr__(name):
+    if name in _CONWAY:
+        from . import conway
+
+        return getattr(conway, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 1
@@ -357,11 +371,13 @@ def cmd_characters(args):
 
 
 def cmd_conway(args):
+    from . import conway
+
     path = resolve_input(args.input)
-    data = load_conway(path)
+    data = conway.load_conway(path)
     if args.cross_check:
         presentation = load_presentation(resolve_input(args.cross_check))
-        report = cross_check(presentation, data, args.trials, seed=args.seed)
+        report = conway.cross_check(presentation, data, args.trials, seed=args.seed)
         points = [
             {
                 "character": pt.omega.describe(),
@@ -402,7 +418,7 @@ def cmd_conway(args):
             args.char, mu=data.mu, single="--char takes a single character"
         )
         _check_sqrt_consistency(omega, sqrt_char, args.tol)
-    value = conway_quotient(data, sqrt_char, tol=args.tol)
+    value = conway.conway_quotient(data, sqrt_char, tol=args.tol)
     result = {
         "dataset": data.label or path,
         "sqrt": sqrt_char.describe(),

@@ -22,7 +22,6 @@ for the second); nothing is hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import (
@@ -38,14 +37,14 @@ from .errors import (
     UsageError,
 )
 from .laurent import LaurentPoly
+from .record import Record
 from .seifert import _as_int, _as_tuple, validate
 from .slope import FINITE, INFINITY, slope_at
 
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ConwayData:
+class ConwayData(Record):
     """Conway functions of the full link and of the undistinguished part."""
 
     mu: int
@@ -86,8 +85,7 @@ def derivative_at_one(data):
     return LaurentPoly(data.mu, terms)
 
 
-@dataclass(frozen=True)
-class ConwayValue:
+class ConwayValue(Record):
     kind: str  # finite | infinity | inconclusive
     value: object | None
     numerator: object
@@ -132,8 +130,7 @@ def canonical_sqrt(omega):
     return Character.root_of_unity(2 * omega.conductor, omega.exponents)
 
 
-@dataclass(frozen=True)
-class CrossCheckPoint:
+class CrossCheckPoint(Record):
     omega: Character
     sqrt: Character
     slope_kind: str
@@ -143,8 +140,7 @@ class CrossCheckPoint:
     agree: bool | None  # None means skipped (inconclusive quotient)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
     points: tuple
     agreements: int
     disagreements: int

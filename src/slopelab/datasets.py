@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 
 from .errors import UsageError
 
@@ -15,7 +14,7 @@ def builtin_path(name):
     """Filesystem path of a bundled dataset."""
     if name not in BUILTIN:
         raise UsageError(f"no bundled dataset named {name!r}; choices: {', '.join(BUILTIN)}")
-    return resources.files("slopelab.data") / name
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 def resolve_input(path):
@@ -24,7 +23,7 @@ def resolve_input(path):
         return path
     base = os.path.basename(path)
     if base in BUILTIN:
-        return str(builtin_path(base))
+        return builtin_path(base)
     raise UsageError(f"input file not found: {path}")
 
 

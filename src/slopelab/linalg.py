@@ -22,12 +22,12 @@ once instead of once per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
 from .errors import UsageError
 from .fields import ApproxComplex, RatFunc, RationalFunctionField
 from .laurent import LaurentPoly, exact_div, normalize_poly, poly_lcm
+from .record import Record
 
 UNIQUE = "unique"
 UNDERDETERMINED = "underdetermined"
@@ -73,8 +73,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.ctx!r})"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Outcome of a linear solve M x = b."""
 
     status: str
@@ -86,8 +85,7 @@ class SolveResult:
     particular_numerators: tuple | None = None
 
 
-@dataclass
-class _Echelon:
+class _Echelon(Record, frozen=False):
     rows: list
     pivots: list
     pivot_polys: tuple = ()

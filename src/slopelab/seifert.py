@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .characters import embed_character
 from .datasets import read_json
 from .errors import UnsupportedHypothesisError, UsageError
 from .linalg import Matrix
+from .record import Record
 
 SIGN_TO_CHAR = {1: "+", -1: "-"}
 CHAR_TO_SIGN = {"+": 1, "-": -1}
@@ -80,8 +80,7 @@ def _transpose(m):
     return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class CComplexPresentation:
+class CComplexPresentation(Record):
     """Seifert data of a C-complex in a fixed basis of its first homology."""
 
     mu: int
@@ -282,7 +281,7 @@ def change_basis(presentation, u):
 
     new_theta = {eps: mat_mul(ut, mat_mul(m, u)) for eps, m in p.theta.items()}
     new_kappa = tuple(sum(ut[i][k] * p.kappa[k] for k in range(p.n)) for i in range(p.n))
-    return replace(p, theta=new_theta, kappa=new_kappa)
+    return p.replace(theta=new_theta, kappa=new_kappa)
 
 
 def stabilize(presentation):
@@ -295,8 +294,7 @@ def stabilize(presentation):
         rows = [tuple(row) + (0,) for row in m]
         rows.append((0,) * (p.n + 1))
         new_theta[eps] = tuple(rows)
-    return replace(
-        p,
+    return p.replace(
         n=p.n + 1,
         theta=new_theta,
         kappa=p.kappa + (0,),

@@ -17,7 +17,6 @@ results computed in ApproxComplex carry an ``approximate`` flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 
 from .characters import (
@@ -42,6 +41,7 @@ from .linalg import (
     rank,
     solve,
 )
+from .record import Record
 from .seifert import build_E, validate
 
 FINITE = "finite"
@@ -49,14 +49,12 @@ INFINITY = "infinity"
 UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     kappa_in_image: bool
     kappa_in_annihilator: bool
 
 
-@dataclass(frozen=True)
-class SlopeValue:
+class SlopeValue(Record):
     """Outcome of a slope computation.
 
     ``value`` is a field scalar (or reduced rational function in the
@@ -188,8 +186,7 @@ def slope_symbolic(presentation, check_transpose=True):
     )
 
 
-@dataclass(frozen=True)
-class SignatureResult:
+class SignatureResult(Record):
     sigma: int
     eta: int
     counts: tuple
@@ -308,16 +305,14 @@ def certify_zero_slope(presentation):
     return True
 
 
-@dataclass(frozen=True)
-class ComparisonPoint:
+class ComparisonPoint(Record):
     omega: Character
     first: SlopeValue
     second: SlopeValue
     equal: bool
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
     """Both slopes at each sampled character, in sampling order, and the
     first character where they differ (None when they agree throughout)."""
 

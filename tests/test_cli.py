@@ -456,6 +456,41 @@ def test_numpy_imported_only_for_signatures():
     assert p.stderr == "probe [0, 0, 1, 0, 0, 0, 0] False True\n"
 
 
+FOOTPRINT_PROBE = """
+import sys
+import slopelab.cli as cli
+codes = [
+    cli.main(["validate", "--in", "whitehead.json"]),
+    cli.main(["slope", "--in", "whitehead.json", "--char", "zeta:5:1"]),
+    cli.main(["characters", "--root-status", "zeta:6:1"]),
+]
+heavy = ("dataclasses", "inspect", "importlib.resources", "slopelab.conway")
+loaded = [name for name in heavy if name in sys.modules]
+import slopelab
+quotient = slopelab.conway_quotient
+conway = sys.modules.get("slopelab.conway")
+same = quotient is conway.conway_quotient and cli.cross_check is conway.cross_check
+from slopelab import *
+print("probe", codes, loaded, conway is not None, same, ConwayData.__module__, file=sys.stderr)
+"""
+
+
+def test_conway_and_dataclasses_not_imported_by_other_commands():
+    # -S keeps the interpreter's site hooks, which may import modules of
+    # their own, out of the footprint
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    p = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stderr == "probe [0, 0, 0] [] True True slopelab.conway\n"
+
+
 def test_malformed_grid_spec_exit_2():
     p = _run("characters", "--root-status", "zeta:5:*,x")
     assert (p.returncode, p.stderr) == (2, "error: bad exponents in 'zeta:5:*,x'\n")

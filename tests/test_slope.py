@@ -2,7 +2,6 @@ import cmath
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -638,7 +637,7 @@ def test_compare_slopes_matches_pointwise_slopes(rng):
         mu, n = rng.randint(1, 2), rng.randint(1, 3)
         base = random_presentation(rng, mu=mu, n=n)
         disguises = [change_basis(base, random_unimodular(rng, n)), stabilize(base)]
-        corrupted = replace(base, kappa=(base.kappa[0] + 1,) + base.kappa[1:])
+        corrupted = base.replace(kappa=(base.kappa[0] + 1,) + base.kappa[1:])
         for other in disguises + [corrupted]:
             seed = rng.randrange(100)
             result = compare_slopes(base, other, 4, seed=seed)
@@ -661,7 +660,7 @@ def test_compare_slopes_refusals(whitehead):
     two_colors = CComplexPresentation.build(2, 1, {"++": [[1]], "-+": [[0]]}, [1])
     with pytest.raises(UsageError, match="different numbers of colors"):
         compare_slopes(whitehead, two_colors, 4)
-    linked = replace(whitehead, linking=(2,))
+    linked = whitehead.replace(linking=(2,))
     with pytest.raises(UnsupportedHypothesisError, match="vanishing linking vectors"):
         compare_slopes(linked, whitehead, 4)
     with pytest.raises(UnsupportedHypothesisError, match="vanishing linking vectors"):
@@ -684,7 +683,7 @@ def test_compare_slopes_validates_each_side_once(whitehead, monkeypatch):
         return original(presentation, *args, **kwargs)
 
     monkeypatch.setattr(slope_module, "validate", counting)
-    kappa_zero = replace(whitehead, kappa=(0, 0))
+    kappa_zero = whitehead.replace(kappa=(0, 0))
     for budget in (0, 8):
         validated.clear()
         result = compare_slopes(whitehead, kappa_zero, budget)
