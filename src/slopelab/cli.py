@@ -43,10 +43,11 @@ from .slope import (
 )
 
 # Only the conway subcommand needs the conway module, so it is imported
-# there.  Its functions stay reachable as attributes of this module
-# (PEP 562) for the same tools; cmd_conway calls them through the conway
-# module, so a patch of that module's bindings is what runs.
-_CONWAY = ("conway_quotient", "cross_check", "load_conway")
+# there.  slopebench/tracer.py's TARGETS patch cli:conway_quotient and
+# cli:cross_check, so those two names stay reachable as attributes of this
+# module (PEP 562).  cmd_conway calls them through the conway module, so a
+# patch of that module's bindings is what runs.
+_CONWAY = ("conway_quotient", "cross_check")
 
 
 def __getattr__(name):

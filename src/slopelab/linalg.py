@@ -85,7 +85,7 @@ class SolveResult(Record):
     particular_numerators: tuple | None = None
 
 
-class _Echelon(Record, frozen=False):
+class _Echelon(Record):
     rows: list
     pivots: list
     pivot_polys: tuple = ()

@@ -18,28 +18,23 @@ optional class-level defaults::
         x: int
         y: int = 0
 
-    class Workspace(Record, frozen=False):
-        rows: list
-
 Instances take positional or keyword arguments (``TypeError`` on a
 missing, unknown or repeated one), compare field-wise with instances of
 the same class only (never with a tuple), and repr as
-``Point(x=1, y=0)``.  Frozen records (the default) refuse assignment and
-deletion with ``AttributeError`` and hash by their fields; a record made
-with ``frozen=False`` is mutable and unhashable.  ``replace(**changes)``
-returns a copy with some fields changed.
+``Point(x=1, y=0)``.  Records are frozen: assignment and deletion raise
+``AttributeError``.  They hash by their fields, so a record holding a
+list or a dict is unhashable, as a tuple holding one would be.
+``replace(**changes)`` returns a copy with some fields changed.
 """
 
 
 class Record:
-    def __init_subclass__(cls, frozen=True):
-        names = tuple(cls.__dict__.get("__annotations__", {}))
+    def __init_subclass__(cls):
+        # a class's own annotations, also where the module lacks
+        # "from __future__ import annotations" (Python 3.10 and later)
+        names = tuple(cls.__annotations__)
         cls._fields = names
         cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -68,8 +63,8 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    # __init__ stores exactly the fields, in field order, and a frozen
-    # record never changes them, so equality and hashing read __dict__
+    # __init__ stores exactly the fields, in field order, and a record
+    # never changes them, so equality and hashing read __dict__
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.__dict__ == other.__dict__
