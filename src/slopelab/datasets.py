@@ -28,9 +28,15 @@ def resolve_input(path):
 
 
 def read_json(path):
-    """The parsed contents of a JSON dataset file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The parsed contents of a JSON dataset file; unreadable ones are refused."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: not valid JSON ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path}: JSON nested too deeply to read") from exc
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read ({exc.strerror})") from exc

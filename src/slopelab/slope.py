@@ -206,11 +206,13 @@ def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True, t
     tolerance is read there, but both are still checked, ``tol`` first.
 
     At a numeric character E is built in ApproxComplex: the nullity comes
-    from its rank and the signature from floating-point eigenvalues, an
-    eigenvalue of magnitude at most ``tol_sig`` counting as zero.  An exact
-    E that is not exactly Hermitian (possible only without the transpose
-    check) takes the same path, with its exact rank, after mapping to
-    ApproxComplex, where it is refused unless Hermitian within tolerance.
+    from its approximate rank, and the signature counts the eigenvalues of
+    the float matrix above ``tol_sig`` and below ``-tol_sig``, exactly, by
+    the same law of inertia over Q(i) (``linalg.hermitian_signature``).  An
+    exact E that is not exactly Hermitian (possible only without the
+    transpose check) takes the same path, with its exact rank, after
+    mapping to ApproxComplex, where it is refused unless Hermitian within
+    tolerance.
     ``tol`` (default: ``resolve_tolerance()``) is the numeric zero
     tolerance of the unitarity and non-vanishing checks and of the
     approximate context.  ``sigma_approximate`` is reported true in every

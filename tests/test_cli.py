@@ -399,6 +399,52 @@ def test_malformed_presentation_exit_2(tmp_path, field, value):
     assert field in p.stderr
 
 
+def _unreadable(tmp_path, kind):
+    """A path that open() or json.load() cannot turn into a value."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        text = json.dumps({**MINIMAL, "label": "café"}, ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1", "deeply-nested"])
+@pytest.mark.parametrize(
+    "args", [("validate",), ("conway", "--sqrt", "zeta:6:1")], ids=["seifert", "conway"]
+)
+def test_unreadable_dataset_exit_2(tmp_path, kind, args):
+    path = _unreadable(tmp_path, kind)
+    p = _run(args[0], "--in", path, *args[1:])
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+    assert p.stderr.startswith(f"error: {path}: ")
+
+
+def test_large_mu_refused_at_the_first_missing_pair(tmp_path):
+    # 2^64 sign vectors cannot be listed: in a child capped at 512 MiB of
+    # address space, listing them fails, while walking them lazily stops at
+    # the first pair that theta lacks
+    resource = pytest.importorskip("resource")
+    cap = 512 << 20
+    path = _write(tmp_path, "wide.json", {"mu": 64, "n": 0, "theta": {}, "kappa": []})
+    env = dict(os.environ, PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    p = subprocess.run(
+        [sys.executable, "-m", "slopelab", "validate", "--in", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    missing = f"error: theta is missing both {'+' * 64} and {'-' * 64}\n"
+    assert (p.returncode, p.stderr) == (2, missing)
+
+
 @pytest.mark.parametrize("field, value", [("mu", "x"), ("nabla_KL", 3), ("mu", 1.5)])
 def test_malformed_conway_exit_2(tmp_path, field, value):
     data = {"mu": 1, "nabla_KL": [], "nabla_L": [], field: value}
@@ -441,8 +487,8 @@ print("probe", codes, before, "numpy" in sys.modules, file=sys.stderr)
 
 
 def test_numpy_imported_only_for_signatures():
-    # torsion signatures are exact and leave numpy unloaded; only a numeric
-    # character's eigenvalue count imports it
+    # every signature is an exact inertia count, at a numeric character too,
+    # so no command loads numpy
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     p = subprocess.run(
@@ -453,7 +499,7 @@ def test_numpy_imported_only_for_signatures():
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert p.returncode == 0, p.stderr
-    assert p.stderr == "probe [0, 0, 1, 0, 0, 0, 0] False True\n"
+    assert p.stderr == "probe [0, 0, 1, 0, 0, 0, 0] False False\n"
 
 
 FOOTPRINT_PROBE = """

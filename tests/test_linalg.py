@@ -1,9 +1,11 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from slopelab.characters import Character
 from slopelab.errors import UsageError
 from slopelab.fields import (
     ApproxComplex,
@@ -23,6 +25,7 @@ from slopelab.linalg import (
     rank,
     solve,
 )
+from slopelab.seifert import build_E, random_presentation
 
 from conftest import int_matrix, random_laurent, random_nonzero_laurent, transpose
 
@@ -564,6 +567,98 @@ def test_signature_rejects_non_hermitian():
 def test_signature_requires_approx_context():
     with pytest.raises(UsageError):
         hermitian_signature(qmat([[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[complex(math.inf)]],
+        [[complex(math.nan)]],
+        [[complex(0, math.inf)]],
+        [[1 + 0j, complex(math.nan)], [1 + 0j, 1 + 0j]],
+    ],
+)
+def test_signature_refuses_non_finite_entries(rows):
+    # a float eigenvalue solver answers (1, 0, 0) for [[inf]] and (0, 0, 1)
+    # for [[nan]]; neither is a number to count eigenvalues of
+    with pytest.raises(UsageError, match="finite entries"):
+        hermitian_signature(Matrix(ApproxComplex(), rows))
+
+
+def test_signature_reads_the_lower_triangle_and_real_diagonal():
+    # Hermitian within tolerance; the lower triangle and the real diagonal
+    # make [[1, 1], [1, 1]], with eigenvalues 0 and 2, while the upper
+    # triangle would make 1 - (1 + 1e-12) < 0
+    ac = ApproxComplex()
+    up = 1 + 1e-12 + 0j
+    assert hermitian_signature(Matrix(ac, [[1 + 1e-12j, up], [1 + 0j, 1 + 0j]]), 0) == (1, 0, 1)
+    assert hermitian_signature(Matrix(ac, [[1 + 0j, 1 + 0j], [up, 1 - 1e-12j]]), 0) == (1, 1, 0)
+
+
+def test_signature_cutoff_is_exact():
+    # |lambda| <= tol_sig counts as zero, with tol_sig read as the exact
+    # binary fraction of the float
+    ac = ApproxComplex()
+    t = 1e-8
+    above = math.nextafter(t, 1.0)
+    assert hermitian_signature(Matrix(ac, [[complex(t)]]), t) == (0, 0, 1)
+    assert hermitian_signature(Matrix(ac, [[complex(-t)]]), t) == (0, 0, 1)
+    assert hermitian_signature(Matrix(ac, [[complex(above)]]), t) == (1, 0, 0)
+    assert hermitian_signature(Matrix(ac, [[complex(-above)]]), t) == (0, 1, 0)
+    diag = Matrix(ac, [[complex(above), 0j], [0j, 3 + 0j]])
+    assert hermitian_signature(diag, t) == (2, 0, 0)
+    assert hermitian_signature(diag, above) == (1, 0, 1)
+    assert hermitian_signature(Matrix(ac, []), 0) == (0, 0, 0)
+    # 1 + t rounds up, so the small eigenvalue (1 + t) - 1 of this matrix
+    # lies above t; shifting the diagonal in floats, (1 + t) - t == 1, would
+    # make it zero
+    t = 3e-8
+    assert Fraction(1 + t) - 1 > Fraction(t) and (1 + t) - t == 1
+    m = Matrix(ac, [[1 + t + 0j, 1 + 0j], [1 + 0j, 1 + t + 0j]])
+    assert hermitian_signature(m, t) == (2, 0, 0)
+
+
+def test_signature_matches_eigenvalue_counts(rng):
+    # differential against LAPACK's eigvalsh, which reads the same lower
+    # triangle: E(omega) at random unitary numeric characters, and random
+    # Hermitian matrices with eigenvalues near every cutoff whose upper
+    # triangle and diagonal imaginary parts are perturbed within tolerance.
+    # eigvalsh's eigenvalues are off by about n * eps * ||H||, so only an
+    # eigenvalue that close to a cutoff leaves its side open: there each
+    # count is checked against the bracket that the oracle allows
+    import numpy as np
+
+    ac = ApproxComplex()
+    cases = []
+    for _ in range(200):
+        mu = rng.randint(1, 2)
+        p = random_presentation(rng, mu=mu, n=rng.randint(1, 8), bound=rng.randint(1, 3))
+        values = [cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01)) for _ in range(mu)]
+        cases.append(build_E(p, Character.numeric(values), ac).entries)
+    near = [1, 2, 1e-3 * (1 + 1e-6), 1e-3 * (1 - 1e-6), 1e-8 * (1 + 1e-3), 1e-8 * (1 - 1e-3)]
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        d = [rng.choice(near) * rng.choice([1, -1]) for _ in range(n)]
+        a = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(n)]
+        q, _ = np.linalg.qr(np.array(a))
+        h = [[complex(x) for x in row] for row in q @ np.diag(d) @ q.conj().T]
+        for i in range(n):
+            h[i][i] += complex(0, rng.uniform(-1e-13, 1e-13))
+            for j in range(i + 1, n):
+                h[i][j] += complex(rng.uniform(-1e-13, 1e-13), rng.uniform(-1e-13, 1e-13))
+        cases.append(h)
+    decided = 0
+    for rows in cases:
+        eigs = np.linalg.eigvalsh(np.array(rows))
+        slack = 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
+        for t in (1e-8, 0.0, 1e-3):
+            n_plus, n_minus, n_zero = hermitian_signature(Matrix(ac, rows), t)
+            assert n_plus + n_minus + n_zero == len(rows)
+            plus = (int(np.sum(eigs > t + slack)), int(np.sum(eigs > t - slack)))
+            minus = (int(np.sum(eigs < -t - slack)), int(np.sum(eigs < -t + slack)))
+            assert plus[0] <= n_plus <= plus[1] and minus[0] <= n_minus <= minus[1]
+            decided += plus[0] == plus[1] and minus[0] == minus[1]
+    assert decided >= 3 * len(cases) - 10
 
 
 # -- exact hermitian inertia ---------------------------------------------------------

@@ -80,6 +80,66 @@ def test_dimension_violations_reported():
     assert any("kappa" in v for v in violations)
 
 
+def test_structural_violations_reported(whitehead):
+    # every structural branch of validate, message by message; records built
+    # by replace skip the checks of build
+    wh = whitehead
+    plus = wh.theta[(1,)]
+    cases = [
+        (
+            wh.replace(mu=0),
+            [
+                "mu must be at least 1",
+                "linking vector has length 1, expected 0",
+                'theta is missing sign vector ""',
+                'theta has an unexpected sign vector "+"',
+                'theta has an unexpected sign vector "-"',
+            ],
+        ),
+        (
+            wh.replace(mu=-1, linking=()),
+            [
+                "mu must be at least 1",
+                "linking vector has length 0, expected -1",
+                'theta is missing sign vector ""',
+                'theta has an unexpected sign vector "+"',
+                'theta has an unexpected sign vector "-"',
+            ],
+        ),
+        (
+            wh.replace(n=-1, kappa=()),
+            [
+                "n must be nonnegative",
+                "kappa has length 0, expected -1",
+                'theta["+"] is not -1x-1',
+                'theta["-"] is not -1x-1',
+            ],
+        ),
+        (wh.replace(b0=0), ["b0 must be at least 1"]),
+        (wh.replace(linking=(0, 0)), ["linking vector has length 2, expected 1"]),
+        (wh.replace(theta={(1,): plus}), ['theta is missing sign vector "-"']),
+        (
+            wh.replace(theta={**wh.theta, (1, -1): plus, (-1, -1): plus}),
+            [
+                'theta has an unexpected sign vector "+-"',
+                'theta has an unexpected sign vector "--"',
+            ],
+        ),
+        # keys that are not tuples of signs are named by their repr
+        (wh.replace(theta={**wh.theta, "+": plus}), ["theta has an unexpected sign vector '+'"]),
+        (
+            wh.replace(theta={(-1,): plus, 7: plus, (1, 0): plus}),
+            [
+                'theta is missing sign vector "+"',
+                "theta has an unexpected sign vector (1, 0)",
+                "theta has an unexpected sign vector 7",
+            ],
+        ),
+    ]
+    for p, messages in cases:
+        assert validate(p) == messages
+
+
 # -- operator assembly -------------------------------------------------------------
 
 

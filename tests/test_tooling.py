@@ -1,10 +1,14 @@
-"""The scripts and the benchmark tracer keep working against the library."""
+"""The scripts and the benchmark tracer keep working against the library,
+which imports no numpy."""
 
+import ast
 import importlib.util
 import os
 import subprocess
 import sys
 from fractions import Fraction
+
+import pytest
 
 from slopelab.fields import CyclotomicNumber, RatFunc
 from slopelab.laurent import LaurentPoly
@@ -120,3 +124,53 @@ def test_benchmark_value_stats_reads_mixed_laurent_coefficients(monkeypatch):
     assert workloads.value_stats([x]) == (5, 10)
     assert workloads.value_stats([x, y, 1j]) == (5, 12)
     assert workloads.value_stats([y]) == (2, 12)
+
+
+def _numpy_imports(tree):
+    """Line numbers of the imports of numpy (or a submodule) in a module's AST."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            names = [node.args[0].value] if name in ("__import__", "import_module") else []
+        else:
+            continue
+        if any(isinstance(n, str) and n.split(".")[0] == "numpy" for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_library_does_not_import_numpy():
+    # numpy is a test-only oracle; tests/ and slopebench/ may import it
+    package = os.path.join(ROOT, "src", "slopelab")
+    modules = sorted(
+        os.path.relpath(os.path.join(d, name), package)
+        for d, _, names in os.walk(package)
+        for name in names
+        if name.endswith(".py")
+    )
+    assert "linalg.py" in modules
+    hits = {}
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            lines = _numpy_imports(ast.parse(fh.read(), filename=name))
+        if lines:
+            hits[name] = lines
+    assert hits == {}
+    assert _numpy_imports(ast.parse("import numpy.linalg as la")) == [1]
+    assert _numpy_imports(ast.parse("from numpy import linalg")) == [1]
+    assert _numpy_imports(ast.parse("importlib.import_module('numpy')")) == [1]
+    assert _numpy_imports(ast.parse("import numbers\nfrom .numpyish import x")) == []
+
+
+def test_runtime_dependencies_are_empty():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert any(dep.startswith("numpy") for dep in project["optional-dependencies"]["test"])
