@@ -6,6 +6,15 @@ compare, characters, conway.  Exit codes: 0 success or no obstruction,
 text by default, or machine-readable JSON with --format json (including a
 provenance block: tool version, the effective configuration, and whether
 the computation was exact).
+
+Every command starts cold, so each loads only the modules it runs.  This
+module imports only the standard library, ``errors`` and ``datasets``;
+each handler imports what it calls at its top, so ``validate`` never loads
+the Laurent, field or linear-algebra modules, and ``characters`` never
+loads ``seifert``, ``linalg`` or ``slope``.  The ``__getattr__`` table
+exists only for tools that patch this module's bindings
+(slopebench/tracer.py).  The handlers never call those names, so a patch
+of the defining module's binding is what runs.
 """
 
 from __future__ import annotations
@@ -15,47 +24,30 @@ import itertools
 import json
 import sys
 
-from . import __version__
-from .characters import (
-    Character,
-    components,
-    concordance_root_status,
-    default_context_for,
-    sample_safe_characters,
-    verify_root_witness,
-)
-from .datasets import resolve_input
+from . import __version__, datasets
 from .errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
-from .fields import CyclotomicNumber, RatFunc, format_complex, resolve_tolerance
-from .laurent import LaurentPoly
-from .seifert import load_presentation, validate
-# The handlers validate each dataset once, at load, and then call the
-# slope module's helpers for validated presentations.  slope_at,
-# slope_symbolic and signature_nullity are not called here but stay bound,
-# for tools that patch this module's bindings (slopebench/tracer.py).
-from .slope import (
-    _compare_in,
-    _signature_in,
-    _slope_in,
-    signature_nullity,
-    slope_at,
-    slope_symbolic,
-)
 
-# Only the conway subcommand needs the conway module, so it is imported
-# there.  slopebench/tracer.py's TARGETS patch cli:conway_quotient and
-# cli:cross_check, so those two names stay reachable as attributes of this
-# module (PEP 562).  cmd_conway calls them through the conway module, so a
-# patch of that module's bindings is what runs.
-_CONWAY = ("conway_quotient", "cross_check")
+# name -> module that defines it; resolved (PEP 562) and kept on first read
+_BINDINGS = {
+    "validate": "seifert",
+    "load_presentation": "seifert",
+    "sample_safe_characters": "characters",
+    "concordance_root_status": "characters",
+    "slope_at": "slope",
+    "slope_symbolic": "slope",
+    "signature_nullity": "slope",
+    "conway_quotient": "conway",
+    "cross_check": "conway",
+    "resolve_input": "datasets",
+}
 
 
 def __getattr__(name):
-    if name in _CONWAY:
-        from . import conway
-
-        return getattr(conway, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _BINDINGS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(f"{__package__}.{_BINDINGS[name]}", fromlist=(name,))
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 EXIT_OK = 0
@@ -76,6 +68,8 @@ def parse_character_spec(spec, mu=None, single=None):
     GRID_LIMIT points is refused before expansion, and so is any grid when
     ``single`` (the refusal message) is given.
     """
+    from .characters import Character
+
     spec = spec.strip()
     if spec == "symbolic":
         if mu is None:
@@ -136,6 +130,9 @@ def parse_character_spec(spec, mu=None, single=None):
 def render_value(value):
     if value is None:
         return None
+    from .fields import CyclotomicNumber, RatFunc, format_complex
+    from .laurent import LaurentPoly
+
     if isinstance(value, (RatFunc, CyclotomicNumber, LaurentPoly)):
         return value.render()
     if isinstance(value, complex):
@@ -174,7 +171,9 @@ def _load_checked(args, dests, check_transpose=True):
     Returns (paths, presentations, violations).  With two datasets each
     violation is prefixed "first: " or "second: ".
     """
-    paths = [resolve_input(getattr(args, dest)) for dest in dests]
+    from .seifert import load_presentation, validate
+
+    paths = [datasets.resolve_input(getattr(args, dest)) for dest in dests]
     presentations = [load_presentation(path) for path in paths]
     prefixes = ("first: ", "second: ") if len(dests) == 2 else ("",)
     violations = [
@@ -203,6 +202,9 @@ def cmd_validate(args):
 
 
 def cmd_slope(args):
+    from .characters import default_context_for
+    from .slope import _slope_in
+
     [path], [presentation], violations = _load_checked(
         args, ["input"], check_transpose=not args.no_transpose_check
     )
@@ -236,6 +238,8 @@ def cmd_slope(args):
 
 
 def cmd_signature(args):
+    from .slope import _signature_in
+
     [path], [presentation], violations = _load_checked(
         args, ["input"], check_transpose=not args.no_transpose_check
     )
@@ -266,6 +270,8 @@ def cmd_signature(args):
 
 
 def cmd_compare(args):
+    from .slope import _compare_in
+
     (path_a, path_b), (first, second), violations = _load_checked(args, ["input", "vs"])
     if violations:
         return _refusal(violations)
@@ -310,6 +316,13 @@ def cmd_compare(args):
 
 
 def cmd_characters(args):
+    from .characters import (
+        components,
+        concordance_root_status,
+        sample_safe_characters,
+        verify_root_witness,
+    )
+
     if args.components:
         if args.linking is None:
             raise UsageError("--components needs --lambda")
@@ -373,11 +386,12 @@ def cmd_characters(args):
 
 def cmd_conway(args):
     from . import conway
+    from .seifert import load_presentation
 
-    path = resolve_input(args.input)
+    path = datasets.resolve_input(args.input)
     data = conway.load_conway(path)
     if args.cross_check:
-        presentation = load_presentation(resolve_input(args.cross_check))
+        presentation = load_presentation(datasets.resolve_input(args.cross_check))
         report = conway.cross_check(presentation, data, args.trials, seed=args.seed)
         points = [
             {
@@ -437,6 +451,9 @@ def cmd_conway(args):
 
 
 def _check_sqrt_consistency(omega, sqrt_char, tol):
+    from .characters import Character
+    from .fields import resolve_tolerance
+
     if omega.mu != sqrt_char.mu:
         raise UsageError("--char and --sqrt have different lengths")
     if omega.kind == "zeta" and sqrt_char.kind == "zeta":

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 
-from .characters import embed_character
 from .datasets import read_json
 from .errors import UnsupportedHypothesisError, UsageError
-from .linalg import Matrix
 from .record import Record
 
 SIGN_TO_CHAR = {1: "+", -1: "-"}
 CHAR_TO_SIGN = {"+": 1, "-": -1}
+# validate() names at most this many missing sign vectors, then counts the rest
+MISSING_SHOWN = 8
 
 
 def all_sign_vectors(mu):
@@ -158,26 +157,32 @@ def validate(presentation, check_transpose=True):
         out.append(f"kappa has length {len(p.kappa)}, expected {p.n}")
     if len(p.linking) != p.mu:
         out.append(f"linking vector has length {len(p.linking)}, expected {p.mu}")
-    expected = set(all_sign_vectors(max(p.mu, 0)))
-    present = set(p.theta)
+    mu = max(p.mu, 0)
     # keys that are not tuples of signs cannot be spelled as sign strings
-    odd = {
-        key for key in present - expected
-        if not isinstance(key, tuple) or any(e not in (1, -1) for e in key)
+    signs = {
+        key for key in p.theta
+        if isinstance(key, tuple) and key.count(1) + key.count(-1) == len(key)
     }
-    present -= odd
-    for eps in sorted(expected - present, reverse=True):
+    odd = set(p.theta) - signs
+    present = {eps for eps in signs if len(eps) == mu}
+    # the 2^mu sign vectors are walked in descending order, and only until
+    # MISSING_SHOWN missing ones are found, so a large mu costs nothing
+    missing = (eps for eps in itertools.product((1, -1), repeat=mu) if eps not in present)
+    for eps in itertools.islice(missing, MISSING_SHOWN):
         out.append(f'theta is missing sign vector "{sign_string(eps)}"')
-    for eps in sorted(present - expected, reverse=True):
+    unlisted = 2**mu - len(present) - MISSING_SHOWN
+    if unlisted > 0:
+        out.append(f"theta is missing {unlisted} more sign vectors")
+    for eps in sorted(signs - present, reverse=True):
         out.append(f'theta has an unexpected sign vector "{sign_string(eps)}"')
     for key in sorted(map(repr, odd)):
         out.append(f"theta has an unexpected sign vector {key}")
-    for eps in sorted(present & expected, reverse=True):
+    for eps in sorted(present, reverse=True):
         m = p.theta[eps]
         if len(m) != p.n or any(len(row) != p.n for row in m):
             out.append(f'theta["{sign_string(eps)}"] is not {p.n}x{p.n}')
     if check_transpose:
-        for eps in sorted(present & expected, reverse=True):
+        for eps in sorted(present, reverse=True):
             neg = tuple(-e for e in eps)
             if neg not in p.theta or sign_string(eps) > sign_string(neg):
                 continue
@@ -194,6 +199,8 @@ def validate(presentation, check_transpose=True):
 
 def _assemble_A(presentation, scalars, ctx):
     """sum over eps of (prod_i eps_i s_i^((1-eps_i)/2)) theta^eps at s = scalars."""
+    from .linalg import Matrix
+
     n = presentation.n
     rows = [[ctx.zero] * n for _ in range(n)]
     for eps, theta in presentation.theta.items():
@@ -213,6 +220,8 @@ def _assemble_A(presentation, scalars, ctx):
 
 def build_A(presentation, omega, ctx):
     """The matrix A(omega) in the given field context."""
+    from .characters import embed_character
+
     scalars = embed_character(omega, ctx)
     return _assemble_A(presentation, scalars, ctx)
 
@@ -223,6 +232,8 @@ def build_E(presentation, omega, ctx):
     Requires every coordinate of omega to differ from 1 (the patching
     extension for vanishing coordinates is not supported).
     """
+    from .characters import embed_character
+
     scalars = embed_character(omega, ctx)
     inverted = []
     for s in scalars:
@@ -245,29 +256,28 @@ def build_E(presentation, omega, ctx):
 
 
 def _int_det(m):
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix, by Bareiss elimination.
+
+    Every entry stays an integer: after step c the trailing block holds
+    minors of order c + 1, and each division by the previous pivot is exact.
+    """
     n = len(m)
-    work = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
+    work = [list(row) for row in m]
+    sign, prev = 1, 1
     for c in range(n):
-        sel = None
-        for r in range(c, n):
-            if work[r][c]:
-                sel = r
-                break
+        sel = next((r for r in range(c, n) if work[r][c]), None)
         if sel is None:
             return 0
         if sel != c:
             work[c], work[sel] = work[sel], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = 1 / work[c][c]
+            sign = -sign
+        pivot, row_c = work[c][c], work[c]
         for r in range(c + 1, n):
-            f = work[r][c] * inv
-            if f:
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    assert det.denominator == 1
-    return int(det)
+            row_r, f = work[r], work[r][c]
+            for j in range(c + 1, n):
+                row_r[j] = (row_r[j] * pivot - f * row_c[j]) // prev
+        prev = pivot
+    return sign * prev
 
 
 def change_basis(presentation, u):

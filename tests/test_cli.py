@@ -520,21 +520,65 @@ from slopelab import *
 print("probe", codes, loaded, conway is not None, same, ConwayData.__module__, file=sys.stderr)
 """
 
+# one fresh process per command: the modules in sys.modules afterwards
+COMMAND_PROBE = """
+import sys
+import slopelab.cli as cli
+code = cli.main({argv!r})
+print(code, sorted(name for name in {absent!r} if name in sys.modules), file=sys.stderr)
+"""
 
-def test_conway_and_dataclasses_not_imported_by_other_commands():
+EXPORTS_PROBE = """
+import sys
+import slopelab
+unlisted = [name for name in slopelab.__all__ if name not in dir(slopelab)]
+namespace = {}
+exec("from slopelab import *", namespace)
+defined = all(
+    getattr(sys.modules[namespace[name].__module__], name) is namespace[name]
+    for name in slopelab.__all__
+)
+print(unlisted, defined, file=sys.stderr)
+"""
+
+NOT_RUN_BY_VALIDATE = ("fractions",) + tuple(
+    f"slopelab.{m}" for m in ("laurent", "fields", "characters", "linalg", "slope", "conway")
+)
+NOT_RUN_BY_CHARACTERS = tuple(f"slopelab.{m}" for m in ("linalg", "seifert", "slope", "conway"))
+
+
+def _probe(source):
     # -S keeps the interpreter's site hooks, which may import modules of
     # their own, out of the footprint
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     p = subprocess.run(
-        [sys.executable, "-S", "-c", FOOTPRINT_PROBE],
+        [sys.executable, "-S", "-c", source],
         capture_output=True,
         text=True,
         env=env,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert p.returncode == 0, p.stderr
-    assert p.stderr == "probe [0, 0, 0] [] True True slopelab.conway\n"
+    return p.stderr.splitlines()[-1]
+
+
+def test_conway_and_dataclasses_not_imported_by_other_commands(tmp_path):
+    assert _probe(FOOTPRINT_PROBE) == "probe [0, 0, 0] [] True True slopelab.conway"
+    # each subcommand loads only the modules it runs
+    broken = str(tmp_path / "broken.json")
+    with open(broken, "w", encoding="utf-8") as fh:
+        json.dump({"mu": 1, "n": 1, "theta": {"+": [[1]], "-": [[2]]}, "kappa": [0]}, fh)
+    for argv, code, absent in [
+        (["validate", "--in", "whitehead.json"], 0, NOT_RUN_BY_VALIDATE),
+        (["validate", "--in", broken, "--format", "json"], 2, NOT_RUN_BY_VALIDATE),
+        (["characters", "--components", "--lambda", "2,4"], 0, NOT_RUN_BY_CHARACTERS),
+        (["characters", "--root-status", "zeta:6:1"], 0, NOT_RUN_BY_CHARACTERS),
+        (["characters", "--sample", "5", "--mu", "2"], 0, NOT_RUN_BY_CHARACTERS),
+    ]:
+        assert _probe(COMMAND_PROBE.format(argv=argv, absent=absent)) == f"{code} []", argv
+    # the lazy package still exports every public name, to dir() and import *
+    assert _probe(EXPORTS_PROBE) == "[] True"
 
 
 def test_malformed_grid_spec_exit_2():
@@ -762,12 +806,14 @@ def test_slope_and_signature_validate_once_per_run(monkeypatch, capsys, argv):
     import slopelab.slope as slope
 
     calls = []
+    validate = seifert.validate
 
     def counting(presentation, *args, **kwargs):
         calls.append(kwargs)
-        return seifert.validate(presentation, *args, **kwargs)
+        return validate(presentation, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "validate", counting)
+    # the handlers call the seifert module's binding, the slope helpers their own
+    monkeypatch.setattr(seifert, "validate", counting)
     monkeypatch.setattr(slope, "validate", counting)
     assert cli.main(argv) == 0
     check = "--no-transpose-check" not in argv
@@ -781,12 +827,14 @@ def test_compare_validates_each_dataset_once(monkeypatch, capsys):
     import slopelab.slope as slope
 
     calls = []
+    validate = seifert.validate
 
     def counting(presentation, *args, **kwargs):
         calls.append(presentation.label)
-        return seifert.validate(presentation, *args, **kwargs)
+        return validate(presentation, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "validate", counting)
+    # the handlers call the seifert module's binding, the slope helpers their own
+    monkeypatch.setattr(seifert, "validate", counting)
     monkeypatch.setattr(slope, "validate", counting)
     assert cli.main(["compare", "--in", "whitehead.json", "--vs", "kappa_zero.json"]) == 1
     assert len(calls) == 2 and calls[0] != calls[1]

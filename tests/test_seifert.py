@@ -27,6 +27,8 @@ from slopelab.seifert import (
     presentation_to_dict,
     random_presentation,
     random_unimodular,
+    MISSING_SHOWN,
+    _int_det,
     save_presentation,
     sign_string,
     stabilize,
@@ -138,6 +140,53 @@ def test_structural_violations_reported(whitehead):
     ]
     for p, messages in cases:
         assert validate(p) == messages
+
+
+def test_validate_names_every_missing_sign_vector_up_to_mu_3(whitehead):
+    for mu in (1, 2, 3):
+        top = (1,) * mu
+        p = whitehead.replace(mu=mu, linking=(0,) * mu, theta={top: whitehead.theta[(1,)]})
+        missing = sorted(set(all_sign_vectors(mu)) - {top}, reverse=True)
+        assert validate(p) == [f'theta is missing sign vector "{sign_string(e)}"' for e in missing]
+
+
+def test_validate_counts_missing_sign_vectors_past_the_first_few(whitehead):
+    plus = whitehead.theta[(1,)]
+    p = whitehead.replace(
+        mu=4, linking=(0,) * 4, theta={(1, 1, 1, 1): plus, (1, 1, -1, 1): plus}
+    )
+    shown = ["+++-", "++--", "+-++", "+-+-", "+--+", "+---", "-+++", "-++-"]
+    assert MISSING_SHOWN == len(shown)
+    assert validate(p) == [f'theta is missing sign vector "{s}"' for s in shown] + [
+        "theta is missing 6 more sign vectors"
+    ]
+
+
+def test_validate_large_mu_is_bounded(whitehead):
+    # 2^30 sign vectors: validate must walk only the first few of them
+    import time
+    import tracemalloc
+
+    p = whitehead.replace(mu=30, linking=(0,) * 30)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        out = validate(p)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[:2] == [
+        'theta is missing sign vector "' + "+" * 30 + '"',
+        'theta is missing sign vector "' + "+" * 29 + '-"',
+    ]
+    assert out[MISSING_SHOWN:] == [
+        f"theta is missing {2**30 - MISSING_SHOWN} more sign vectors",
+        'theta has an unexpected sign vector "+"',
+        'theta has an unexpected sign vector "-"',
+    ]
+    assert peak < 1 << 20
+    assert elapsed < 5
 
 
 # -- operator assembly -------------------------------------------------------------
@@ -305,6 +354,59 @@ def test_change_basis_identity(whitehead):
 def test_change_basis_rejects_non_unimodular(whitehead):
     with pytest.raises(UsageError):
         change_basis(whitehead, [[2, 0], [0, 1]])
+    message = r"^basis change requires a unimodular matrix \(det = \+-1\)$"
+    for u in ([[2, 0], [0, 1]], [[0, 1], [2, 0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(UsageError, match=message):
+            change_basis(whitehead, u)
+    assert change_basis(whitehead, [[0, 1], [1, 0]]).n == 2
+
+
+def _fraction_det(m):
+    """Determinant by Gaussian elimination over the rationals."""
+    n = len(m)
+    work = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(n):
+        sel = next((r for r in range(c, n) if work[r][c]), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != c:
+            work[c], work[sel] = work[sel], work[c]
+            det = -det
+        det *= work[c][c]
+        for r in range(c + 1, n):
+            f = work[r][c] / work[c][c]
+            work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return det
+
+
+def test_int_det_matches_fraction_elimination(rng):
+    cases = [[], [[0]], [[-7]], [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [2, 0, 0]]]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        kind = rng.randrange(4)
+        if kind == 0:  # dense, wide entries
+            m = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        elif kind == 1:  # sparse, so zero pivots and row swaps are common
+            m = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        elif kind == 2:  # singular: one row a combination of two others
+            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])] if i not in (j, k) else [0] * n
+        else:  # det +-1, or +-2 after doubling one row
+            m = random_unimodular(rng, n, steps=rng.randint(1, 12))
+            if rng.random() < 0.5:
+                row = rng.randrange(n)
+                m[row] = [2 * x for x in m[row]]
+        cases.append(m)
+    dets = []
+    for m in cases:
+        want = _fraction_det(m)
+        got = _int_det(m)
+        assert type(got) is int and got == want, m
+        dets.append(got)
+    assert {0, 1, -1, 2, -2} <= set(dets)
 
 
 def test_change_basis_preserves_validity(rng):

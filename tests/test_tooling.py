@@ -97,6 +97,62 @@ def test_benchmark_tracer_bindings_resolve():
     assert slopelab.cli.slope_at is original
 
 
+# Mirrors slopebench/cli_child.py: a process that has imported only
+# slopelab.cli installs the tracer, so every module a binding names loads
+# inside install() and every cli: binding is first resolved there.
+TRACER_IN_CLI_PROCESS = """
+import sys
+sys.path.insert(0, "slopebench")
+import slopelab.cli as cli
+from tracer import TARGETS, Tracer
+
+def traced(fn):
+    return getattr(fn, "__name__", "") == "traced"
+
+cli_names = [b[4:] for bs in TARGETS.values() for b in bs if b.startswith("cli:")]
+homes = [bs[0].split(":") for bs in TARGETS.values()]
+t = Tracer()
+t.install()
+unpatched = [name for name in cli_names if not traced(getattr(cli, name))]
+undo = list(t._undo)
+code = cli.main(["validate", "--in", "whitehead.json"])
+calls = {name: row["calls"] for name, row in t.summary().items()}
+t.uninstall()
+spans = len(t.start)
+cli.main(["validate", "--in", "whitehead.json"])
+print("patched", len(cli_names), unpatched, code, file=sys.stderr)
+print("calls", [calls.get(n) for n in
+                ("datasets.resolve_input", "seifert.load", "seifert.validate")], file=sys.stderr)
+restored = all(getattr(owner, attr) is original for owner, attr, original in reversed(undo))
+homes_traced = [m + ":" + a for m, a in homes
+                if "." not in a and traced(getattr(sys.modules["slopelab." + m], a))]
+print("restored", restored, homes_traced, len(t.start) - spans, file=sys.stderr)
+"""
+
+
+def test_benchmark_tracer_installs_in_a_cli_only_process():
+    # in-process tests see every module already loaded; a cli binding that
+    # cannot be resolved there makes install() raise in every CLI child
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    p = subprocess.run(
+        [sys.executable, "-S", "-c", TRACER_IN_CLI_PROCESS],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stderr.splitlines()[-3:] == [
+        "patched 10 [] 0",
+        # the handlers run the defining modules' bindings: each call is one span
+        "calls [1, 1, 1]",
+        # every binding holds what install() found; no defining module keeps
+        # a wrapper, and after uninstall() a command records no span
+        "restored True [] 0",
+    ]
+
+
 def test_benchmark_value_stats_reads_cyclotomic_coords(monkeypatch):
     # workloads.py imports its sibling gen.py, as it does inside the worker
     monkeypatch.syspath_prepend(os.path.join(ROOT, "slopebench"))
