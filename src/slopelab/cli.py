@@ -11,10 +11,10 @@ Every command starts cold, so each loads only the modules it runs.  This
 module imports only the standard library, ``errors`` and ``datasets``;
 each handler imports what it calls at its top, so ``validate`` never loads
 the Laurent, field or linear-algebra modules, and ``characters`` never
-loads ``seifert``, ``linalg`` or ``slope``.  The ``__getattr__`` table
-exists only for tools that patch this module's bindings
-(slopebench/tracer.py).  The handlers never call those names, so a patch
-of the defining module's binding is what runs.
+loads ``seifert``, ``linalg`` or ``slope``.  The ``__getattr__`` names
+and the ``resolve_input`` binding exist only for tools that patch this
+module's bindings (slopebench/tracer.py).  The handlers never call those
+names, so a patch of the defining module's binding is what runs.
 """
 
 from __future__ import annotations
@@ -24,28 +24,30 @@ import itertools
 import json
 import sys
 
-from . import __version__, datasets
+from . import _HOME, __version__, datasets
 from .errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
 
-# name -> module that defines it; resolved (PEP 562) and kept on first read
-_BINDINGS = {
-    "validate": "seifert",
-    "load_presentation": "seifert",
-    "sample_safe_characters": "characters",
-    "concordance_root_status": "characters",
-    "slope_at": "slope",
-    "slope_symbolic": "slope",
-    "signature_nullity": "slope",
-    "conway_quotient": "conway",
-    "cross_check": "conway",
-    "resolve_input": "datasets",
-}
+resolve_input = datasets.resolve_input
+
+# Names slopebench/tracer.py patches on this module.  Each resolves (PEP 562)
+# through the package's name -> module table and is kept on first read.
+_PATCHED = (
+    "validate",
+    "load_presentation",
+    "sample_safe_characters",
+    "concordance_root_status",
+    "slope_at",
+    "slope_symbolic",
+    "signature_nullity",
+    "conway_quotient",
+    "cross_check",
+)
 
 
 def __getattr__(name):
-    if name not in _BINDINGS:
+    if name not in _PATCHED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = __import__(f"{__package__}.{_BINDINGS[name]}", fromlist=(name,))
+    module = __import__(f"{__package__}.{_HOME[name]}", fromlist=(name,))
     value = globals()[name] = getattr(module, name)
     return value
 

@@ -560,11 +560,11 @@ def _probe(source):
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert p.returncode == 0, p.stderr
-    return p.stderr.splitlines()[-1]
+    return p.stderr
 
 
 def test_conway_and_dataclasses_not_imported_by_other_commands(tmp_path):
-    assert _probe(FOOTPRINT_PROBE) == "probe [0, 0, 0] [] True True slopelab.conway"
+    assert _probe(FOOTPRINT_PROBE) == "probe [0, 0, 0] [] True True slopelab.conway\n"
     # each subcommand loads only the modules it runs
     broken = str(tmp_path / "broken.json")
     with open(broken, "w", encoding="utf-8") as fh:
@@ -576,9 +576,9 @@ def test_conway_and_dataclasses_not_imported_by_other_commands(tmp_path):
         (["characters", "--root-status", "zeta:6:1"], 0, NOT_RUN_BY_CHARACTERS),
         (["characters", "--sample", "5", "--mu", "2"], 0, NOT_RUN_BY_CHARACTERS),
     ]:
-        assert _probe(COMMAND_PROBE.format(argv=argv, absent=absent)) == f"{code} []", argv
+        assert _probe(COMMAND_PROBE.format(argv=argv, absent=absent)) == f"{code} []\n", argv
     # the lazy package still exports every public name, to dir() and import *
-    assert _probe(EXPORTS_PROBE) == "[] True"
+    assert _probe(EXPORTS_PROBE) == "[] True\n"
 
 
 def test_malformed_grid_spec_exit_2():
