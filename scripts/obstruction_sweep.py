@@ -24,6 +24,8 @@ def main():
     parser.add_argument("--n", type=int, default=3)
     parser.add_argument("--budget", type=int, default=8)
     args = parser.parse_args()
+    if args.budget <= 0:
+        parser.error(f"--budget must be a positive integer, got {args.budget}")
 
     rng = random.Random(args.seed)
     base = random_presentation(rng, mu=args.mu, n=args.n)

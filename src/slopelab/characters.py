@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 
-from .errors import ContextMismatchError, UsageError
+from .errors import ContextMismatchError, UnsupportedHypothesisError, UsageError
 from .fields import (
     ApproxComplex,
     Cyclotomic,
@@ -47,6 +47,7 @@ from .laurent import (
     LaurentPoly,
     cyclotomic_minimal_poly,
     divisors,
+    euler_phi,
     is_prime_power,
 )
 from .record import Record
@@ -190,6 +191,71 @@ def evaluate_at_torsion(p, omega):
     return CyclotomicNumber._from_ints(n, _reduce_mod_phi(coeffs, n), den)
 
 
+def operator_at_torsion(presentation, omega, conductor):
+    """The rows of E(omega) in Q(zeta_N), N = ``conductor``, on integers.
+
+    ``seifert.build_E`` has the closed form and its proof.  With
+    x_i = omega_i^-1 = zeta_N^(a_i) of exact order d_i, the scale
+    prod_i 1/(1 - x_i) is one cyclic integer vector of length N over
+    D = prod_i d_i, built by rotating and adding.  Entry (r, c) of
+    A(omega^-1) is sum over eps of sign(eps) theta^eps[r][c] zeta_N^(e_eps),
+    e_eps the sum of the a_i with eps_i = -1, so entry (r, c) of E is the
+    same combination of the scale rotated by e_eps.  Reduction modulo
+    Phi_N is linear, so each of the 2^mu rotations is reduced once, and
+    every entry is an integer combination of them over D.
+
+    Refuses, in this order and with the messages of the field-op
+    assembly, a conductor that Q(zeta_N) does not contain and a
+    coordinate equal to 1.
+    """
+    if conductor % omega.conductor:
+        raise ContextMismatchError(
+            f"conductor {omega.conductor} does not embed in Q(zeta_{conductor})"
+        )
+    m = conductor // omega.conductor
+    inverse = [-k * m % conductor for k in omega.exponents]
+    scale = [0] * conductor
+    scale[0] = 1
+    den = 1
+    for a in inverse:
+        if not a:
+            raise UnsupportedHypothesisError(
+                "vanishing character coordinate (omega_i = 1): patching is not supported"
+            )
+        d = conductor // _int_gcd(a, conductor)
+        # times 1/(1 - x) = -(1/d) sum_{j<d} j x^j, x = zeta_N^a
+        terms = [(p, c) for p, c in enumerate(scale) if c]
+        scale = [0] * conductor
+        for j in range(1, d):
+            shift = a * j
+            for p, c in terms:
+                scale[(p + shift) % conductor] -= j * c
+        den *= d
+    parts = []
+    for eps, theta in presentation.theta.items():
+        e, sign = 0, 1
+        for x, a in zip(eps, inverse):
+            if x == -1:
+                e, sign = e + a, -sign
+        # zeta_N^e times the scale: a rotation of the cyclic vector
+        e %= conductor
+        vec = _reduce_mod_phi(scale[-e:] + scale[:-e] if e else scale, conductor)
+        parts.append((theta, vec if sign > 0 else [-v for v in vec]))
+    zero = [0] * euler_phi(conductor)
+    rows = []
+    for r in range(presentation.n):
+        row = []
+        for c in range(presentation.n):
+            acc = zero
+            for theta, vec in parts:
+                k = theta[r][c]
+                if k:
+                    acc = [x + k * v for x, v in zip(acc, vec)]
+            row.append(CyclotomicNumber._from_ints(conductor, acc, den))
+        rows.append(row)
+    return rows
+
+
 def default_context_for(omega, tol=None):
     """The field every computation at ``omega`` runs in.
 
@@ -314,8 +380,10 @@ def concordance_root_status(omega):
     )
 
 
-# conductors searched by sample_safe_characters
+# conductors searched by sample_safe_characters, and the most candidate
+# exponent tuples it takes from any one conductor
 SAMPLE_MAX_CONDUCTOR = 64
+SAMPLE_POOL_CAP = 4096
 
 
 def _prime_powers_up_to(bound):
@@ -346,21 +414,21 @@ def sample_safe_characters(mu, linking, budget, seed=0):
     rng = random.Random(seed)
     conductors = _prime_powers_up_to(SAMPLE_MAX_CONDUCTOR)
     pools = {}
-    positions = {}
 
     def pool_for(conductor):
+        """The conductor's candidate exponent tuples, as one iterator: all
+        of them shuffled when there are at most SAMPLE_POOL_CAP, else up to
+        SAMPLE_POOL_CAP random draws, each made when it is asked for."""
         if conductor not in pools:
-            space = (conductor - 1) ** mu
-            if space <= 4096:
+            if (conductor - 1) ** mu <= SAMPLE_POOL_CAP:
                 candidates = list(itertools.product(range(1, conductor), repeat=mu))
                 rng.shuffle(candidates)
+                pools[conductor] = iter(candidates)
             else:
-                candidates = [
+                pools[conductor] = (
                     tuple(rng.randrange(1, conductor) for _ in range(mu))
-                    for _ in range(4096)
-                ]
-            pools[conductor] = candidates
-            positions[conductor] = 0
+                    for _ in range(SAMPLE_POOL_CAP)
+                )
         return pools[conductor]
 
     out = []
@@ -370,11 +438,7 @@ def sample_safe_characters(mu, linking, budget, seed=0):
     while len(out) < budget and progressed:
         progressed = False
         for conductor in conductors:
-            pool = pool_for(conductor)
-            pos = positions[conductor]
-            while pos < len(pool):
-                exps = pool[pos]
-                pos += 1
+            for exps in pool_for(conductor):
                 # admissibility does not change under reduction: test it first
                 if sum(l * k for l, k in zip(linking, exps)) % conductor:
                     continue
@@ -387,7 +451,6 @@ def sample_safe_characters(mu, linking, budget, seed=0):
                 out.append(ch)
                 progressed = True
                 break
-            positions[conductor] = pos
             if len(out) >= budget:
                 break
     return out

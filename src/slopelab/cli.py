@@ -160,6 +160,12 @@ def _slope_result(sv):
     return out
 
 
+def _require_positive(value, option):
+    """Refuse a count that would make the command's run vacuous."""
+    if value <= 0:
+        raise UsageError(f"{option} must be a positive integer, got {value}")
+
+
 def _parse_linking(raw):
     try:
         return [int(x) for x in raw.split(",")]
@@ -274,6 +280,7 @@ def cmd_signature(args):
 def cmd_compare(args):
     from .slope import _compare_in
 
+    _require_positive(args.budget, "--budget")
     (path_a, path_b), (first, second), violations = _load_checked(args, ["input", "vs"])
     if violations:
         return _refusal(violations)
@@ -376,6 +383,7 @@ def cmd_characters(args):
     if args.sample is not None:
         if args.mu is None:
             raise UsageError("--sample needs --mu")
+        _require_positive(args.sample, "--sample")
         linking = _parse_linking(args.linking) if args.linking else [0] * args.mu
         chars = sample_safe_characters(args.mu, linking, args.sample, seed=args.seed)
         result = {"characters": [c.describe() for c in chars]}
@@ -387,6 +395,8 @@ def cmd_characters(args):
 
 
 def cmd_conway(args):
+    if args.cross_check:
+        _require_positive(args.trials, "--trials")
     from . import conway
     from .seifert import load_presentation
 

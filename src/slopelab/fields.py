@@ -255,6 +255,17 @@ def _reduce_mod_phi(coeffs, conductor):
     return out + [0] * (deg - len(out))
 
 
+def _product(a, b):
+    """The unreduced product of two coefficient lists, skipping zero terms."""
+    prod = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                prod[i + j] += x * y
+    return prod
+
+
 @lru_cache(maxsize=None)
 def _galois_chain(conductor):
     """Steps (g, m) of a subgroup chain {1} = H_0 < H_1 < ... = (Z/N)^*.
@@ -471,18 +482,37 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = len(self.num)
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(self.num):
-            if not a:
-                continue
-            for j, b in enumerate(other.num):
-                if b:
-                    prod[i + j] += a * b
-        num = _reduce_mod_phi(prod, self.conductor)
+        num = _reduce_mod_phi(_product(self.num, other.num), self.conductor)
         return CyclotomicNumber._from_ints(self.conductor, num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def sub_mul(self, f, y):
+        """self - f * y, with one reduction and one canonicalization.
+
+        Equal to ``self - f * y``, which forms f * y, its negative and the
+        sum, each reduced to lowest terms.  Here f * y stays an unreduced
+        product over the common denominator of self and f * y; the
+        coordinates of self (all below degree phi(N)) are added to it, so
+        one reduction modulo Phi_N and one gcd make the result.  A zero f
+        or y returns self.
+        """
+        if not f.conductor == y.conductor == self.conductor:
+            self._check_same(f)
+            self._check_same(y)
+        if not (any(f.num) and any(y.num)):
+            return self
+        fy_den = f.den * y.den
+        den = lcm(self.den, fy_den)
+        a = den // self.den
+        b = den // fy_den
+        acc = _product([-b * c for c in f.num], y.num)
+        for i, c in enumerate(self.num):
+            if c:
+                acc[i] += a * c
+        return CyclotomicNumber._from_ints(
+            self.conductor, _reduce_mod_phi(acc, self.conductor), den
+        )
 
     def invert(self):
         if self.is_zero():

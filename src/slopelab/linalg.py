@@ -106,8 +106,10 @@ def _echelon_division(rows, ncols, ctx):
     """Gauss-Jordan elimination to reduced row echelon form.
 
     Exact contexts pivot on the first nonzero entry of the column (``bool``
-    of a scalar is nonzero-ness); the approximate context on the largest
-    magnitude above tol * max(1, largest entry), the first on a tie.
+    of a scalar is nonzero-ness) and update each entry x of a row with the
+    fused ``x.sub_mul(f, y)``, one reduction and one gcd; the approximate
+    context pivots on the largest magnitude above tol * max(1, largest
+    entry), the first on a tie.
     """
     work = [list(r) for r in rows]
     if not ctx.is_exact:
@@ -128,10 +130,14 @@ def _echelon_division(rows, ncols, ctx):
         work[r], work[sel] = work[sel], work[r]
         inv = ctx.invert(work[r][c])
         work[r] = [inv * x for x in work[r]]
+        pivot_row = work[r]
         for i, row in enumerate(work):
             f = row[c]
             if i != r and f:
-                work[i] = [x - f * y for x, y in zip(row, work[r])]
+                if ctx.is_exact:
+                    work[i] = [x.sub_mul(f, y) for x, y in zip(row, pivot_row)]
+                else:
+                    work[i] = [x - f * y for x, y in zip(row, pivot_row)]
         pivots.append(c)
         r += 1
     return _Echelon(work, pivots)
@@ -301,7 +307,7 @@ def hermitian_inertia(m):
             for q in range(p, len(rest)):
                 if col[q]:
                     j = rest[q]
-                    h[i][j] = h[i][j] - f * col[q]
+                    h[i][j] = h[i][j].sub_mul(f, col[q])
     return (n_plus, n_minus, len(rest))
 
 
@@ -323,9 +329,10 @@ def hermitian_signature(m, tol_sig=1e-8):
     LAPACK's eigvalsh reads) taken as dyadic rationals in Q(i): by
     Sylvester's law, #{lambda > t} = n_plus(H - tI) and #{lambda < -t} =
     n_minus(H + tI), with t = ``tol_sig`` exactly, from
-    ``hermitian_inertia``.  The two factorizations take about 1 ms at
-    n = 4, 20 ms at n = 12 and 0.1 s at n = 20 (CPython 3.11, 2-vCPU
-    x86-64 host), against 0.05-0.4 ms for eigvalsh once numpy is loaded.
+    ``hermitian_inertia``.  The two factorizations take about 1.5 ms at
+    n = 4, 20 ms at n = 12 and 0.1 s at n = 20 (medians, CPython 3.11,
+    2-vCPU x86-64 host shared with other tenants), against 0.05-0.4 ms for
+    eigvalsh once numpy is loaded.
     Exact matrices over Q(zeta_N) go to ``hermitian_inertia`` directly.
     """
     _check_tol_sig(tol_sig)

@@ -231,9 +231,30 @@ def build_E(presentation, omega, ctx):
 
     Requires every coordinate of omega to differ from 1 (the patching
     extension for vanishing coordinates is not supported).
-    """
-    from .characters import embed_character
 
+    At a torsion character in Q(zeta_N) no field operation is needed
+    (``characters.operator_at_torsion``).  Each x = omega_i^-1 is a root of
+    unity of some exact order d > 1, and
+
+        1 / (1 - x) = -(1/d) sum_{j<d} j x^j.
+
+    Proof: with S = sum_{j<d} j x^j,
+    (1 - x) S = sum_{j<d} j x^j - sum_{1<=j<=d} (j - 1) x^j
+              = sum_{1<=j<d} x^j - (d - 1) x^d
+              = (sum_{j<d} x^j) - 1 - (d - 1) = -d,
+    because x^d = 1 and sum_{j<d} x^j = (x^d - 1) / (x - 1) = 0 for x != 1.
+    Every x is a power of zeta_N, so the scale and every entry of
+    A(omega^-1) are integer combinations of powers of zeta_N over the
+    integer prod_i d_i, with no inversion.  The rational function field
+    and ApproxComplex assemble E with field operations.
+    """
+    from .characters import ROOT_OF_UNITY, embed_character, operator_at_torsion
+    from .fields import Cyclotomic
+    from .linalg import Matrix
+
+    if omega.kind == ROOT_OF_UNITY and isinstance(ctx, Cyclotomic):
+        rows = operator_at_torsion(presentation, omega, ctx.conductor)
+        return Matrix(ctx, rows, cols=presentation.n)
     scalars = embed_character(omega, ctx)
     inverted = []
     for s in scalars:

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from slopelab.characters import (
 )
 from slopelab.errors import ContextMismatchError, UsageError
 from slopelab.fields import ApproxComplex, Cyclotomic, RationalFunctionField
-from slopelab.laurent import LaurentPoly, cyclotomic_minimal_poly, normalize_poly
+from slopelab.laurent import LaurentPoly, cyclotomic_minimal_poly, is_prime_power, normalize_poly
 
 
 # -- character basics -------------------------------------------------------------
@@ -248,6 +249,85 @@ def test_sample_deterministic_given_seed():
     assert a == b
 
 
+def old_sample_safe_characters(mu, linking, budget, seed=0):
+    """The former sampler, which drew all 4096 candidates of a large pool
+    up front."""
+    if budget <= 0:
+        return []
+    rng = random.Random(seed)
+    conductors = [n for n in range(2, 65) if is_prime_power(n)]
+    pools, positions = {}, {}
+
+    def pool_for(conductor):
+        if conductor not in pools:
+            if (conductor - 1) ** mu <= 4096:
+                candidates = list(itertools.product(range(1, conductor), repeat=mu))
+                rng.shuffle(candidates)
+            else:
+                candidates = [
+                    tuple(rng.randrange(1, conductor) for _ in range(mu)) for _ in range(4096)
+                ]
+            pools[conductor], positions[conductor] = candidates, 0
+        return pools[conductor]
+
+    out, seen = [], set()
+    progressed = True
+    while len(out) < budget and progressed:
+        progressed = False
+        for conductor in conductors:
+            pool = pool_for(conductor)
+            pos = positions[conductor]
+            while pos < len(pool):
+                exps = pool[pos]
+                pos += 1
+                if sum(l * k for l, k in zip(linking, exps)) % conductor:
+                    continue
+                ch = Character.root_of_unity(conductor, exps)
+                key = (ch.reduced().conductor, ch.reduced().exponents)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(ch)
+                progressed = True
+                break
+            positions[conductor] = pos
+            if len(out) >= budget:
+                break
+    return out
+
+
+def test_sample_matches_eager_draws_up_to_mu_2():
+    # (N - 1)^mu <= 63^2 < 4096: every pool is a shuffled full list, drawn
+    # from the stream exactly as before, so the samples are byte-identical
+    grid = random.Random(24)
+    for _ in range(60):
+        mu = grid.randint(1, 2)
+        linking = tuple(grid.randint(-4, 4) for _ in range(mu))
+        budget, seed = grid.randint(-1, 60), grid.randint(0, 99)
+        want = old_sample_safe_characters(mu, linking, budget, seed)
+        got = sample_safe_characters(mu, linking, budget, seed=seed)
+        assert [ch.describe() for ch in got] == [ch.describe() for ch in want]
+
+
+def test_sample_draws_large_pools_lazily(monkeypatch):
+    # at mu = 3 the pools past conductor 17 hold up to 4096 random tuples;
+    # a small budget draws only the few it looks at
+    calls = []
+    original = random.Random.randrange
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counting)
+    chars = sample_safe_characters(3, (0, 0, 0), 12, seed=5)
+    assert len(chars) == 12
+    large = [a for a in calls if a[1] - 1 > 16]
+    assert 0 < len(large) < 100
+    monkeypatch.setattr(random.Random, "randrange", original)
+    assert sample_safe_characters(3, (0, 0, 0), 12, seed=5) == chars
+
+
 def test_sample_every_output_safe():
     for seed in (0, 1, 2):
         for ch in sample_safe_characters(2, (2, -2), 4, seed=seed):
@@ -255,8 +335,11 @@ def test_sample_every_output_safe():
             assert ch.is_nonvanishing()
             assert concordance_root_status(ch).status == NOT_ROOT
     # a grid of (mu 1-3, linking, budget 1-40, seed): every output is safe,
-    # and the samples are pinned by the sha256 of their descriptions, taken
-    # while the sampler also filtered on non-vanishing and root status
+    # and the samples are pinned by the sha256 of their descriptions.  The
+    # mu <= 2 samples are those drawn while the sampler also filtered on
+    # non-vanishing and root status; the three mu = 3 cases changed when
+    # large pools began to draw lazily (the mu <= 2 ones did not, see
+    # test_sample_matches_eager_draws_up_to_mu_2)
     grid = random.Random(15)
     digest = hashlib.sha256()
     for _ in range(24):
@@ -270,5 +353,5 @@ def test_sample_every_output_safe():
             assert concordance_root_status(ch).status == NOT_ROOT
         digest.update((";".join(ch.describe() for ch in chars) + "\n").encode())
     assert digest.hexdigest() == (
-        "4d10d40655815689bec59dc0dee9e9267e6cb6c495d3735e36806fca61e3bfd2"
+        "027834f7d6cca462e79a903dd79d5f8a48a406fc5a81ed3dc2bde38f41beae60"
     )

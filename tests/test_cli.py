@@ -360,6 +360,31 @@ def test_compare_refuses_nonzero_linking(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "args, option, value",
+    [
+        (("compare", "--in", "whitehead.json", "--vs", "whitehead.json", "--budget", "0"),
+         "--budget", 0),
+        (("compare", "--in", "whitehead.json", "--vs", "whitehead.json", "--budget", "-2"),
+         "--budget", -2),
+        (("characters", "--sample", "0", "--mu", "1"), "--sample", 0),
+        (("characters", "--sample", "-1", "--mu", "2"), "--sample", -1),
+        (("conway", "--in", "l10n36_conway.json", "--cross-check", "whitehead.json",
+          "--trials", "0"), "--trials", 0),
+        (("conway", "--in", "l10n36_conway.json", "--cross-check", "whitehead.json",
+          "--trials", "-5"), "--trials", -5),
+    ],
+)
+def test_non_positive_counts_refused(args, option, value):
+    # a run over no characters would report agreement or an empty sample
+    message = f"{option} must be a positive integer, got {value}"
+    p = _run(*args)
+    assert (p.returncode, p.stdout, p.stderr) == (2, "", f"error: {message}\n")
+    p = _run(*args, "--format", "json")
+    assert p.returncode == 2
+    assert json.loads(p.stdout)["error"] == {"kind": "invalid input", "messages": [message]}
+
+
 def test_compare_check_order(tmp_path):
     # validation comes before the mu check, which comes before the linking check
     bad = _write(tmp_path, "bad.json", BROKEN_SYMMETRY)

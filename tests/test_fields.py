@@ -326,6 +326,46 @@ def test_mixed_conductors_rejected():
         CyclotomicNumber.zeta_pow(3, 1) + CyclotomicNumber.zeta_pow(4, 1)
 
 
+def _random_cyclotomic(rng, conductor):
+    """Zero, one, a root of unity, or a sum of a few roots with unequal
+    denominators."""
+    u = rng.random()
+    if u < 0.15:
+        return CyclotomicNumber.zero(conductor)
+    if u < 0.25:
+        return CyclotomicNumber.one(conductor) * rng.choice([1, -1])
+    if u < 0.35:
+        return CyclotomicNumber.zeta_pow(conductor, rng.randrange(conductor))
+    x = CyclotomicNumber.zero(conductor)
+    for _ in range(rng.randint(1, 4)):
+        c = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9, 35]))
+        x = x + CyclotomicNumber.zeta_pow(conductor, rng.randrange(conductor)) * c
+    return x
+
+
+def test_sub_mul_matches_separate_operations(rng):
+    """x.sub_mul(f, y) stores what x - f * y stores, operand by operand."""
+    seen = set()
+    for _ in range(600):
+        conductor = rng.choice([1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 25])
+        x, f, y = (_random_cyclotomic(rng, conductor) for _ in range(3))
+        got = x.sub_mul(f, y)
+        want = x - f * y
+        assert (got.conductor, got.num, got.den) == (want.conductor, want.num, want.den)
+        seen.update(
+            name for name, v in (("x", x), ("f", f), ("y", y))
+            if v.is_zero() or v == 1 or v == -1
+        )
+        seen.add("dens" if len({x.den, f.den, y.den}) > 1 else "same den")
+    assert seen == {"x", "f", "y", "dens", "same den"}
+    z = CyclotomicNumber.zeta_pow(5, 1)
+    assert z.sub_mul(z, CyclotomicNumber.zero(5)) is z
+    with pytest.raises(UsageError):
+        z.sub_mul(z, CyclotomicNumber.zeta_pow(4, 1))
+    with pytest.raises(UsageError):
+        z.sub_mul(CyclotomicNumber.zeta_pow(4, 1), z)
+
+
 def test_cyclotomic_render():
     assert Cyclotomic(2).from_int(4).render() == "4"
     assert CyclotomicNumber.zeta_pow(5, 1).render() == "z"

@@ -740,3 +740,89 @@ def test_hermitian_inertia_zero_diagonal_against_eigenvalues(rng):
         counts = hermitian_inertia(Matrix(ctx, h))
         assert counts == (*want, n - sum(want))
 
+
+
+def old_hermitian_inertia(m):
+    """The former factorization, with a separate product and difference
+    per update."""
+    n = m.rows
+    h = [list(row) for row in m.entries]
+    if m.cols != n or any(
+        h[j][i] != h[i][j].conjugate() for i in range(n) for j in range(i, n)
+    ):
+        return None
+
+    def at(i, j):
+        return h[i][j] if i <= j else h[j][i].conjugate()
+
+    rest = list(range(n))
+    n_plus = n_minus = 0
+    while rest:
+        k = next((i for i in rest if h[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i in rest for j in rest if i < j and h[i][j]), (None, None))
+            if k is None:
+                break
+            c = h[k][j]
+            for a in rest:
+                if a != k:
+                    v = at(k, a) + c * at(j, a)
+                    if k < a:
+                        h[k][a] = v
+                    else:
+                        h[a][k] = v.conjugate()
+            h[k][k] = 2 * c * c.conjugate()
+        d = h[k][k]
+        rest.remove(k)
+        if d.sign() > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        inv = d.invert()
+        col = [at(k, i) for i in rest]
+        for p, i in enumerate(rest):
+            if not col[p]:
+                continue
+            f = col[p].conjugate() * inv
+            for q in range(p, len(rest)):
+                if col[q]:
+                    j = rest[q]
+                    h[i][j] = h[i][j] - f * col[q]
+    return (n_plus, n_minus, len(rest))
+
+
+def test_hermitian_inertia_matches_former_factorization(rng):
+    """Random exactly Hermitian matrices, some with an all-zero diagonal
+    (every pivot a Bunch-Kaufman step) and some rank-deficient."""
+    zero_diagonal = deficient = 0
+    for trial in range(150):
+        ctx = Cyclotomic(rng.choice([3, 4, 5, 8, 9, 12, 16]))
+        n = rng.randint(1, 6)
+
+        def entry():
+            if rng.random() < 0.3:
+                return ctx.zero
+            c = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5]))
+            return ctx.zeta(rng.randrange(ctx.conductor)) * c + rng.randint(-1, 1)
+
+        h = [[ctx.zero] * n for _ in range(n)]
+        for i in range(n):
+            if trial % 3:
+                x = entry()
+                h[i][i] = x + x.conjugate()
+            for j in range(i + 1, n):
+                h[i][j] = entry()
+                h[j][i] = h[i][j].conjugate()
+        if n >= 2 and trial % 4 == 0:
+            # the last row and column repeat the first: rank below n
+            for j in range(n):
+                h[n - 1][j] = h[0][j]
+            for i in range(n):
+                h[i][n - 1] = h[i][0]
+            deficient += 1
+        m = Matrix(ctx, h)
+        want = old_hermitian_inertia(m)
+        assert want is not None
+        assert hermitian_inertia(m) == want
+        zero_diagonal += n >= 2 and not any(h[i][i] for i in range(n))
+    assert zero_diagonal >= 20 and deficient >= 20

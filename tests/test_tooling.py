@@ -4,6 +4,7 @@ which imports no numpy."""
 import ast
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -43,6 +44,19 @@ def test_obstruction_sweep_runs_without_test_dependencies():
         "double stabilization: no obstruction found",
         "corrupted kappa: OBSTRUCTED at zeta:2:1",
     ]
+
+
+@pytest.mark.parametrize("budget", ["0", "-4"])
+def test_obstruction_sweep_refuses_non_positive_budget(budget):
+    env = dict(os.environ, PYTHONPATH="src")
+    p = subprocess.run(
+        [sys.executable, "scripts/obstruction_sweep.py", "--budget", budget],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr.endswith(
+        f"obstruction_sweep.py: error: --budget must be a positive integer, got {budget}\n"
+    )
 
 
 def test_whitehead_demo_runs_without_test_dependencies():
@@ -180,6 +194,22 @@ def test_benchmark_value_stats_reads_mixed_laurent_coefficients(monkeypatch):
     assert workloads.value_stats([x]) == (5, 10)
     assert workloads.value_stats([x, y, 1j]) == (5, 12)
     assert workloads.value_stats([y]) == (2, 12)
+
+
+def test_compare_seed_0_digest_matches_the_record(monkeypatch, tmp_path):
+    # the benchmark's compare query set at seed 0, replayed in-process: every
+    # rendered slope must hash to the digest slopebench/digests.json records
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "slopebench"))
+    workloads = _load_bench_module("workloads")
+    worker = _load_bench_module("worker")
+    wl = workloads.Compare()
+    wl.setup(random.Random(0), 12, str(tmp_path))
+    queries = list(wl.iter_queries())
+    results = [wl.run(q) for q in queries]
+    failed, notes, digest = worker.check_all(wl, queries, results, wl.expected)
+    assert (len(queries), failed, notes) == (280, 0, [])
+    assert digest == worker.recorded_digest("compare", 0, 12)
 
 
 def _numpy_imports(tree):
