@@ -191,6 +191,15 @@ def evaluate_at_torsion(p, omega):
     return CyclotomicNumber._from_ints(n, _reduce_mod_phi(coeffs, n), den)
 
 
+def _signed_thetas(presentation):
+    """(sign, neg, theta) per sign vector eps of a presentation: neg lists
+    the coordinates i with eps_i = -1 and sign = prod_i eps_i, so that
+    A(s) is the sum of sign * (prod over i in neg of s_i) * theta."""
+    for eps, theta in presentation.theta.items():
+        neg = [i for i, e in enumerate(eps) if e < 0]
+        yield -1 if len(neg) & 1 else 1, neg, theta
+
+
 def operator_at_torsion(presentation, omega, conductor):
     """The rows of E(omega) in Q(zeta_N), N = ``conductor``, on integers.
 
@@ -232,12 +241,11 @@ def operator_at_torsion(presentation, omega, conductor):
                 scale[(p + shift) % conductor] -= j * c
         den *= d
     parts = []
-    for eps, theta in presentation.theta.items():
-        e, sign = 0, 1
-        for x, a in zip(eps, inverse):
-            if x == -1:
-                e, sign = e + a, -sign
+    for sign, neg, theta in _signed_thetas(presentation):
         # zeta_N^e times the scale: a rotation of the cyclic vector
+        e = 0
+        for i in neg:
+            e += inverse[i]
         e %= conductor
         vec = _reduce_mod_phi(scale[-e:] + scale[:-e] if e else scale, conductor)
         parts.append((theta, vec if sign > 0 else [-v for v in vec]))

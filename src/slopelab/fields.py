@@ -88,11 +88,16 @@ class RatFunc:
         self.den = den
 
     @classmethod
-    def from_poly(cls, p):
+    def _make(cls, num, den):
+        """Wrap a pair already in the canonical reduced form."""
         out = cls.__new__(cls)
-        out.num = p
-        out.den = LaurentPoly.one(p.num_vars)
+        out.num = num
+        out.den = den
         return out
+
+    @classmethod
+    def from_poly(cls, p):
+        return cls._make(p, LaurentPoly.one(p.num_vars))
 
     @classmethod
     def const(cls, num_vars, c):
@@ -106,7 +111,9 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return self.den == LaurentPoly.one(self.num_vars)
+        # the canonical denominator's lex-leading term is the constant 1,
+        # so it is 1 exactly when that is its only term
+        return len(self.den.terms) == 1
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -131,10 +138,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RatFunc._make(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -3,9 +3,13 @@
 There are two eliminations.  Over the rational function field, forward
 and backward elimination run fraction-free on cleared numerators
 (one-step Bareiss style divisions, always exact) so the intermediate
-polynomials stay small.  Q(zeta_N) and the approximate complex numbers
-share one Gauss-Jordan loop with two pivot rules; callers mark
-approximate results through ``ctx.is_exact``.
+polynomials stay small.  Each input row is cleared once, by the lcm L of
+its distinct denominators: the first one normalized (``normalize_poly``,
+no gcd), each further one folded in by ``poly_lcm``.  The cofactor L/d is
+divided out once per distinct d and applied as a shift when it is one
+term; a row of polynomials is used as it is.  Q(zeta_N) and the
+approximate complex numbers share one Gauss-Jordan loop with two pivot
+rules; callers mark approximate results through ``ctx.is_exact``.
 
 Each fraction-free step multiplies every other row by the new pivot p_k and
 divides exactly by the previous pivot, so once all pivots are taken every
@@ -143,16 +147,36 @@ def _echelon_division(rows, ncols, ctx):
     return _Echelon(work, pivots)
 
 
+def _times(p, q):
+    """p * q, as a shift when q is one term."""
+    if len(q.terms) != 1:
+        return p * q
+    (e, c), = q.terms.items()
+    p = p.shift(e)
+    return p if c == 1 else p * c
+
+
+def _cleared(row):
+    """The numerators of a row times the lcm of its denominators."""
+    dens = []
+    for x in row:
+        if not x.is_polynomial() and x.den not in dens:
+            dens.append(x.den)
+    if not dens:
+        return [x.num for x in row]
+    lcm = normalize_poly(dens[0])
+    for d in dens[1:]:
+        lcm = poly_lcm(lcm, d)
+    cofactors = [exact_div(lcm, d) for d in dens]
+    return [
+        _times(x.num, lcm if x.is_polynomial() else cofactors[dens.index(x.den)])
+        for x in row
+    ]
+
+
 def _echelon_fraction_free(rows, ncols, ctx):
-    one = LaurentPoly.one(ctx.num_vars)
-    poly_rows = []
-    for row in rows:
-        den = one
-        for x in row:
-            if not x.is_polynomial():
-                den = poly_lcm(den, x.den)
-        poly_rows.append([x.num * exact_div(den, x.den) for x in row])
-    prev = one
+    poly_rows = [_cleared(row) for row in rows]
+    prev = LaurentPoly.one(ctx.num_vars)
     pivots = []
     pivot_polys = []
     r = 0

@@ -197,19 +197,22 @@ def validate(presentation, check_transpose=True):
 # -- operators ------------------------------------------------------------------
 
 
+def _check_length(presentation, omega):
+    if omega.mu != presentation.mu:
+        raise UsageError("character length does not match the presentation")
+
+
 def _assemble_A(presentation, scalars, ctx):
     """sum over eps of (prod_i eps_i s_i^((1-eps_i)/2)) theta^eps at s = scalars."""
+    from .characters import _signed_thetas
     from .linalg import Matrix
 
     n = presentation.n
     rows = [[ctx.zero] * n for _ in range(n)]
-    for eps, theta in presentation.theta.items():
-        sign = 1
+    for sign, neg, theta in _signed_thetas(presentation):
         factor = ctx.one
-        for e, s in zip(eps, scalars):
-            if e == -1:
-                sign = -sign
-                factor = factor * s
+        for i in neg:
+            factor = factor * scalars[i]
         for i in range(n):
             for j in range(n):
                 c = theta[i][j]
@@ -222,6 +225,7 @@ def build_A(presentation, omega, ctx):
     """The matrix A(omega) in the given field context."""
     from .characters import embed_character
 
+    _check_length(presentation, omega)
     scalars = embed_character(omega, ctx)
     return _assemble_A(presentation, scalars, ctx)
 
@@ -229,8 +233,10 @@ def build_A(presentation, omega, ctx):
 def build_E(presentation, omega, ctx):
     """The operator E(omega) = A(omega^-1) / prod_i (1 - omega_i^-1).
 
-    Requires every coordinate of omega to differ from 1 (the patching
-    extension for vanishing coordinates is not supported).
+    Refuses a character whose length is not mu, then (as the field
+    embedding does) a context the character does not embed in.  Requires
+    every coordinate of omega to differ from 1 (the patching extension for
+    vanishing coordinates is not supported).
 
     At a torsion character in Q(zeta_N) no field operation is needed
     (``characters.operator_at_torsion``).  Each x = omega_i^-1 is a root of
@@ -245,17 +251,46 @@ def build_E(presentation, omega, ctx):
     because x^d = 1 and sum_{j<d} x^j = (x^d - 1) / (x - 1) = 0 for x != 1.
     Every x is a power of zeta_N, so the scale and every entry of
     A(omega^-1) are integer combinations of powers of zeta_N over the
-    integer prod_i d_i, with no inversion.  The rational function field
-    and ApproxComplex assemble E with field operations.
+    integer prod_i d_i, with no inversion.
+
+    At the symbolic character in the rational function field each entry
+    is written directly in ``RatFunc``'s canonical reduced form, with no
+    gcd, product or inversion of rational functions.  Let f_i = 1 - w_i^-1,
+    P = prod_i f_i, and x = A_rc(w^-1), whose exponents lie in {0, -1}^mu.
+
+    * f_i divides x iff x vanishes identically at w_i = 1.  Write
+      x = x_0 + x_1 w_i^-1 with x_0, x_1 free of w_i.  Since
+      f_i = w_i^-1 (w_i - 1) and w_i - 1 is monic in w_i, the factor
+      theorem over the ring of the other variables says f_i | x iff
+      x(w_i = 1) = x_0 + x_1 = 0, and then x = x_0 f_i: the quotient is
+      x_0, whose exponents again lie in {0, -1}^mu.
+    * The f_i are linear in distinct variables, hence irreducible and
+      pairwise non-associate, so P is squarefree and gcd(x, P) is the
+      product of the f_i over the set S of i with f_i | x.  For j != i,
+      f_j | x = x_0 f_i iff f_j | x_0, so testing the quotients one
+      variable after another finds the same S.
+    * x / P = q / D with q = x / prod_{i in S} f_i and
+      D = prod_{i not in S} f_i.  An irreducible common factor of q and D
+      would be some f_j with j not in S dividing x, so q / D is reduced.
+      The lex-leading term of each f_i is the constant 1 (the exponent 0
+      beats -1), and the leading term of a product is the product of the
+      leading terms, so D's lex-leading term is the constant 1: q / D is
+      already the canonical form ``RatFunc(x, P)`` would compute.
+
+    ApproxComplex assembles E with field operations.
     """
-    from .characters import ROOT_OF_UNITY, embed_character, operator_at_torsion
+    from .characters import ROOT_OF_UNITY, SYMBOLIC, embed_character, operator_at_torsion
     from .fields import Cyclotomic
     from .linalg import Matrix
 
+    _check_length(presentation, omega)
     if omega.kind == ROOT_OF_UNITY and isinstance(ctx, Cyclotomic):
         rows = operator_at_torsion(presentation, omega, ctx.conductor)
         return Matrix(ctx, rows, cols=presentation.n)
+    # also refuses a context the character does not embed in
     scalars = embed_character(omega, ctx)
+    if omega.kind == SYMBOLIC:
+        return Matrix(ctx, _operator_symbolic(presentation), cols=presentation.n)
     inverted = []
     for s in scalars:
         if ctx.is_zero(s):
@@ -271,6 +306,50 @@ def build_E(presentation, omega, ctx):
         pi = pi * factor
     scale = ctx.invert(pi)
     return _assemble_A(presentation, inverted, ctx).map(lambda x: scale * x)
+
+
+def _operator_symbolic(presentation):
+    """The rows of E(w) over the rational function field in mu variables,
+    each entry q / D in reduced form (the proof is in ``build_E``)."""
+    from .characters import _signed_thetas
+    from .fields import RatFunc
+    from .laurent import LaurentPoly
+
+    mu = presentation.mu
+    parts = [
+        (tuple(-1 if i in neg else 0 for i in range(mu)), sign, theta)
+        for sign, neg, theta in _signed_thetas(presentation)
+    ]
+    one = LaurentPoly.one(mu)
+    zero = RatFunc.const(mu, 0)
+    factors = [one - LaurentPoly.var(mu, i).subst_inverse() for i in range(mu)]
+    dens = {}  # D for each tuple of the i not in S
+    rows = []
+    for r in range(presentation.n):
+        row = []
+        for c in range(presentation.n):
+            # distinct sign vectors have distinct exponent vectors
+            terms = {e: sign * theta[r][c] for e, sign, theta in parts if theta[r][c]}
+            if not terms:
+                row.append(zero)
+                continue
+            rest = []
+            for i in range(mu):
+                # x_1 = -x_0: the term at e with e_i flipped cancels the one at e
+                if all(terms.get(e[:i] + (-1 - e[i],) + e[i + 1:], 0) == -v
+                       for e, v in terms.items()):
+                    terms = {e: v for e, v in terms.items() if not e[i]}
+                else:
+                    rest.append(i)
+            rest = tuple(rest)
+            if rest not in dens:
+                den = one
+                for i in rest:
+                    den = den * factors[i]
+                dens[rest] = den
+            row.append(RatFunc._make(LaurentPoly._make(mu, terms), dens[rest]))
+        rows.append(row)
+    return rows
 
 
 # -- transforms -------------------------------------------------------------------

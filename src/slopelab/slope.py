@@ -273,10 +273,13 @@ def certify_zero_slope(presentation):
     vanish on the torus, so no pivot p_1, ..., p_r vanishes at omega.
 
     * Each row of [E | kappa] is cleared by the lcm of its entries'
-      denominators.  E = A(w^-1) / prod_i (1 - w_i^-1), so these divide
-      prod_i (1 - w_i^-1) up to a unit and are nonzero at omega.  The
-      cleared rows at omega are nonzero multiples of the rows of
-      [E(omega) | kappa] and have the same reduced row echelon form.
+      denominators.  ``build_E`` writes entry (r, c) over the product of
+      the f_i = 1 - w_i^-1 that do not divide A_rc(w^-1), and kappa is
+      integral, so row r is cleared by the product of (w_i - 1) over the
+      i whose f_i fails to divide some entry of the row; it is nonzero at
+      omega because no omega_i is 1.  The cleared rows at omega are
+      nonzero multiples of the rows of [E(omega) | kappa] and have the
+      same reduced row echelon form.
     * After step k the fraction-free rows are p_k times the Gauss-Jordan
       rows with the same pivots (one-step Bareiss).  Evaluation at omega is
       a ring homomorphism, so this identity holds at omega too.

@@ -73,6 +73,27 @@ def test_canonical_denominator_normalization():
     assert f * RatFunc.from_poly(one - w) == RatFunc.from_poly(one)
 
 
+def test_is_polynomial_reads_the_stored_denominator(rng):
+    """True exactly for a denominator of 1, also when it is stored as
+    ``Fraction(1, 1)`` (what a product of polynomials can leave)."""
+    ctx = RationalFunctionField(2)
+    w1, w2 = ctx.variables()
+    assert ctx.zero.is_polynomial() and ctx.one.is_polynomial()
+    assert (w1 * w2 - 3).is_polynomial() and (w1 / w2).is_polynomial()
+    assert not (w1 / (w2 + 1)).is_polynomial()
+    one_as_fraction = LaurentPoly.const(2, Fraction(1, 2)) * LaurentPoly.const(2, 2)
+    assert [type(c) for c in one_as_fraction.terms.values()] == [Fraction]
+    assert one_as_fraction == LaurentPoly.one(2)
+    f = RatFunc._make(w1.num, one_as_fraction)
+    assert f.is_polynomial()
+    assert f + w2 == w1 + w2 and f * w2 == w1 * w2
+    for _ in range(50):
+        a = random_laurent(rng, 2, max_terms=3)
+        b = random_nonzero_laurent(rng, 2, max_terms=3)
+        x = RatFunc(a, b)
+        assert x.is_polynomial() == (x.den == LaurentPoly.one(2))
+
+
 def test_ratfunc_field_ops():
     ctx = RationalFunctionField(2)
     w1, w2 = ctx.variables()

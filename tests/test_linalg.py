@@ -292,31 +292,10 @@ def reference_fraction_free_solve(m, b):
     reference for the path that keeps the numerators over det.  Returns
     (status, particular, kernel_basis, pivot_polys)."""
     ctx = m.ctx
-    one = LaurentPoly.one(ctx.num_vars)
-    poly_rows = []
-    for row in [list(r) + [bi] for r, bi in zip(m.entries, b)]:
-        den = one
-        for x in row:
-            if not x.is_polynomial():
-                den = poly_lcm(den, x.den)
-        poly_rows.append([x.num * exact_div(den, x.den) for x in row])
-    prev = one
-    pivots, pivot_polys = [], []
-    for c in range(m.cols + 1):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(poly_rows)) if not poly_rows[i][c].is_zero()), None)
-        if sel is None:
-            continue
-        poly_rows[r], poly_rows[sel] = poly_rows[sel], poly_rows[r]
-        p = poly_rows[r][c]
-        for i in range(len(poly_rows)):
-            if i != r:
-                f = poly_rows[i][c]
-                poly_rows[i] = [exact_div(p * x - f * y, prev) for x, y in zip(poly_rows[i], poly_rows[r])]
-        prev = p
-        pivots.append(c)
-        pivot_polys.append(p)
-    rref = [[RatFunc(x, prev) for x in row] for row in poly_rows[: len(pivots)]]
+    aug = [list(r) + [bi] for r, bi in zip(m.entries, b)]
+    poly_rows, pivots, pivot_polys = old_echelon_fraction_free(aug, m.cols + 1, ctx)
+    det = pivot_polys[-1] if pivot_polys else LaurentPoly.one(ctx.num_vars)
+    rref = [[RatFunc(x, det) for x in row] for row in poly_rows[: len(pivots)]]
     pivot_cols = [c for c in pivots if c < m.cols]
     kernel = []
     for f in range(m.cols):
@@ -328,12 +307,12 @@ def reference_fraction_free_solve(m, b):
             v[c] = -rref[r][f]
         kernel.append(tuple(v))
     if m.cols in pivots:
-        return INCONSISTENT, None, tuple(kernel), tuple(pivot_polys)
+        return INCONSISTENT, None, tuple(kernel), pivot_polys
     particular = [ctx.zero] * m.cols
     for r, c in enumerate(pivots):
         particular[c] = rref[r][m.cols]
     status = UNDERDETERMINED if kernel else UNIQUE
-    return status, tuple(particular), tuple(kernel), tuple(pivot_polys)
+    return status, tuple(particular), tuple(kernel), pivot_polys
 
 
 def random_ratfunc(rng, num_vars):
@@ -369,6 +348,80 @@ def test_fraction_free_solve_matches_reduced_reference(rng):
     assert {s for s, _ in seen} == {UNIQUE, UNDERDETERMINED, INCONSISTENT}
     assert {square for _, square in seen} == {True, False}
 
+
+def old_echelon_fraction_free(rows, ncols, ctx):
+    """The former fraction-free elimination, whose rows were cleared by a
+    ``poly_lcm`` and an ``exact_div`` per non-polynomial entry.  Returns
+    (poly_rows, pivots, pivot_polys)."""
+    one = LaurentPoly.one(ctx.num_vars)
+    poly_rows = []
+    for row in rows:
+        den = one
+        for x in row:
+            if not x.is_polynomial():
+                den = poly_lcm(den, x.den)
+        poly_rows.append([x.num * exact_div(den, x.den) for x in row])
+    prev = one
+    pivots, pivot_polys = [], []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(poly_rows)) if not poly_rows[i][c].is_zero()), None)
+        if sel is None:
+            continue
+        poly_rows[r], poly_rows[sel] = poly_rows[sel], poly_rows[r]
+        p = poly_rows[r][c]
+        for i in range(len(poly_rows)):
+            if i != r:
+                f = poly_rows[i][c]
+                poly_rows[i] = [exact_div(p * x - f * y, prev) for x, y in zip(poly_rows[i], poly_rows[r])]
+        prev = p
+        pivots.append(c)
+        pivot_polys.append(p)
+    return poly_rows, pivots, tuple(pivot_polys)
+
+
+def test_rows_cleared_once_match_per_entry_lcm_clearing(rng):
+    """Clearing each row once, over its distinct denominators, gives the
+    same polynomial rows and pivots as the per-entry lcm: rows with equal,
+    mixed and polynomial denominators, and [E | kappa] of symbolic E."""
+    rf = RationalFunctionField(2)
+    cases = []
+    for trial in range(90):
+        shape = [(2, 2), (3, 3), (2, 4), (3, 2), (1, 3), (4, 4)][trial % 6]
+        kind = ("equal", "mixed", "polynomial")[trial % 3]
+        pool = [random_nonzero_laurent(rng, 2, max_terms=2, exp_range=1, coeff_range=2)
+                for _ in range(2)]
+        rows = []
+        for _ in range(shape[0]):
+            row = []
+            for _ in range(shape[1]):
+                num = random_laurent(rng, 2, max_terms=2, exp_range=1, coeff_range=2)
+                if kind == "polynomial" or (kind == "mixed" and rng.random() < 0.3):
+                    row.append(RatFunc.from_poly(num))
+                elif kind == "equal":
+                    row.append(RatFunc(num, pool[0]))
+                else:
+                    row.append(RatFunc(num, rng.choice(pool)) if rng.random() < 0.5
+                               else random_ratfunc(rng, 2))
+            rows.append(row)
+        cases.append((rf, rows, shape[1]))
+    for mu in (1, 2):
+        ctx = RationalFunctionField(mu)
+        for n in (2, 3, 4):
+            p = random_presentation(rng, mu=mu, n=n, bound=1 + n % 2)
+            e = build_E(p, Character.symbolic(mu), ctx)
+            rows = [list(row) + [ctx.from_int(k)] for row, k in zip(e.entries, p.kappa)]
+            cases.append((ctx, rows, n + 1))
+    kinds = set()
+    for ctx, rows, ncols in cases:
+        want = old_echelon_fraction_free(rows, ncols, ctx)
+        got = _echelon(rows, ncols, ctx)
+        assert (got.poly_rows, got.pivots, got.pivot_polys) == want
+        for row in rows:
+            dens = {x.den for x in row}
+            kinds.add("polynomial" if dens == {LaurentPoly.one(ctx.num_vars)} else
+                      "equal" if len(dens) == 1 else "mixed")
+    assert kinds == {"polynomial", "equal", "mixed"}
 
 
 # -- Gauss-Jordan elimination against the two routines it replaced ------------------

@@ -282,8 +282,10 @@ def test_build_E_rejects_vanishing_coordinate(whitehead):
 
 
 def old_build_E_field_ops(presentation, omega, ctx):
-    """The former torsion assembly: field multiplications, a Galois-norm
-    inversion of prod_i (1 - omega_i^-1), and one product per entry."""
+    """The former assembly at torsion and symbolic characters: field
+    multiplications, one inversion of prod_i (1 - omega_i^-1) (a Galois
+    norm in Q(zeta_N), a gcd reduction over the rational function field),
+    and one reduced product per entry."""
     from slopelab.characters import embed_character
 
     scalars = embed_character(omega, ctx)
@@ -363,6 +365,85 @@ def test_build_E_at_torsion_matches_field_op_assembly(rng):
         old_build_E_field_ops, p, omega, Cyclotomic(7)
     )
     assert _outcome(build_E, p, omega, Cyclotomic(7))[0].__name__ == "ContextMismatchError"
+
+
+def _presentation_free_of(rng, mu, n, free, bound=2):
+    """theta^eps independent of eps_i for every i in ``free``, so that
+    1 - w_i^-1 divides every entry of A(w^-1).  The last coordinate may be
+    free only together with all the others: every theta is then one
+    symmetric matrix and E is A(w^-1) / prod_i (1 - w_i^-1) with constant A."""
+    if mu - 1 in free:
+        sym = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                sym[i][j] = sym[j][i] = rng.randint(-bound, bound)
+        theta = {sign_string(eps): sym for eps in all_sign_vectors(mu)}
+        return CComplexPresentation.build(mu, n, theta, [0] * n)
+    base, theta = {}, {}
+    for eps in all_sign_vectors(mu):
+        if eps[-1] != 1:
+            continue
+        key = tuple(1 if i in free else e for i, e in enumerate(eps))
+        if key not in base:
+            base[key] = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        theta[sign_string(eps)] = base[key]
+    return CComplexPresentation.build(mu, n, theta, [rng.randint(-2, 2) for _ in range(n)])
+
+
+def test_build_E_symbolic_matches_field_op_assembly(rng):
+    """In the rational function field the closed form stores the same
+    numerator and denominator terms as the field-op assembly: mu 1-3, n 0-5,
+    stabilized presentations (zero rows), kappa-zero data, and entries that
+    vanish at no, some or every w_i = 1."""
+    cases = []
+    for mu in (1, 2, 3):
+        for n in range(6):
+            for trial in range(4):
+                p = random_presentation(rng, mu=mu, n=n, bound=1 + trial % 2,
+                                        kappa_zero=trial == 2)
+                cases.append(stabilize(p) if trial == 3 and n < 5 else p)
+            cases.append(_presentation_free_of(rng, mu, n, {0} if mu > 1 else set()))
+            cases.append(_presentation_free_of(rng, mu, n, set(range(mu))))
+            if mu == 3:
+                cases.append(_presentation_free_of(rng, mu, n, {0, 1}))
+    kinds = set()
+    for p in cases:
+        ctx = RationalFunctionField(p.mu)
+        want = old_build_E_field_ops(p, Character.symbolic(p.mu), ctx)
+        got = build_E(p, Character.symbolic(p.mu), ctx)
+        assert (got.rows, got.cols, got.ctx) == (p.n, p.n, ctx)
+        assert [[(x.num.terms, x.den.terms) for x in row] for row in got.entries] == [
+            [(x.num.terms, x.den.terms) for x in row] for row in want
+        ]
+        for x in (x for row in want for x in row):
+            # the denominator is the product of the 2^k terms of k factors
+            k = len(x.den.terms).bit_length() - 1
+            kinds.add("zero" if x.is_zero() else
+                      "none" if k == p.mu else "all" if k == 0 else "some")
+    assert kinds == {"zero", "none", "some", "all"}
+    # a context of the wrong size is refused as before
+    p = random_presentation(rng, mu=2, n=2)
+    args = (p, Character.symbolic(2), RationalFunctionField(3))
+    assert _outcome(build_E, *args) == _outcome(old_build_E_field_ops, *args)
+    assert _outcome(build_E, *args)[0].__name__ == "ContextMismatchError"
+
+
+@pytest.mark.parametrize("build", [build_A, build_E])
+def test_character_length_must_match_the_presentation(rng, build):
+    """A character with fewer or more coordinates than mu is refused first,
+    before a context mismatch or a vanishing coordinate, in every field."""
+    p = random_presentation(rng, mu=2, n=2)
+    for k in (1, 3):
+        for omega, ctx in (
+            (Character.root_of_unity(5, (1,) * k), Cyclotomic(5)),
+            (Character.root_of_unity(5, (0,) * k), Cyclotomic(7)),
+            (Character.symbolic(k), RationalFunctionField(k)),
+            (Character.symbolic(k), RationalFunctionField(2)),
+            (Character.numeric([0.6 + 0.8j] * k), ApproxComplex()),
+        ):
+            with pytest.raises(UsageError) as info:
+                build(p, omega, ctx)
+            assert str(info.value) == "character length does not match the presentation"
 
 
 def test_inverse_closed_form_for_every_root_up_to_64():

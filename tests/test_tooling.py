@@ -196,20 +196,34 @@ def test_benchmark_value_stats_reads_mixed_laurent_coefficients(monkeypatch):
     assert workloads.value_stats([y]) == (2, 12)
 
 
-def test_compare_seed_0_digest_matches_the_record(monkeypatch, tmp_path):
-    # the benchmark's compare query set at seed 0, replayed in-process: every
-    # rendered slope must hash to the digest slopebench/digests.json records
+def _replay_seed_0(monkeypatch, tmp_path, name):
+    """The benchmark's query set of one workload at seed 0, replayed
+    in-process: (query count, failed, notes, digest, recorded digest)."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.syspath_prepend(os.path.join(ROOT, "slopebench"))
     workloads = _load_bench_module("workloads")
     worker = _load_bench_module("worker")
-    wl = workloads.Compare()
+    wl = getattr(workloads, name.capitalize())()
     wl.setup(random.Random(0), 12, str(tmp_path))
     queries = list(wl.iter_queries())
     results = [wl.run(q) for q in queries]
     failed, notes, digest = worker.check_all(wl, queries, results, wl.expected)
-    assert (len(queries), failed, notes) == (280, 0, [])
-    assert digest == worker.recorded_digest("compare", 0, 12)
+    return len(queries), failed, notes, digest, worker.recorded_digest(name, 0, 12)
+
+
+def test_compare_seed_0_digest_matches_the_record(monkeypatch, tmp_path):
+    # every rendered slope must hash to the digest slopebench/digests.json records
+    count, failed, notes, digest, recorded = _replay_seed_0(monkeypatch, tmp_path, "compare")
+    assert (count, failed, notes) == (280, 0, [])
+    assert digest == recorded
+
+
+@pytest.mark.parametrize("name, count", [("symbolic", 120), ("certify", 100)])
+def test_symbolic_path_seed_0_digest_matches_the_record(monkeypatch, tmp_path, name, count):
+    # the two workloads that build E and clear rows in the rational function field
+    got = _replay_seed_0(monkeypatch, tmp_path, name)
+    assert got[:3] == (count, 0, [])
+    assert got[3] == got[4]
 
 
 def _numpy_imports(tree):
