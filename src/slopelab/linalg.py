@@ -14,14 +14,16 @@ rules; callers mark approximate results through ``ctx.is_exact``.
 Each fraction-free step multiplies every other row by the new pivot p_k and
 divides exactly by the previous pivot, so once all pivots are taken every
 pivot row is det * (its row of the reduced row echelon form), det being the
-last pivot.  The pivot columns are therefore det times the identity: they
-are read back as one and zero without any gcd.  Only the entries callers
-see as fractions are reduced to ``RatFunc``: the free columns (the kernel
-basis) and the right-hand side (the particular solution).  The unreduced
-numerators of the particular solution travel with it in
-``SolveResult.particular_numerators`` (over det, the last of
-``pivot_polys``), so a caller that combines its entries linearly can reduce
-once instead of once per entry.
+last pivot.  The elimination stops there and returns those polynomial rows
+with the pivots, so it makes no gcd call; a caller that evaluates the rows
+at a point (``slope``'s per-presentation records) never reduces them.
+``solve`` reduces only the entries callers see as fractions to ``RatFunc``:
+the free columns (the kernel basis) and the right-hand side (the particular
+solution).  The pivot columns are det times the identity and are read back
+as one and zero.  The unreduced numerators of the particular solution
+travel with it in ``SolveResult.particular_numerators`` (over det, the last
+of ``pivot_polys``), so a caller that combines its entries linearly can
+reduce once instead of once per entry.
 """
 
 from __future__ import annotations
@@ -92,11 +94,12 @@ class SolveResult(Record):
 
 
 class _Echelon(Record):
-    rows: list
+    # the reduced row echelon form; None on the fraction-free path
+    rows: list | None
     pivots: list
     pivot_polys: tuple = ()
-    # fraction-free path only: the eliminated rows as polynomials, with
-    # poly_rows[r] == pivot_polys[-1] * rows[r]
+    # fraction-free path only: the eliminated rows as polynomials, each
+    # pivot row pivot_polys[-1] times its row of the reduced form
     poly_rows: list | None = None
 
 
@@ -204,19 +207,9 @@ def _echelon_fraction_free(rows, ncols, ctx):
         pivots.append(c)
         pivot_polys.append(p)
         r += 1
-    # after full fraction-free elimination the pivot rows equal prev * RREF
-    det = prev
-    pivot_set = set(pivots)
-    out = []
-    for i, row in enumerate(poly_rows):
-        if i < len(pivots):
-            reduced = [ctx.zero if c in pivot_set else RatFunc(x, det) for c, x in enumerate(row)]
-            reduced[pivots[i]] = ctx.one
-            out.append(reduced)
-        else:
-            assert all(x.is_zero() for x in row), "nonzero row below the pivot rows"
-            out.append([ctx.zero] * ncols)
-    return _Echelon(out, pivots, pivot_polys=tuple(pivot_polys), poly_rows=poly_rows)
+    for row in poly_rows[r:]:
+        assert all(x.is_zero() for x in row), "nonzero row below the pivot rows"
+    return _Echelon(None, pivots, pivot_polys=tuple(pivot_polys), poly_rows=poly_rows)
 
 
 def rank(m):
@@ -225,8 +218,8 @@ def rank(m):
     return len(ech.pivots)
 
 
-def _kernel_from_echelon(ech, ncols, ctx):
-    pivot_cols = [c for c in ech.pivots if c < ncols]
+def _kernel_from_echelon(rows, pivots, ncols, ctx):
+    pivot_cols = [c for c in pivots if c < ncols]
     pivot_set = set(pivot_cols)
     basis = []
     for f in range(ncols):
@@ -235,30 +228,46 @@ def _kernel_from_echelon(ech, ncols, ctx):
         v = [ctx.zero] * ncols
         v[f] = ctx.one
         for r, c in enumerate(pivot_cols):
-            v[c] = -ech.rows[r][f]
+            v[c] = -rows[r][f]
         basis.append(tuple(v))
     return tuple(basis)
 
 
-def solve(m, b):
+def _eliminate(m, b):
+    """The elimination (``_echelon``) of the augmented matrix [M | b]."""
+    aug = [list(row) + [bi] for row, bi in zip(m.entries, b)]
+    return _echelon(aug, m.cols + 1, m.ctx)
+
+
+def solve(m, b, echelon=None):
     """Solve M x = b, reporting a particular solution and a kernel basis.
 
     Inconsistency is a value (status), not an error.  The kernel basis is
     in reduced row echelon convention: each free variable set to 1 in turn.
+    Over the rational function field ``echelon`` may be the fraction-free
+    elimination of [M | b] (``_eliminate``), which is then reduced instead
+    of eliminating again.
     """
     if len(b) != m.rows:
         raise UsageError("right-hand side length does not match matrix rows")
-    aug = [list(row) + [bi] for row, bi in zip(m.entries, b)]
-    if m.rows == 0:
-        aug = []
-    ech = _echelon(aug, m.cols + 1, m.ctx)
+    ech = echelon or _eliminate(m, b)
+    rows = ech.rows
+    if ech.poly_rows is not None:
+        # only the free columns and the right-hand side are read, so only
+        # they are reduced
+        det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(m.ctx.num_vars)
+        pivot_set = set(ech.pivots)
+        rows = [
+            [None if c in pivot_set else RatFunc(x, det) for c, x in enumerate(row)]
+            for row in ech.poly_rows[: len(ech.pivots)]
+        ]
     inconsistent = m.cols in ech.pivots
-    kernel = _kernel_from_echelon(ech, m.cols, m.ctx)
+    kernel = _kernel_from_echelon(rows, ech.pivots, m.cols, m.ctx)
     if inconsistent:
         return SolveResult(INCONSISTENT, None, kernel, ech.pivot_polys)
     particular = [m.ctx.zero] * m.cols
     for r, c in enumerate(ech.pivots):
-        particular[c] = ech.rows[r][m.cols]
+        particular[c] = rows[r][m.cols]
     numerators = None
     if ech.poly_rows is not None:
         numerators = [LaurentPoly.zero(m.ctx.num_vars)] * m.cols

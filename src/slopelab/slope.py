@@ -30,11 +30,12 @@ from .errors import (
     UnsupportedHypothesisError,
     UsageError,
 )
-from .fields import ApproxComplex, RatFunc, RationalFunctionField
+from .fields import ApproxComplex, Cyclotomic, RatFunc, RationalFunctionField
 from .laurent import LaurentPoly
 from .linalg import (
     INCONSISTENT,
     _check_tol_sig,
+    _eliminate,
     certificate_polys,
     hermitian_inertia,
     hermitian_signature,
@@ -81,7 +82,15 @@ def _refuse_invalid(presentation, check_transpose=True):
         raise InvalidPresentationError(violations)
 
 
-def slope_from_operator(e_matrix, kappa_scalars):
+def _certificate(pivot_polys, num_vars):
+    """``valid_away_from``: the product of the distinct non-unit pivots."""
+    certificate = LaurentPoly.one(num_vars)
+    for p in certificate_polys(pivot_polys):
+        certificate = certificate * p
+    return certificate
+
+
+def slope_from_operator(e_matrix, kappa_scalars, echelon=None):
     """The trichotomy applied to an explicit operator matrix and class.
 
     The image is the column span of E, the kernel is the right kernel
@@ -101,11 +110,13 @@ def slope_from_operator(e_matrix, kappa_scalars):
     are the same rational function, and a ``RatFunc`` is stored in the
     canonical reduced form, so the value is structurally identical to the
     term-by-term sum.  The same context also returns ``valid_away_from``,
-    the product of the non-unit pivot polynomials.
+    the product of the non-unit pivot polynomials.  ``echelon``, in that
+    context only, is the fraction-free elimination of [E | kappa] when the
+    caller already has it (``solve`` reduces it instead of eliminating).
     """
     ctx = e_matrix.ctx
     kappa = list(kappa_scalars)
-    sol = solve(e_matrix, kappa)
+    sol = solve(e_matrix, kappa, echelon)
     in_image = sol.status != INCONSISTENT
     in_annihilator = True
     for v in sol.kernel_basis:
@@ -119,10 +130,7 @@ def slope_from_operator(e_matrix, kappa_scalars):
     approximate = not ctx.is_exact
     certificate = None
     if isinstance(ctx, RationalFunctionField):
-        polys = certificate_polys(sol.pivot_polys)
-        certificate = LaurentPoly.one(ctx.num_vars)
-        for p in polys:
-            certificate = certificate * p
+        certificate = _certificate(sol.pivot_polys, ctx.num_vars)
     if in_image and in_annihilator:
         alpha = sol.particular
         if sol.particular_numerators is not None:
@@ -141,12 +149,183 @@ def slope_from_operator(e_matrix, kappa_scalars):
     return SlopeValue(UNDEFINED, None, None, report, approximate, certificate)
 
 
+class _Elimination:
+    """The fraction-free elimination of [E(w) | kappa] for one presentation,
+    E(w) its symbolic operator, and the slope read off it at torsion
+    characters.
+
+    ``linalg._echelon_fraction_free`` clears each row of [E(w) | kappa] and
+    runs one-step Bareiss on it; the record keeps the pivot columns, the
+    pivots p_1, ..., p_r (det = p_r, or 1 when r = 0) and the final
+    polynomial rows R, with no gcd.  Write n for the number of columns of
+    E, I for the pivot columns below n, and num_c = R[row of c][n].  For a
+    free column f < n the pairing numerator is
+    P_f = kappa_f det - sum over c in I of kappa_c R[row of c][f], and the
+    value numerator is V = sum over c in I of kappa_c num_c.
+
+    Specialization, at a torsion character omega with no coordinate 1
+    where ``valid_away_from`` (the product of the non-unit pivots) does not
+    vanish.  The units it leaves out are monomials, which do not vanish on
+    the torus, so no pivot vanishes at omega.  No transpose symmetry is
+    used.
+
+    * Each row of [E | kappa] is cleared by the lcm of its entries'
+      denominators.  ``build_E`` writes entry (r, c) over the product of
+      the f_i = 1 - w_i^-1 that do not divide A_rc(w^-1), and kappa is
+      integral, so row r is cleared by the product of (w_i - 1) over the
+      i whose f_i fails to divide some entry of the row; it is nonzero at
+      omega because no omega_i is 1.  The cleared rows at omega are
+      nonzero multiples of the rows of [E(omega) | kappa], and
+      Gauss-Jordan elimination on either takes the same pivots and ends
+      in the same reduced row echelon form.
+    * After step k the fraction-free rows are p_k times the Gauss-Jordan
+      rows with the same pivots (one-step Bareiss).  The step is the
+      polynomial identity p_k R' = p_(k+1) R - f R_pivot, and evaluation at
+      omega is a ring homomorphism, so with p_k(omega) != 0 the identity
+      carries over to the rows at omega, by induction from p_0 = 1.
+    * Each pivot is the first entry of its column, from the current row
+      down, that is nonzero as a polynomial.  Entries that are zero as
+      polynomials vanish at omega and the pivot does not, so Gauss-Jordan
+      at omega, which takes the first entry nonzero at omega, makes the
+      same choices, and skips the same columns.  The final rows at omega
+      are therefore det(omega) times the reduced row echelon form of
+      [E(omega) | kappa].
+
+    Every part of the direct answer (``slope_from_operator`` on
+    E(omega) in Q(zeta_N), N the conductor of omega) follows, and each is
+    the same field element, so the same storage (``CyclotomicNumber`` is
+    canonical):
+
+    * Image: kappa is in the image iff column n holds no pivot, at omega
+      as generically.  A pivot there is the infinite kind (with the
+      annihilator test failing) or the undefined kind (with it passing).
+    * Kernel pairing: the kernel vector of free column f is one at f,
+      -R[row of c][f](omega) / det(omega) at each c in I and zero
+      elsewhere, so its pairing with kappa is P_f(omega) / det(omega); it
+      vanishes iff P_f(omega) does.  kappa is in the annihilator iff every
+      P_f vanishes at omega.
+    * Witness: the particular solution is num_c(omega) / det(omega) at each
+      c in I and zero elsewhere.
+    * Value: -(pairing of the witness with kappa) = -V(omega) / det(omega).
+
+    So the kind, value, witness and case report equal the direct path's,
+    ``approximate`` is false and ``valid_away_from`` None at a torsion
+    character.  The cost is one inversion and about 2n evaluations
+    (``evaluate_at_torsion``), with no elimination.  Where a pivot vanishes
+    at omega the first choice can differ, and ``slope`` solves directly.
+    ``certify_zero_slope`` relies on the same argument.
+
+    P_f, V and ``valid_away_from`` are derived at the first torsion use;
+    the symbolic solve supplies ``valid_away_from`` when it built the
+    record, so seeding a record costs the symbolic path nothing.
+    """
+
+    __slots__ = ("mu", "kappa", "echelon", "valid_away_from", "_parts")
+
+    def __init__(self, e, kappa):
+        """Eliminate [e | kappa], e the symbolic operator and kappa the
+        integer class of a presentation."""
+        self.mu = e.ctx.num_vars
+        self.kappa = tuple(kappa)
+        self.echelon = _eliminate(e, [e.ctx.from_int(k) for k in kappa])
+        self.valid_away_from = None
+        self._parts = None
+
+    def specializes_at(self, omega):
+        """True when no pivot vanishes at the torsion character omega."""
+        if self.valid_away_from is None:
+            self.valid_away_from = _certificate(self.echelon.pivot_polys, self.mu)
+        return not evaluate_at_torsion(self.valid_away_from, omega).is_zero()
+
+    def _derive(self):
+        """(det, the P_f, (c, num_c) for c in I, V); the last two are None
+        when column n holds a pivot."""
+        ech, kappa, n = self.echelon, self.kappa, len(self.kappa)
+        det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(self.mu)
+        pivot_cols = [c for c in ech.pivots if c < n]
+        rows = ech.poly_rows
+        pairings = []
+        for f in range(n):
+            if f in pivot_cols:
+                continue
+            acc = det * kappa[f]
+            for r, c in enumerate(pivot_cols):
+                if kappa[c]:
+                    acc = acc - rows[r][f] * kappa[c]
+            pairings.append(acc)
+        numerators = value = None
+        if n not in ech.pivots:
+            numerators = [(c, rows[r][n]) for r, c in enumerate(pivot_cols)]
+            value = LaurentPoly.zero(self.mu)
+            for c, num in numerators:
+                if kappa[c]:
+                    value = value + num * kappa[c]
+        self._parts = (det, pairings, numerators, value)
+
+    def at(self, omega):
+        """The slope at a torsion character where ``specializes_at`` holds."""
+        if self._parts is None:
+            self._derive()
+        det, pairings, numerators, value = self._parts
+        in_image = numerators is not None
+        in_annihilator = not any(evaluate_at_torsion(p, omega) for p in pairings)
+        report = CaseReport(in_image, in_annihilator)
+        if not (in_image and in_annihilator):
+            kind = INFINITY if in_image == in_annihilator else UNDEFINED
+            return SlopeValue(kind, None, None, report)
+        inv = evaluate_at_torsion(det, omega).invert()
+        witness = [Cyclotomic(omega.conductor).zero] * len(self.kappa)
+        for c, num in numerators:
+            witness[c] = evaluate_at_torsion(num, omega) * inv
+        value = -(evaluate_at_torsion(value, omega) * inv)
+        return SlopeValue(FINITE, value, tuple(witness), report)
+
+
+# Records by presentation content (mu, n, theta, kappa), oldest first.  A
+# key mapped to None is a mu = 1 presentation asked once at a torsion
+# character, whose next torsion request builds its record.
+_RECORDS = {}
+RECORD_BOUND = 32
+
+
+def _key(presentation):
+    """The content a record depends on, as a hashable value (theta is a
+    mutable dict and may be edited in place)."""
+    p = presentation
+    theta = tuple(sorted((eps, tuple(map(tuple, m))) for eps, m in p.theta.items()))
+    return (p.mu, p.n, theta, tuple(p.kappa))
+
+
+def _remember(key, record):
+    if key not in _RECORDS and len(_RECORDS) >= RECORD_BOUND:
+        del _RECORDS[next(iter(_RECORDS))]
+    _RECORDS[key] = record
+
+
+def _torsion_record(presentation):
+    """The presentation's record for a torsion request, or None to solve
+    directly: a record that exists is used; otherwise a mu = 1
+    presentation gets one at its second torsion request."""
+    key = _key(presentation)
+    if key in _RECORDS:
+        record = _RECORDS[key]
+        if record is None:
+            mu = presentation.mu
+            e = build_E(presentation, Character.symbolic(mu), RationalFunctionField(mu))
+            record = _RECORDS[key] = _Elimination(e, presentation.kappa)
+        return record
+    if presentation.mu == 1:
+        _remember(key, None)
+    return None
+
+
 def _slope_in(presentation, omega, ctx):
-    """The slope at omega of a validated presentation, E built in ``ctx``.
+    """The slope at omega of a validated presentation, computed in ``ctx``,
+    the field ``default_context_for(omega)``.
 
     Refuses a nonzero linking vector, then a character of the wrong
-    length; ``build_E`` refuses a vanishing coordinate, at the tolerance
-    of ``ctx``.
+    length, then (as ``build_E`` does) a vanishing coordinate, at the
+    tolerance of ``ctx``; the record memo is consulted only after these.
     """
     if not presentation.linking_is_zero():
         raise UnsupportedHypothesisError(
@@ -154,8 +333,24 @@ def _slope_in(presentation, omega, ctx):
         )
     if omega.mu != presentation.mu:
         raise UsageError("character length does not match the presentation")
-    e = build_E(presentation, omega, ctx)
-    return slope_from_operator(e, [ctx.from_int(k) for k in presentation.kappa])
+    kappa = [ctx.from_int(k) for k in presentation.kappa]
+    if isinstance(ctx, RationalFunctionField):
+        key = _key(presentation)
+        e = build_E(presentation, omega, ctx)
+        record = _RECORDS.get(key) or _Elimination(e, presentation.kappa)
+        sv = slope_from_operator(e, kappa, record.echelon)
+        record.valid_away_from = sv.valid_away_from
+        _remember(key, record)
+        return sv
+    if isinstance(ctx, Cyclotomic):
+        if any(k % omega.conductor == 0 for k in omega.exponents):
+            raise UnsupportedHypothesisError(
+                "vanishing character coordinate (omega_i = 1): patching is not supported"
+            )
+        record = _torsion_record(presentation)
+        if record is not None and record.specializes_at(omega):
+            return record.at(omega)
+    return slope_from_operator(build_E(presentation, omega, ctx), kappa)
 
 
 def slope_at(presentation, omega, *, tol=None, check_transpose=True):
@@ -167,6 +362,18 @@ def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     for numeric ones, whose zero tolerance is ``tol``.  The field is built
     before the presentation is checked, so a bad tolerance is refused
     first.
+
+    A process-wide memo keeps up to ``RECORD_BOUND`` (32) per-presentation
+    records, the fraction-free elimination of [E(w) | kappa]
+    (``_Elimination``), keyed by the presentation's content (mu, n, theta,
+    kappa) and dropped oldest first.  A symbolic request leaves its
+    elimination there, at any mu.  A torsion request uses the record where
+    one exists, and reads the slope off it unless a pivot vanishes at the
+    character; otherwise it solves directly in Q(zeta_N).  A mu = 1
+    presentation without a record gets one at its second torsion request:
+    building one costs more than a direct solve, so a single request never
+    builds it, and at mu >= 2 (multivariate Bareiss) it costs more than the
+    solves it saves.  Either way the answer is the same, storage included.
     """
     ctx = default_context_for(omega, tol)
     _refuse_invalid(presentation, check_transpose)
@@ -263,46 +470,24 @@ def certify_zero_slope(presentation):
     This certifies that the computed slope function vanishes; it does not
     certify sliceness.
 
-    Only battery characters on the zero locus of the symbolic solve's
-    certificate ``valid_away_from`` get a direct solve.  At every other
-    one the pointwise slope is the specialization of the symbolic slope,
-    here the zero function.  Proof, for a character omega with no
-    coordinate 1 where the certificate does not vanish: the certificate is
-    the product of the non-unit pivots of the fraction-free elimination of
-    [E | kappa], and the units it leaves out are monomials, which do not
-    vanish on the torus, so no pivot p_1, ..., p_r vanishes at omega.
-
-    * Each row of [E | kappa] is cleared by the lcm of its entries'
-      denominators.  ``build_E`` writes entry (r, c) over the product of
-      the f_i = 1 - w_i^-1 that do not divide A_rc(w^-1), and kappa is
-      integral, so row r is cleared by the product of (w_i - 1) over the
-      i whose f_i fails to divide some entry of the row; it is nonzero at
-      omega because no omega_i is 1.  The cleared rows at omega are
-      nonzero multiples of the rows of [E(omega) | kappa] and have the
-      same reduced row echelon form.
-    * After step k the fraction-free rows are p_k times the Gauss-Jordan
-      rows with the same pivots (one-step Bareiss).  Evaluation at omega is
-      a ring homomorphism, so this identity holds at omega too.
-    * Each pivot is the first entry of its column that is nonzero as a
-      polynomial.  Entries that are zero as polynomials vanish at omega
-      and the pivot does not, so first-nonzero pivoting at omega makes the
-      same choices.  The final rows at omega are therefore det(omega)
-      times the reduced row echelon form of [E(omega) | kappa].
-    * Hence the kappa column holds no pivot at omega, so kappa is in the
-      image; the kernel basis at omega is the specialized symbolic one, so
-      its pairing with kappa is the specialized zero; and the slope at
-      omega is -(sum_i kappa_i num_i(omega)) / det(omega), the specialized
-      symbolic value.  A zero pairing and a finite value therefore
-      specialize, and omega passes without a solve.
+    ``slope_symbolic`` leaves the presentation's record (``_Elimination``)
+    in the memo, and only battery characters where it does not specialize,
+    the zero locus of ``valid_away_from``, get a direct solve.  At every
+    other one the record's docstring proves that the pointwise slope is the
+    specialization of the symbolic one: finite, with value
+    -V(omega) / det(omega), where V / det reduces to the symbolic value,
+    here the zero function, so V is the zero polynomial.  omega passes
+    without a solve.
     """
     symbolic = slope_symbolic(presentation)
     if not symbolic.is_finite() or not symbolic.value.is_zero():
         return False
+    record = _RECORDS[_key(presentation)]
     for orders in itertools.product(ZERO_CERT_ORDERS, repeat=presentation.mu):
         conductor = lcm(*orders)
         exponents = tuple(conductor // o for o in orders)
         omega = Character.root_of_unity(conductor, exponents)
-        if not evaluate_at_torsion(symbolic.valid_away_from, omega).is_zero():
+        if record.specializes_at(omega):
             continue
         point = slope_at(presentation, omega)
         if not point.is_finite() or not point.value.is_zero():

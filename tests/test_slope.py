@@ -8,6 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+import slopelab.linalg as linalg_module
 import slopelab.slope as slope_module
 from slopelab.characters import Character, evaluate_at_torsion, sample_safe_characters
 from slopelab.errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
@@ -16,7 +17,7 @@ from slopelab.fields import (
     RatFunc,
     RationalFunctionField,
 )
-from slopelab.laurent import LaurentPoly
+from slopelab.laurent import LaurentPoly, is_prime_power
 from slopelab.linalg import Matrix, hermitian_inertia, rank, solve
 from slopelab.seifert import (
     CComplexPresentation,
@@ -42,6 +43,14 @@ from slopelab.slope import (
 from conftest import int_matrix
 
 Q = Cyclotomic(1)
+
+
+def old_slope_at(p, omega):
+    """The slope at a torsion character by Gauss-Jordan elimination of
+    E(omega) in Q(zeta_N), the path the per-presentation records replace
+    (no validation, no memo)."""
+    ctx = Cyclotomic(omega.conductor)
+    return slope_from_operator(build_E(p, omega, ctx), [ctx.from_int(k) for k in p.kappa])
 
 
 def closed_form_whitehead():
@@ -630,8 +639,8 @@ def test_three_colors_smoke(rng):
 
 
 def test_compare_slopes_matches_pointwise_slopes(rng):
-    # differential: every point is two direct slope_at calls, in sampling order,
-    # and the witness is the first unequal point
+    # differential: every point is the Gauss-Jordan slope of each side, in
+    # sampling order, and the witness is the first unequal point
     obstructed = 0
     for _ in range(8):
         mu, n = rng.randint(1, 2), rng.randint(1, 3)
@@ -645,7 +654,7 @@ def test_compare_slopes_matches_pointwise_slopes(rng):
                 mu, base.linking, 4, seed=seed
             )
             for pt in result.points:
-                a, b = slope_at(base, pt.omega), slope_at(other, pt.omega)
+                a, b = old_slope_at(base, pt.omega), old_slope_at(other, pt.omega)
                 assert (pt.first, pt.second) == (a, b)
                 assert pt.equal == (a.kind == b.kind and (a.kind != FINITE or a.value == b.value))
             unequal = [pt.omega for pt in result.points if not pt.equal]
@@ -696,3 +705,214 @@ def test_slope_at_takes_no_context(whitehead):
     # parameter once was is refused, not ignored
     with pytest.raises(TypeError):
         slope_at(whitehead, Character.root_of_unity(2, (1,)), Cyclotomic(4))
+
+
+# -- per-presentation records ---------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_records(monkeypatch):
+    """An empty record memo for the test, restored afterwards."""
+    monkeypatch.setattr(slope_module, "_RECORDS", {})
+    return slope_module._RECORDS
+
+
+@pytest.fixture
+def eliminations(monkeypatch, fresh_records):
+    """Calls of the fraction-free elimination, on an empty memo."""
+    calls = []
+    original = linalg_module._echelon_fraction_free
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_module, "_echelon_fraction_free", counting)
+    return calls
+
+
+def _broken(rng, n):
+    """A mu = 1 presentation without the transpose symmetry.  Column j of
+    E(w) is zero and column i is w-free, and kappa is column i half the
+    time, so kappa lies in the image but not always in the annihilator of
+    the kernel: the undefined kind."""
+    plus = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    minus = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    i, j = rng.sample(range(n), 2)
+    for row_p, row_m in zip(plus, minus):
+        row_p[j] = row_m[j] = row_m[i] = 0
+    if rng.random() < 0.5:
+        kappa = [row[i] for row in plus]
+    else:
+        kappa = [rng.randint(-2, 2) for _ in range(n)]
+    return CComplexPresentation.build(1, n, {"+": plus, "-": minus}, kappa)
+
+
+def _torsion_points(rng, count):
+    """mu = 1 characters: prime-power and composite conductors up to 72."""
+    out = []
+    for _ in range(count):
+        conductor = rng.randint(2, 72)
+        out.append(Character.root_of_unity(conductor, (rng.randrange(1, conductor),)))
+    return out
+
+
+def test_records_match_gauss_jordan(rng, monkeypatch, fresh_records):
+    """Differential: every torsion slope_at, record path or direct, is
+    storage-equal to the Gauss-Jordan slope of E(omega)."""
+    answered = []
+    at = slope_module._Elimination.at
+
+    def counting(record, omega):
+        sv = at(record, omega)
+        answered.append((record.mu, omega, sv.kind))
+        return sv
+
+    monkeypatch.setattr(slope_module._Elimination, "at", counting)
+    # (presentation, check_transpose, characters, seeded by slope_symbolic)
+    cases = []
+    for n in range(9):
+        for _ in range(2):
+            p = random_presentation(rng, mu=1, n=n)
+            cases.append((p, True, _torsion_points(rng, 5), False))
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        p = random_presentation(rng, mu=1, n=n, kappa_zero=rng.random() < 0.3)
+        disguises = [
+            change_basis(p, random_unimodular(rng, n)),
+            stabilize(p),
+            stabilize(stabilize(p)),
+            p.replace(kappa=(p.kappa[0] + 1,) + p.kappa[1:]),
+        ]
+        for q in [p] + disguises:
+            cases.append((q, True, _torsion_points(rng, 4), False))
+    for _ in range(12):
+        cases.append((_broken(rng, rng.randint(2, 4)), False, _torsion_points(rng, 4), False))
+    locus_rng = random.Random(5)
+    on_locus = 0
+    for i in range(30):
+        mu = 1 if i % 3 else 2
+        p = random_presentation(locus_rng, mu=mu, n=locus_rng.randint(1, 3), bound=1)
+        symbolic = slope_symbolic(p)
+        locus = _on_locus(symbolic, mu)
+        on_locus += len(locus)
+        others = [omega for omega in _battery(mu) if omega not in locus]
+        cases.append((p, True, locus + locus_rng.sample(others, 3), True))
+    for mu, n in ((2, 3), (2, 2), (3, 2), (3, 1)):
+        for _ in range(2):
+            p = random_presentation(rng, mu=mu, n=n)
+            points = [
+                Character.root_of_unity(c, tuple(rng.randrange(1, c) for _ in range(mu)))
+                for c in rng.sample([3, 4, 5, 6, 8, 9, 12, 72], 4)
+            ]
+            cases.append((p, True, points, True))
+    pairs = 0
+    kinds = set()
+    for p, check_transpose, points, seeded in cases:
+        if seeded:
+            slope_symbolic(p)
+        for omega in points:
+            got = slope_at(p, omega, check_transpose=check_transpose)
+            assert got == old_slope_at(p, omega), (p, omega)
+            kinds.add(got.kind)
+            pairs += 1
+    assert pairs >= 300 and on_locus > 0
+    assert kinds == {kind for _, _, kind in answered} == {FINITE, INFINITY, UNDEFINED}
+    assert len(answered) >= pairs // 2
+    assert {mu for mu, _, _ in answered} == {1, 2, 3}
+    assert not all(is_prime_power(omega.conductor) for _, omega, _ in answered)
+
+
+def test_single_torsion_request_builds_no_record(whitehead, eliminations):
+    omegas = [Character.root_of_unity(5, (k,)) for k in range(1, 5)]
+    slope_at(whitehead, omegas[0])
+    assert eliminations == []
+    slope_at(whitehead, omegas[1])
+    assert len(eliminations) == 1
+    for omega in omegas[2:] + omegas[:2]:
+        assert slope_at(whitehead, omega) == old_slope_at(whitehead, omega)
+    assert len(eliminations) == 1
+
+
+def test_mu_two_records_come_only_from_the_symbolic_solve(rng, eliminations):
+    p = random_presentation(rng, mu=2, n=2)
+    points = [Character.root_of_unity(5, (k, 5 - k)) for k in range(1, 5)]
+    for omega in points:
+        slope_at(p, omega)
+    assert eliminations == [] and slope_module._RECORDS == {}
+    slope_symbolic(p)
+    assert len(eliminations) == 1
+    for omega in points:
+        assert slope_at(p, omega) == old_slope_at(p, omega)
+    assert len(eliminations) == 1
+
+
+def test_symbolic_then_torsion_eliminates_once(whitehead, eliminations):
+    symbolic = slope_symbolic(whitehead)
+    for k in range(1, 5):
+        omega = Character.root_of_unity(5, (k,))
+        assert slope_at(whitehead, omega) == old_slope_at(whitehead, omega)
+    assert len(eliminations) == 1
+    # a symbolic request reuses a record, also one a torsion request built
+    assert slope_symbolic(whitehead) == symbolic
+    assert len(eliminations) == 1
+    p = random_presentation(random.Random(3), mu=1, n=3)
+    slope_at(p, Character.root_of_unity(7, (1,)))
+    slope_at(p, Character.root_of_unity(7, (2,)))
+    assert len(eliminations) == 2
+    rf = RationalFunctionField(1)
+    e = build_E(p, Character.symbolic(1), rf)
+    assert slope_symbolic(p) == slope_from_operator(e, [rf.from_int(k) for k in p.kappa])
+    assert len(eliminations) == 3  # the oracle's own solve
+
+
+def test_refusals_come_before_the_memo(whitehead, eliminations):
+    records = slope_module._RECORDS
+    broken = whitehead.replace(theta={(1,): ((0, 0), (1, 1)), (-1,): ((9, 9), (9, 9))})
+    with pytest.raises(InvalidPresentationError):
+        slope_at(broken, Character.root_of_unity(5, (1,)))
+    with pytest.raises(UnsupportedHypothesisError, match="linking"):
+        slope_at(whitehead.replace(linking=(1,)), Character.root_of_unity(5, (1,)))
+    with pytest.raises(UsageError, match="length"):
+        slope_at(whitehead, Character.root_of_unity(5, (1, 2)))
+    assert records == {}
+    # a record exists and its certificate is nonzero at w = 1, yet the
+    # vanishing coordinate is still refused
+    slope_symbolic(whitehead)
+    with pytest.raises(UnsupportedHypothesisError, match="vanishing character coordinate"):
+        slope_at(whitehead, Character.root_of_unity(4, (0,)))
+    assert len(eliminations) == 1
+
+
+def test_memo_never_exceeds_its_bound(fresh_records):
+    bound = slope_module.RECORD_BOUND
+    presentations = [
+        CComplexPresentation.build(1, 1, {"+": [[k]]}, [1]) for k in range(1, bound + 2)
+    ]
+    for p in presentations:
+        slope_symbolic(p)
+        assert len(fresh_records) <= bound
+    assert len(fresh_records) == bound
+    assert slope_module._key(presentations[0]) not in fresh_records
+    assert slope_module._key(presentations[-1]) in fresh_records
+    omega = Character.root_of_unity(3, (1,))
+    for p in presentations:
+        slope_at(p, omega)
+        assert len(fresh_records) <= bound
+        assert slope_at(p, omega) == old_slope_at(p, omega)
+
+
+def test_edited_presentations_get_fresh_records(whitehead, eliminations):
+    points = [Character.root_of_unity(7, (k,)) for k in range(1, 7)]
+    slope_symbolic(whitehead)
+    edited = whitehead.replace(kappa=(1, 1))
+    for omega in points:
+        assert slope_at(edited, omega) == old_slope_at(edited, omega)
+    assert len(eliminations) == 2
+    p = CComplexPresentation.build(1, 2, {"+": [[0, 0], [1, 1]]}, [0, 1])
+    slope_symbolic(p)
+    p.theta[(1,)] = ((1, 2), (0, 1))
+    p.theta[(-1,)] = ((1, 0), (2, 1))
+    for omega in points:
+        assert slope_at(p, omega) == old_slope_at(p, omega)
+    assert len(eliminations) == 4
