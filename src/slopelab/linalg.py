@@ -239,18 +239,15 @@ def _eliminate(m, b):
     return _echelon(aug, m.cols + 1, m.ctx)
 
 
-def solve(m, b, echelon=None):
+def solve(m, b):
     """Solve M x = b, reporting a particular solution and a kernel basis.
 
     Inconsistency is a value (status), not an error.  The kernel basis is
     in reduced row echelon convention: each free variable set to 1 in turn.
-    Over the rational function field ``echelon`` may be the fraction-free
-    elimination of [M | b] (``_eliminate``), which is then reduced instead
-    of eliminating again.
     """
     if len(b) != m.rows:
         raise UsageError("right-hand side length does not match matrix rows")
-    ech = echelon or _eliminate(m, b)
+    ech = _eliminate(m, b)
     rows = ech.rows
     if ech.poly_rows is not None:
         # only the free columns and the right-hand side are read, so only

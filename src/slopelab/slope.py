@@ -90,7 +90,7 @@ def _certificate(pivot_polys, num_vars):
     return certificate
 
 
-def slope_from_operator(e_matrix, kappa_scalars, echelon=None):
+def slope_from_operator(e_matrix, kappa_scalars):
     """The trichotomy applied to an explicit operator matrix and class.
 
     The image is the column span of E, the kernel is the right kernel
@@ -110,13 +110,11 @@ def slope_from_operator(e_matrix, kappa_scalars, echelon=None):
     are the same rational function, and a ``RatFunc`` is stored in the
     canonical reduced form, so the value is structurally identical to the
     term-by-term sum.  The same context also returns ``valid_away_from``,
-    the product of the non-unit pivot polynomials.  ``echelon``, in that
-    context only, is the fraction-free elimination of [E | kappa] when the
-    caller already has it (``solve`` reduces it instead of eliminating).
+    the product of the non-unit pivot polynomials.
     """
     ctx = e_matrix.ctx
     kappa = list(kappa_scalars)
-    sol = solve(e_matrix, kappa, echelon)
+    sol = solve(e_matrix, kappa)
     in_image = sol.status != INCONSISTENT
     in_annihilator = True
     for v in sol.kernel_basis:
@@ -215,9 +213,7 @@ class _Elimination:
     at omega the first choice can differ, and ``slope`` solves directly.
     ``certify_zero_slope`` relies on the same argument.
 
-    P_f, V and ``valid_away_from`` are derived at the first torsion use;
-    the symbolic solve supplies ``valid_away_from`` when it built the
-    record, so seeding a record costs the symbolic path nothing.
+    P_f, V and ``valid_away_from`` are derived at the first use.
     """
 
     __slots__ = ("mu", "kappa", "echelon", "valid_away_from", "_parts")
@@ -281,9 +277,9 @@ class _Elimination:
         return SlopeValue(FINITE, value, tuple(witness), report)
 
 
-# Records by presentation content (mu, n, theta, kappa), oldest first.  A
-# key mapped to None is a mu = 1 presentation asked once at a torsion
-# character, whose next torsion request builds its record.
+# What is known of each presentation asked, by content (mu, n, theta,
+# kappa), oldest first: its record, or, while it has none, the certificate
+# ``valid_away_from`` a symbolic request left, else None.
 _RECORDS = {}
 RECORD_BOUND = 32
 
@@ -302,21 +298,24 @@ def _remember(key, record):
     _RECORDS[key] = record
 
 
-def _torsion_record(presentation):
-    """The presentation's record for a torsion request, or None to solve
-    directly: a record that exists is used; otherwise a mu = 1
-    presentation gets one at its second torsion request."""
+def _torsion_record(presentation, omega):
+    """The presentation's record for a torsion request at omega, or None to
+    solve directly.  A record that exists is used.  Otherwise a
+    presentation asked before gets one, unless the certificate of a
+    symbolic request vanishes at omega, where no record could be read."""
     key = _key(presentation)
-    if key in _RECORDS:
-        record = _RECORDS[key]
-        if record is None:
-            mu = presentation.mu
-            e = build_E(presentation, Character.symbolic(mu), RationalFunctionField(mu))
-            record = _RECORDS[key] = _Elimination(e, presentation.kappa)
-        return record
-    if presentation.mu == 1:
+    if key not in _RECORDS:
         _remember(key, None)
-    return None
+        return None
+    known = _RECORDS[key]
+    if isinstance(known, _Elimination):
+        return known
+    if known is not None and evaluate_at_torsion(known, omega).is_zero():
+        return None
+    mu = presentation.mu
+    e = build_E(presentation, Character.symbolic(mu), RationalFunctionField(mu))
+    record = _RECORDS[key] = _Elimination(e, presentation.kappa)
+    return record
 
 
 def _slope_in(presentation, omega, ctx):
@@ -334,23 +333,20 @@ def _slope_in(presentation, omega, ctx):
     if omega.mu != presentation.mu:
         raise UsageError("character length does not match the presentation")
     kappa = [ctx.from_int(k) for k in presentation.kappa]
-    if isinstance(ctx, RationalFunctionField):
-        key = _key(presentation)
-        e = build_E(presentation, omega, ctx)
-        record = _RECORDS.get(key) or _Elimination(e, presentation.kappa)
-        sv = slope_from_operator(e, kappa, record.echelon)
-        record.valid_away_from = sv.valid_away_from
-        _remember(key, record)
-        return sv
     if isinstance(ctx, Cyclotomic):
         if any(k % omega.conductor == 0 for k in omega.exponents):
             raise UnsupportedHypothesisError(
                 "vanishing character coordinate (omega_i = 1): patching is not supported"
             )
-        record = _torsion_record(presentation)
+        record = _torsion_record(presentation, omega)
         if record is not None and record.specializes_at(omega):
             return record.at(omega)
-    return slope_from_operator(build_E(presentation, omega, ctx), kappa)
+    sv = slope_from_operator(build_E(presentation, omega, ctx), kappa)
+    if isinstance(ctx, RationalFunctionField):
+        key = _key(presentation)
+        if _RECORDS.get(key) is None:
+            _remember(key, sv.valid_away_from)
+    return sv
 
 
 def slope_at(presentation, omega, *, tol=None, check_transpose=True):
@@ -363,17 +359,18 @@ def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     before the presentation is checked, so a bad tolerance is refused
     first.
 
-    A process-wide memo keeps up to ``RECORD_BOUND`` (32) per-presentation
-    records, the fraction-free elimination of [E(w) | kappa]
-    (``_Elimination``), keyed by the presentation's content (mu, n, theta,
-    kappa) and dropped oldest first.  A symbolic request leaves its
-    elimination there, at any mu.  A torsion request uses the record where
+    A process-wide memo keeps what is known of up to ``RECORD_BOUND`` (32)
+    presentations, keyed by their content (mu, n, theta, kappa) and dropped
+    oldest first.  A torsion request uses the presentation's record, the
+    fraction-free elimination of [E(w) | kappa] (``_Elimination``), where
     one exists, and reads the slope off it unless a pivot vanishes at the
-    character; otherwise it solves directly in Q(zeta_N).  A mu = 1
-    presentation without a record gets one at its second torsion request:
+    character; otherwise it solves directly in Q(zeta_N).  A presentation
+    without a record gets one at its second request, symbolic or torsion:
     building one costs more than a direct solve, so a single request never
-    builds it, and at mu >= 2 (multivariate Bareiss) it costs more than the
-    solves it saves.  Either way the answer is the same, storage included.
+    builds it.  A symbolic request solves as before and leaves its
+    certificate ``valid_away_from``, and a torsion request where that
+    vanishes builds no record.  Either way the answer is the same, storage
+    included.
     """
     ctx = default_context_for(omega, tol)
     _refuse_invalid(presentation, check_transpose)
@@ -470,11 +467,11 @@ def certify_zero_slope(presentation):
     This certifies that the computed slope function vanishes; it does not
     certify sliceness.
 
-    ``slope_symbolic`` leaves the presentation's record (``_Elimination``)
-    in the memo, and only battery characters where it does not specialize,
-    the zero locus of ``valid_away_from``, get a direct solve.  At every
-    other one the record's docstring proves that the pointwise slope is the
-    specialization of the symbolic one: finite, with value
+    Only battery characters on the zero locus of the symbolic solve's
+    certificate ``valid_away_from`` get a direct solve, and no record is
+    built for them.  At every other one the pointwise slope is the
+    specialization of the symbolic one, by the proof in ``_Elimination``'s
+    docstring (the certificate is the record's): finite, with value
     -V(omega) / det(omega), where V / det reduces to the symbolic value,
     here the zero function, so V is the zero polynomial.  omega passes
     without a solve.
@@ -482,12 +479,11 @@ def certify_zero_slope(presentation):
     symbolic = slope_symbolic(presentation)
     if not symbolic.is_finite() or not symbolic.value.is_zero():
         return False
-    record = _RECORDS[_key(presentation)]
     for orders in itertools.product(ZERO_CERT_ORDERS, repeat=presentation.mu):
         conductor = lcm(*orders)
         exponents = tuple(conductor // o for o in orders)
         omega = Character.root_of_unity(conductor, exponents)
-        if record.specializes_at(omega):
+        if not evaluate_at_torsion(symbolic.valid_away_from, omega).is_zero():
             continue
         point = slope_at(presentation, omega)
         if not point.is_finite() or not point.value.is_zero():

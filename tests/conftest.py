@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import slopelab.slope as slope_module
 from slopelab.laurent import LaurentPoly
 from slopelab.linalg import Matrix
 from slopelab.seifert import CComplexPresentation
@@ -30,6 +31,15 @@ def transpose(m):
     return Matrix(
         m.ctx, [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)], cols=m.rows
     )
+
+
+@pytest.fixture(autouse=True)
+def empty_record_memo():
+    """Every test starts on an empty slope record memo, so whether a torsion
+    slope is read off a record or solved directly never depends on which
+    tests ran before."""
+    slope_module._RECORDS.clear()
+    return slope_module._RECORDS
 
 
 @pytest.fixture

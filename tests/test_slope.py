@@ -550,11 +550,12 @@ def _on_locus(symbolic, mu):
 
 
 def _certify_by_direct_solves(p):
-    """The zero certification with a direct solve at every battery character."""
+    """The zero certification with a Gauss-Jordan solve at every battery
+    character."""
     symbolic = slope_symbolic(p)
     if not symbolic.is_finite() or not symbolic.value.is_zero():
         return False
-    points = (slope_at(p, omega) for omega in _battery(p.mu))
+    points = (old_slope_at(p, omega) for omega in _battery(p.mu))
     return all(point.is_finite() and point.value.is_zero() for point in points)
 
 
@@ -576,8 +577,8 @@ def test_certify_zero_slope_matches_direct_solves():
 
 
 def test_symbolic_slope_specializes_off_the_certificate_locus():
-    # at a battery character where the certificate does not vanish, slope_at
-    # is finite with the symbolic value evaluated there
+    # at a battery character where the certificate does not vanish, the
+    # Gauss-Jordan slope is finite with the symbolic value evaluated there
     rng = random.Random(11)
     checked = nonzero = 0
     for _ in range(12):
@@ -594,7 +595,7 @@ def test_symbolic_slope_specializes_off_the_certificate_locus():
             expected = evaluate_at_torsion(value.num, omega) / evaluate_at_torsion(
                 value.den, omega
             )
-            point = slope_at(p, omega)
+            point = old_slope_at(p, omega)
             assert point.kind == FINITE and point.value == expected
             checked += 1
             nonzero += not expected.is_zero()
@@ -711,14 +712,7 @@ def test_slope_at_takes_no_context(whitehead):
 
 
 @pytest.fixture
-def fresh_records(monkeypatch):
-    """An empty record memo for the test, restored afterwards."""
-    monkeypatch.setattr(slope_module, "_RECORDS", {})
-    return slope_module._RECORDS
-
-
-@pytest.fixture
-def eliminations(monkeypatch, fresh_records):
+def eliminations(monkeypatch, empty_record_memo):
     """Calls of the fraction-free elimination, on an empty memo."""
     calls = []
     original = linalg_module._echelon_fraction_free
@@ -757,7 +751,7 @@ def _torsion_points(rng, count):
     return out
 
 
-def test_records_match_gauss_jordan(rng, monkeypatch, fresh_records):
+def test_records_match_gauss_jordan(rng, monkeypatch):
     """Differential: every torsion slope_at, record path or direct, is
     storage-equal to the Gauss-Jordan slope of E(omega)."""
     answered = []
@@ -769,7 +763,7 @@ def test_records_match_gauss_jordan(rng, monkeypatch, fresh_records):
         return sv
 
     monkeypatch.setattr(slope_module._Elimination, "at", counting)
-    # (presentation, check_transpose, characters, seeded by slope_symbolic)
+    # (presentation, check_transpose, characters, asked symbolically first)
     cases = []
     for n in range(9):
         for _ in range(2):
@@ -797,19 +791,21 @@ def test_records_match_gauss_jordan(rng, monkeypatch, fresh_records):
         locus = _on_locus(symbolic, mu)
         on_locus += len(locus)
         others = [omega for omega in _battery(mu) if omega not in locus]
-        cases.append((p, True, locus + locus_rng.sample(others, 3), True))
+        # the first character off the locus builds the record, which then
+        # declines the locus
+        cases.append((p, True, locus_rng.sample(others, 3) + locus, True))
     for mu, n in ((2, 3), (2, 2), (3, 2), (3, 1)):
-        for _ in range(2):
+        for symbolic_first in (True, False):
             p = random_presentation(rng, mu=mu, n=n)
             points = [
                 Character.root_of_unity(c, tuple(rng.randrange(1, c) for _ in range(mu)))
                 for c in rng.sample([3, 4, 5, 6, 8, 9, 12, 72], 4)
             ]
-            cases.append((p, True, points, True))
+            cases.append((p, True, points, symbolic_first))
     pairs = 0
     kinds = set()
-    for p, check_transpose, points, seeded in cases:
-        if seeded:
+    for p, check_transpose, points, symbolic_first in cases:
+        if symbolic_first:
             slope_symbolic(p)
         for omega in points:
             got = slope_at(p, omega, check_transpose=check_transpose)
@@ -823,47 +819,52 @@ def test_records_match_gauss_jordan(rng, monkeypatch, fresh_records):
     assert not all(is_prime_power(omega.conductor) for _, omega, _ in answered)
 
 
-def test_single_torsion_request_builds_no_record(whitehead, eliminations):
-    omegas = [Character.root_of_unity(5, (k,)) for k in range(1, 5)]
-    slope_at(whitehead, omegas[0])
+@pytest.mark.parametrize("mu", [1, 2])
+def test_single_torsion_request_builds_no_record(mu, eliminations):
+    p = random_presentation(random.Random(mu), mu=mu, n=2)
+    omegas = [Character.root_of_unity(5, (k,) + (5 - k,) * (mu - 1)) for k in range(1, 5)]
+    slope_at(p, omegas[0])
     assert eliminations == []
-    slope_at(whitehead, omegas[1])
+    slope_at(p, omegas[1])
     assert len(eliminations) == 1
     for omega in omegas[2:] + omegas[:2]:
-        assert slope_at(whitehead, omega) == old_slope_at(whitehead, omega)
-    assert len(eliminations) == 1
-
-
-def test_mu_two_records_come_only_from_the_symbolic_solve(rng, eliminations):
-    p = random_presentation(rng, mu=2, n=2)
-    points = [Character.root_of_unity(5, (k, 5 - k)) for k in range(1, 5)]
-    for omega in points:
-        slope_at(p, omega)
-    assert eliminations == [] and slope_module._RECORDS == {}
-    slope_symbolic(p)
-    assert len(eliminations) == 1
-    for omega in points:
         assert slope_at(p, omega) == old_slope_at(p, omega)
     assert len(eliminations) == 1
 
 
-def test_symbolic_then_torsion_eliminates_once(whitehead, eliminations):
-    symbolic = slope_symbolic(whitehead)
+@pytest.mark.parametrize("mu", [1, 2])
+def test_a_symbolic_request_is_a_first_request(mu, eliminations):
+    p = random_presentation(random.Random(4), mu=mu, n=2)
+    key = slope_module._key(p)
+    symbolic = slope_symbolic(p)
+    assert len(eliminations) == 1
+    assert slope_module._RECORDS[key] == symbolic.valid_away_from
     for k in range(1, 5):
-        omega = Character.root_of_unity(5, (k,))
-        assert slope_at(whitehead, omega) == old_slope_at(whitehead, omega)
-    assert len(eliminations) == 1
-    # a symbolic request reuses a record, also one a torsion request built
-    assert slope_symbolic(whitehead) == symbolic
-    assert len(eliminations) == 1
-    p = random_presentation(random.Random(3), mu=1, n=3)
-    slope_at(p, Character.root_of_unity(7, (1,)))
-    slope_at(p, Character.root_of_unity(7, (2,)))
+        omega = Character.root_of_unity(5, (k,) + (5 - k,) * (mu - 1))
+        assert slope_at(p, omega) == old_slope_at(p, omega)
+    # the first torsion request built the record, and later ones reused it
     assert len(eliminations) == 2
-    rf = RationalFunctionField(1)
-    e = build_E(p, Character.symbolic(1), rf)
-    assert slope_symbolic(p) == slope_from_operator(e, [rf.from_int(k) for k in p.kappa])
-    assert len(eliminations) == 3  # the oracle's own solve
+    record = slope_module._RECORDS[key]
+    assert isinstance(record, slope_module._Elimination)
+    # a symbolic request solves as before and leaves the record in place
+    rf = RationalFunctionField(mu)
+    e = build_E(p, Character.symbolic(mu), rf)
+    assert slope_symbolic(p) == symbolic == slope_from_operator(
+        e, [rf.from_int(k) for k in p.kappa]
+    )
+    assert len(eliminations) == 4  # with the oracle's own solve
+    assert slope_module._RECORDS[key] is record
+
+
+def test_certify_builds_no_record_on_the_locus(eliminations):
+    # the presentation of test_certify_solves_directly_only_on_the_certificate_locus,
+    # with seven direct solves on the locus
+    p = CComplexPresentation.build(
+        2, 2, {"++": [[2, 0], [-1, 0]], "-+": [[-1, 0], [1, 0]]}, [0, 0]
+    )
+    assert certify_zero_slope(p)
+    assert len(eliminations) == 1  # the symbolic solve
+    assert slope_module._RECORDS[slope_module._key(p)] == slope_symbolic(p).valid_away_from
 
 
 def test_refusals_come_before_the_memo(whitehead, eliminations):
@@ -878,27 +879,31 @@ def test_refusals_come_before_the_memo(whitehead, eliminations):
     assert records == {}
     # a record exists and its certificate is nonzero at w = 1, yet the
     # vanishing coordinate is still refused
-    slope_symbolic(whitehead)
+    slope_at(whitehead, Character.root_of_unity(5, (1,)))
+    slope_at(whitehead, Character.root_of_unity(5, (2,)))
+    [record] = records.values()
+    at_one = Character.root_of_unity(4, (0,))
+    assert record.specializes_at(at_one)
     with pytest.raises(UnsupportedHypothesisError, match="vanishing character coordinate"):
-        slope_at(whitehead, Character.root_of_unity(4, (0,)))
+        slope_at(whitehead, at_one)
     assert len(eliminations) == 1
 
 
-def test_memo_never_exceeds_its_bound(fresh_records):
+def test_memo_never_exceeds_its_bound(empty_record_memo):
     bound = slope_module.RECORD_BOUND
     presentations = [
         CComplexPresentation.build(1, 1, {"+": [[k]]}, [1]) for k in range(1, bound + 2)
     ]
     for p in presentations:
         slope_symbolic(p)
-        assert len(fresh_records) <= bound
-    assert len(fresh_records) == bound
-    assert slope_module._key(presentations[0]) not in fresh_records
-    assert slope_module._key(presentations[-1]) in fresh_records
+        assert len(empty_record_memo) <= bound
+    assert len(empty_record_memo) == bound
+    assert slope_module._key(presentations[0]) not in empty_record_memo
+    assert slope_module._key(presentations[-1]) in empty_record_memo
     omega = Character.root_of_unity(3, (1,))
     for p in presentations:
         slope_at(p, omega)
-        assert len(fresh_records) <= bound
+        assert len(empty_record_memo) <= bound
         assert slope_at(p, omega) == old_slope_at(p, omega)
 
 
