@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+from operator import add, lt, sub
 
 from .errors import UsageError
 
@@ -132,7 +133,7 @@ class LaurentPoly:
         """Per-variable minimum exponent (zeros for the zero polynomial)."""
         if not self.terms:
             return (0,) * self.num_vars
-        return tuple(min(e[i] for e in self.terms) for i in range(self.num_vars))
+        return tuple(map(min, zip(*self.terms)))
 
     def lex_leading(self):
         """The (exponent vector, coefficient) pair that is lex-maximal."""
@@ -194,10 +195,11 @@ class LaurentPoly:
             return NotImplemented
         self._check_same(other)
         terms = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 elif e in terms:
@@ -226,8 +228,7 @@ class LaurentPoly:
         if not any(exps):
             return self
         return LaurentPoly._make(
-            self.num_vars,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
+            self.num_vars, {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
         )
 
     def subst_inverse(self):
@@ -319,7 +320,20 @@ def _fmt_fraction(q):
 
 
 def exact_div(p, d):
-    """Exact quotient p/d in the Laurent ring.  Raises if d does not divide p."""
+    """Exact quotient p/d in the Laurent ring.  Raises if d does not divide p.
+
+    The division runs on the Laurent exponents directly.  If p = q d, then
+    per variable the quotient's minimum exponent is min(p) - min(d): the
+    parts of q and d of lowest degree in that variable multiply to the part
+    of p of lowest degree, and over an integral domain that product is not
+    zero.  So the lex-leading terms are cancelled in place
+    (``_quotient_terms``), and a quotient exponent below that bound proves
+    d does not divide p.  Shifting both operands to ordinary polynomials
+    first is an order-preserving bijection of the exponents that maps this
+    bound to zero, so division there raises in the same cases and gives the
+    same quotient.  A one-term divisor is a shift and a coefficient
+    division.
+    """
     if not isinstance(p, LaurentPoly) or not isinstance(d, LaurentPoly):
         raise UsageError("exact_div expects LaurentPoly operands")
     p._check_same(d)
@@ -327,40 +341,52 @@ def exact_div(p, d):
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return LaurentPoly.zero(p.num_vars)
-    pmin = p.min_exps()
-    dmin = d.min_exps()
-    quotient = _div_ordinary(p.shift(tuple(-m for m in pmin)), d.shift(tuple(-m for m in dmin)))
-    return quotient.shift(tuple(a - b for a, b in zip(pmin, dmin)))
+    if len(d.terms) == 1:
+        (de, dc), = d.terms.items()
+        return LaurentPoly._make(
+            p.num_vars,
+            {tuple(map(sub, e, de)): _coeff_quo(c, dc) for e, c in p.terms.items()},
+        )
+    bound = tuple(map(sub, p.min_exps(), d.min_exps()))
+    return LaurentPoly._make(p.num_vars, _quotient_terms(p.terms, d.terms, bound))
 
 
-def _div_ordinary(p, d):
-    """Exact division of ordinary (nonnegative-exponent) polynomials by
-    repeated cancellation of the lex-leading term."""
-    lead_e, lead_c = d.lex_leading()
-    rem = dict(p.terms)
+def _coeff_quo(c, lead_c):
+    """c / lead_c as an exact coefficient: an ``int`` when integral."""
+    if type(c) is int and type(lead_c) is int:
+        qc, r = divmod(c, lead_c)
+        return Fraction(c, lead_c) if r else qc
+    return _as_coeff(c / lead_c)
+
+
+def _quotient_terms(p_terms, d_terms, bound):
+    """The term map of p/d by repeated cancellation of the lex-leading term,
+    raising ``ArithmeticError`` when a quotient exponent falls below
+    ``bound`` in some variable (see ``exact_div``)."""
+    lead_e = max(d_terms)
+    lead_c = d_terms[lead_e]
+    # the leading term of the remainder cancels exactly, so only the other
+    # terms of d are subtracted
+    rest = [(e, c) for e, c in d_terms.items() if e != lead_e]
+    rem = dict(p_terms)
+    get = rem.get
     q = {}
     while rem:
         e = max(rem)
-        c = rem[e]
-        diff = tuple(a - b for a, b in zip(e, lead_e))
-        if any(x < 0 for x in diff):
+        qe = tuple(map(sub, e, lead_e))
+        if any(map(lt, qe, bound)):
             raise ArithmeticError("inexact polynomial division")
-        if type(c) is int and type(lead_c) is int:
-            qc, r = divmod(c, lead_c)
-            if r:
-                qc = Fraction(c, lead_c)
-        else:
-            qc = _as_coeff(c / lead_c)
-        # the leading exponent of rem strictly decreases, so each diff is new
-        q[diff] = qc
-        for ee, cc in d.terms.items():
-            key = tuple(a + b for a, b in zip(diff, ee))
-            s = rem.get(key, 0) - qc * cc
+        qc = _coeff_quo(rem.pop(e), lead_c)
+        # the leading exponent of rem strictly decreases, so each qe is new
+        q[qe] = qc
+        for ee, cc in rest:
+            key = tuple(map(add, qe, ee))
+            s = get(key, 0) - qc * cc
             if s:
                 rem[key] = s
             elif key in rem:
                 del rem[key]
-    return LaurentPoly._make(p.num_vars, q)
+    return q
 
 
 # -- gcd ----------------------------------------------------------------------
@@ -715,7 +741,7 @@ def _cyclotomic_coeffs(n):
     inner = cyclotomic_minimal_poly(n // p)
     outer = LaurentPoly._make(1, {(e * p,): c for (e,), c in inner.terms.items()})
     if (n // p) % p:
-        outer = _div_ordinary(outer, inner)
+        outer = LaurentPoly._make(1, _quotient_terms(outer.terms, inner.terms, (0,)))
     return tuple(outer.terms.get((i,), 0) for i in range(euler_phi(n) + 1))
 
 

@@ -14,7 +14,11 @@ rules; callers mark approximate results through ``ctx.is_exact``.
 Each fraction-free step multiplies every other row by the new pivot p_k and
 divides exactly by the previous pivot, so once all pivots are taken every
 pivot row is det * (its row of the reduced row echelon form), det being the
-last pivot.  The elimination stops there and returns those polynomial rows
+last pivot.  At step k the entries of the pivot columns are known before
+any arithmetic: p_k in each pivot row's own pivot column and zero elsewhere
+(the induction is in ``_echelon_fraction_free``), so only the other
+columns are multiplied out and divided.  The elimination stops there and
+returns those polynomial rows
 with the pivots, so it makes no gcd call; a caller that evaluates the rows
 at a point (``slope``'s per-presentation records) never reduces them.
 ``solve`` reduces only the entries callers see as fractions to ``RatFunc``:
@@ -178,7 +182,25 @@ def _cleared(row):
 
 
 def _echelon_fraction_free(rows, ncols, ctx):
+    """One-step Bareiss Gauss-Jordan elimination of the cleared rows.
+
+    Step r takes the pivot p in column c and replaces every other row i by
+    (p * row_i - f * row_r) / prev, f being row i's entry in column c and
+    prev the pivot of step r - 1 (one at the first step).  Only the entries
+    whose value is not known beforehand are computed:
+
+    * column c becomes zero, as p * f - f * p = 0;
+    * each earlier pivot column becomes zero, except in its own pivot row,
+      where it becomes p.  By induction the column holds prev in that row
+      and zero in every other row, the pivot row r included, so the update
+      is p * prev / prev = p there and p * 0 / prev = 0 elsewhere;
+    * every other column, including the non-pivot columns left of c that
+      the earlier pivot rows still carry, is the exact division.
+
+    The pivot row itself is left as it is.
+    """
     poly_rows = [_cleared(row) for row in rows]
+    zero = LaurentPoly.zero(ctx.num_vars)
     prev = LaurentPoly.one(ctx.num_vars)
     pivots = []
     pivot_polys = []
@@ -192,17 +214,20 @@ def _echelon_fraction_free(rows, ncols, ctx):
         if sel is None:
             continue
         poly_rows[r], poly_rows[sel] = poly_rows[sel], poly_rows[r]
-        p = poly_rows[r][c]
+        pivot_row = poly_rows[r]
+        p = pivot_row[c]
         assert not p.is_zero()
-        for i in range(len(poly_rows)):
+        unknown = [j for j in range(ncols) if j != c and j not in pivots]
+        for i, row in enumerate(poly_rows):
             if i == r:
                 continue
-            row_i = poly_rows[i]
-            f = row_i[c]
-            poly_rows[i] = [
-                exact_div(p * row_i[j] - f * poly_rows[r][j], prev)
-                for j in range(ncols)
-            ]
+            f = row[c]
+            new = [zero] * ncols
+            for j in unknown:
+                new[j] = exact_div(p * row[j] - f * pivot_row[j], prev)
+            if i < r:
+                new[pivots[i]] = p
+            poly_rows[i] = new
         prev = p
         pivots.append(c)
         pivot_polys.append(p)

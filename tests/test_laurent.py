@@ -113,6 +113,88 @@ def test_exact_div_laurent():
         exact_div(t ** 2 + 1, t + 1)
 
 
+def old_exact_div(p, d):
+    """The former exact division: shift both operands to ordinary
+    polynomials, cancel lex-leading terms, and shift the quotient back.
+    The oracle for ``exact_div``, which divides in the Laurent ring."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return LaurentPoly.zero(p.num_vars)
+    pmin, dmin = p.min_exps(), d.min_exps()
+    p = p.shift(tuple(-m for m in pmin))
+    d = d.shift(tuple(-m for m in dmin))
+    lead_e, lead_c = d.lex_leading()
+    rem = dict(p.terms)
+    q = {}
+    while rem:
+        e = max(rem)
+        c = rem[e]
+        diff = tuple(a - b for a, b in zip(e, lead_e))
+        if any(x < 0 for x in diff):
+            raise ArithmeticError("inexact polynomial division")
+        if type(c) is int and type(lead_c) is int:
+            qc, r = divmod(c, lead_c)
+            if r:
+                qc = Fraction(c, lead_c)
+        else:
+            qc = c / lead_c
+            qc = qc.numerator if qc.denominator == 1 else qc
+        q[diff] = qc
+        for ee, cc in d.terms.items():
+            key = tuple(a + b for a, b in zip(diff, ee))
+            s = rem.get(key, 0) - qc * cc
+            if s:
+                rem[key] = s
+            elif key in rem:
+                del rem[key]
+    return LaurentPoly._make(p.num_vars, q).shift(tuple(a - b for a, b in zip(pmin, dmin)))
+
+
+def _stored(p):
+    """A polynomial's term map with the type of every coefficient."""
+    return {e: (c, type(c)) for e, c in p.terms.items()}
+
+
+def test_exact_div_matches_shifted_division():
+    """Dividing in the Laurent ring gives the former shifted division's
+    quotient, coefficient types included, and raises exactly when it does:
+    products and perturbed products with negative exponents in 1-3
+    variables, int and Fraction coefficients, one-term divisors."""
+    rng = random.Random(27)
+    raised = 0
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        d = random_nonzero_laurent(rng, n, max_terms=rng.choice([1, 4]), exp_range=2)
+        q = random_nonzero_laurent(rng, n, max_terms=4, exp_range=2)
+        if rng.random() < 0.2:
+            d = d * Fraction(rng.choice([1, 2, 3]), rng.choice([2, 3, 5]))
+        if rng.random() < 0.15:
+            q = q * Fraction(1, rng.choice([2, 3]))
+        p = q * d
+        kind = rng.randrange(3)
+        if kind == 1:
+            # a random term added to the product: usually not divisible
+            p = p + random_nonzero_laurent(rng, n, max_terms=1, exp_range=3)
+        elif kind == 2:
+            p = random_laurent(rng, n, max_terms=5, exp_range=3)
+        try:
+            want = old_exact_div(p, d)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                exact_div(p, d)
+            raised += 1
+            continue
+        got = exact_div(p, d)
+        assert _stored(got) == _stored(want), (p, d)
+        assert got * d == p
+        seen.add((n, len(d.terms) == 1, any(type(c) is Fraction for c in got.terms.values())))
+    assert raised > 100
+    assert {k for k in seen if not k[1]} >= {(n, False, f) for n in (1, 2, 3) for f in (False, True)}
+    assert {(n, True) for n, one, _ in seen if one} == {(1, True), (2, True), (3, True)}
+
+
 def test_gcd_common_factor_random():
     rng = random.Random(11)
     for _ in range(25):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import slopelab.linalg as linalg_module
 from slopelab.characters import Character
 from slopelab.errors import UsageError
 from slopelab.fields import (
@@ -13,7 +14,7 @@ from slopelab.fields import (
     RatFunc,
     RationalFunctionField,
 )
-from slopelab.laurent import LaurentPoly, exact_div, poly_lcm
+from slopelab.laurent import LaurentPoly, exact_div, normalize_poly, poly_gcd
 from slopelab.linalg import (
     _echelon,
     INCONSISTENT,
@@ -25,9 +26,10 @@ from slopelab.linalg import (
     rank,
     solve,
 )
-from slopelab.seifert import build_E, random_presentation
+from slopelab.seifert import build_E, random_presentation, stabilize
 
 from conftest import int_matrix, random_laurent, random_nonzero_laurent, transpose
+from test_laurent import old_exact_div
 
 Q = Cyclotomic(1)
 
@@ -349,35 +351,54 @@ def test_fraction_free_solve_matches_reduced_reference(rng):
     assert {square for _, square in seen} == {True, False}
 
 
-def old_echelon_fraction_free(rows, ncols, ctx):
-    """The former fraction-free elimination, whose rows were cleared by a
-    ``poly_lcm`` and an ``exact_div`` per non-polynomial entry.  Returns
-    (poly_rows, pivots, pivot_polys)."""
+def old_lcm(a, b):
+    """poly_lcm with the division of ``old_exact_div``."""
+    return normalize_poly(old_exact_div(a * b, poly_gcd(a, b)))
+
+
+def old_echelon_fraction_free(rows, ncols, ctx, seen=None):
+    """The former fraction-free elimination, whose rows were cleared by an
+    lcm and a division per non-polynomial entry, and which recomputed every
+    entry of every other row at each step.  Divides with ``old_exact_div``,
+    so it shares no division code with ``_echelon``.  Returns (poly_rows,
+    pivots, pivot_polys); ``seen``, when given, collects "swap" for a row
+    swap and "f=0" for a row already zero in the pivot column."""
     one = LaurentPoly.one(ctx.num_vars)
     poly_rows = []
     for row in rows:
         den = one
         for x in row:
             if not x.is_polynomial():
-                den = poly_lcm(den, x.den)
-        poly_rows.append([x.num * exact_div(den, x.den) for x in row])
+                den = old_lcm(den, x.den)
+        poly_rows.append([x.num * old_exact_div(den, x.den) for x in row])
     prev = one
     pivots, pivot_polys = [], []
+    seen = set() if seen is None else seen
     for c in range(ncols):
         r = len(pivots)
         sel = next((i for i in range(r, len(poly_rows)) if not poly_rows[i][c].is_zero()), None)
         if sel is None:
             continue
+        if sel != r:
+            seen.add("swap")
         poly_rows[r], poly_rows[sel] = poly_rows[sel], poly_rows[r]
         p = poly_rows[r][c]
         for i in range(len(poly_rows)):
             if i != r:
                 f = poly_rows[i][c]
-                poly_rows[i] = [exact_div(p * x - f * y, prev) for x, y in zip(poly_rows[i], poly_rows[r])]
+                if f.is_zero():
+                    seen.add("f=0")
+                poly_rows[i] = [old_exact_div(p * x - f * y, prev) for x, y in zip(poly_rows[i], poly_rows[r])]
         prev = p
         pivots.append(c)
         pivot_polys.append(p)
     return poly_rows, pivots, tuple(pivot_polys)
+
+
+def _augmented(p, ctx):
+    """The rows of [E(w) | kappa] of a presentation over ``ctx``."""
+    e = build_E(p, Character.symbolic(p.mu), ctx)
+    return [list(row) + [ctx.from_int(k)] for row, k in zip(e.entries, p.kappa)]
 
 
 def test_rows_cleared_once_match_per_entry_lcm_clearing(rng):
@@ -409,9 +430,7 @@ def test_rows_cleared_once_match_per_entry_lcm_clearing(rng):
         ctx = RationalFunctionField(mu)
         for n in (2, 3, 4):
             p = random_presentation(rng, mu=mu, n=n, bound=1 + n % 2)
-            e = build_E(p, Character.symbolic(mu), ctx)
-            rows = [list(row) + [ctx.from_int(k)] for row, k in zip(e.entries, p.kappa)]
-            cases.append((ctx, rows, n + 1))
+            cases.append((ctx, _augmented(p, ctx), n + 1))
     kinds = set()
     for ctx, rows, ncols in cases:
         want = old_echelon_fraction_free(rows, ncols, ctx)
@@ -422,6 +441,103 @@ def test_rows_cleared_once_match_per_entry_lcm_clearing(rng):
             kinds.add("polynomial" if dens == {LaurentPoly.one(ctx.num_vars)} else
                       "equal" if len(dens) == 1 else "mixed")
     assert kinds == {"polynomial", "equal", "mixed"}
+
+
+def test_elimination_skips_only_entries_it_knows(rng):
+    """The elimination that fills in the pivot column and the earlier pivot
+    columns without arithmetic gives the rows, pivots and pivot polynomials
+    of the one that recomputes every entry, on every fact the skip relies
+    on: a non-pivot column left of a later pivot, rows already zero in the
+    pivot column, row swaps, rank-deficient and inconsistent [E | kappa],
+    and symbolic E at mu = 3."""
+    cases = []
+    rf = RationalFunctionField(2)
+
+    def entry():
+        return rf.zero if rng.random() < 0.35 else random_ratfunc(rng, 2)
+
+    for trial in range(40):
+        rows_n, cols = [(3, 4), (4, 4), (3, 5), (4, 3)][trial % 4]
+        entries = [[entry() for _ in range(cols)] for _ in range(rows_n)]
+        if trial % 2:
+            # column 1 a multiple of column 0: a non-pivot column left of
+            # the later pivots
+            g = random_ratfunc(rng, 2)
+            for row in entries:
+                row[1] = g * row[0]
+        cases.append((rf, entries, cols, "random"))
+    for mu in (1, 2, 3):
+        ctx = RationalFunctionField(mu)
+        for n in (2, 3) if mu == 3 else (2, 3, 4):
+            p = random_presentation(rng, mu=mu, n=n, bound=1 + n % 2)
+            cases.append((ctx, _augmented(p, ctx), n + 1, f"mu{mu}"))
+            # a zero generator: rank deficient, consistent with kappa 0 there
+            # and inconsistent with kappa 1
+            s = stabilize(p)
+            cases.append((ctx, _augmented(s, ctx), n + 2, f"mu{mu}"))
+            bad = s.replace(kappa=s.kappa[:-1] + (1,))
+            cases.append((ctx, _augmented(bad, ctx), n + 2, f"mu{mu}"))
+    facts = set()
+    for ctx, rows, ncols, label in cases:
+        seen = set()
+        want = old_echelon_fraction_free(rows, ncols, ctx, seen)
+        got = _echelon(rows, ncols, ctx)
+        assert (got.poly_rows, got.pivots, got.pivot_polys) == want
+        pivots = want[1]
+        facts |= seen | {label}
+        if any(j not in pivots for j in range(max(pivots, default=0))):
+            facts.add("non-pivot column left of a pivot")
+        if label != "random" and ncols - 1 in pivots:
+            facts.add("inconsistent [E | kappa]")
+        elif label != "random" and len(pivots) < len(rows):
+            facts.add("rank-deficient [E | kappa]")
+    assert facts >= {
+        "swap",
+        "f=0",
+        "non-pivot column left of a pivot",
+        "rank-deficient [E | kappa]",
+        "inconsistent [E | kappa]",
+        "mu3",
+    }
+
+
+def _division_count(monkeypatch, rows, ncols, ctx):
+    calls = []
+
+    def counted(p, d):
+        calls.append(d)
+        return exact_div(p, d)
+
+    monkeypatch.setattr(linalg_module, "exact_div", counted)
+    ech = _echelon(rows, ncols, ctx)
+    monkeypatch.undo()
+    return len(calls), ech
+
+
+def test_elimination_divides_only_unknown_entries_on_the_traced_binding(monkeypatch, rng):
+    """Step k of the elimination makes one exact division for each other
+    row and each column that is neither its pivot column nor an earlier
+    one: the sum over the steps of (rows - 1) * (ncols - k), k counting
+    this step's pivot.  Recomputing a known entry raises the count, and a
+    division that leaves ``linalg.exact_div`` (the binding the benchmark
+    tracer patches) lowers it to zero."""
+    rf = RationalFunctionField(2)
+    for n, rank_of in ((3, 3), (4, 4), (4, 2), (3, 1)):
+        while True:
+            left = [[random_laurent(rng, 2, max_terms=2, exp_range=1) for _ in range(rank_of)]
+                    for _ in range(n)]
+            right = [[random_laurent(rng, 2, max_terms=2, exp_range=1) for _ in range(n + 1)]
+                     for _ in range(rank_of)]
+            # a product of n x r and r x (n + 1) polynomial matrices: rank r
+            # at most, cleared with no division
+            rows = [[RatFunc.from_poly(sum((a * b for a, b in zip(lrow, col)),
+                                           LaurentPoly.zero(2)))
+                     for col in zip(*right)] for lrow in left]
+            calls, ech = _division_count(monkeypatch, rows, n + 1, rf)
+            if len(ech.pivots) == rank_of:
+                break
+        expected = sum((n - 1) * (n + 1 - k) for k in range(1, rank_of + 1))
+        assert calls == expected
 
 
 # -- Gauss-Jordan elimination against the two routines it replaced ------------------

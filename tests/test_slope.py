@@ -373,6 +373,74 @@ def test_symbolic_value_is_pairing_of_witness(rng):
         assert sv.value == -pairing
 
 
+def _cofactor_det(m, zero, one):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return one
+    total = zero
+    for j, x in enumerate(m[0]):
+        if x:
+            term = x * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]], zero, one)
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def bordered_determinant_slope(p):
+    """c * det [[A_II, kappa_I], [kappa_I^T, 0]] / det A_II, with A = A(w^-1)
+    over Laurent polynomials, c = prod_i (1 - w_i^-1), and I the first
+    principal block, largest first, whose determinant is not zero.  Since
+    E = A / c is Hermitian, a finite slope is -kappa^T x for any x with
+    E x = kappa, and the Schur complement of A_II in the bordered matrix
+    gives the formula.  Uses no elimination of ``linalg``."""
+    mu, n = p.mu, p.n
+    zero, one = LaurentPoly.zero(mu), LaurentPoly.one(mu)
+    a = [[zero] * n for _ in range(n)]
+    for eps, theta in p.theta.items():
+        sign = -1 if sum(e < 0 for e in eps) % 2 else 1
+        mono = LaurentPoly.monomial(mu, [-1 if e < 0 else 0 for e in eps], sign)
+        for i in range(n):
+            for j in range(n):
+                if theta[i][j]:
+                    a[i][j] = a[i][j] + mono * theta[i][j]
+    c = one
+    for i in range(mu):
+        c = c * (one - LaurentPoly.var(mu, i).subst_inverse())
+    kappa = [LaurentPoly.const(mu, k) for k in p.kappa]
+    for size in range(n, -1, -1):
+        for block in itertools.combinations(range(n), size):
+            det = _cofactor_det([[a[i][j] for j in block] for i in block], zero, one)
+            if det:
+                bordered = [[a[i][j] for j in block] + [kappa[i]] for i in block]
+                bordered.append([kappa[j] for j in block] + [zero])
+                return RatFunc(c * _cofactor_det(bordered, zero, one), det)
+    raise AssertionError("the empty block has determinant one")
+
+
+def test_symbolic_slope_matches_bordered_determinant(rng):
+    """Every finite symbolic slope is storage-equal to the bordered
+    determinant formula: n <= 4, mu 1-3, random, stabilized and kappa-zero
+    presentations (stabilized ones have a singular E)."""
+    finite, sizes = set(), set()
+    for trial in range(90):
+        mu = 1 + trial % 3
+        n = rng.randint(1, 4)
+        kind = ("random", "stabilized", "kappa-zero")[trial // 3 % 3]
+        p = random_presentation(rng, mu=mu, n=n if kind != "stabilized" else n - 1,
+                                kappa_zero=kind == "kappa-zero")
+        if kind == "stabilized":
+            p = stabilize(p)
+        sv = slope_symbolic(p)
+        if sv.kind != FINITE:
+            continue
+        want = bordered_determinant_slope(p)
+        assert (sv.value.num, sv.value.den) == (want.num, want.den)
+        finite.add((mu, kind))
+        sizes.add(p.n)
+    assert sizes == {1, 2, 3, 4}
+    assert finite == {(mu, kind) for mu in (1, 2, 3)
+                      for kind in ("random", "stabilized", "kappa-zero")}
+
+
 @pytest.mark.parametrize(
     "shape, kappa, kind",
     [
