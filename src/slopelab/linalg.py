@@ -18,16 +18,13 @@ last pivot.  At step k the entries of the pivot columns are known before
 any arithmetic: p_k in each pivot row's own pivot column and zero elsewhere
 (the induction is in ``_echelon_fraction_free``), so only the other
 columns are multiplied out and divided.  The elimination stops there and
-returns those polynomial rows
-with the pivots, so it makes no gcd call; a caller that evaluates the rows
-at a point (``slope``'s per-presentation records) never reduces them.
-``solve`` reduces only the entries callers see as fractions to ``RatFunc``:
-the free columns (the kernel basis) and the right-hand side (the particular
-solution).  The pivot columns are det times the identity and are read back
-as one and zero.  The unreduced numerators of the particular solution
-travel with it in ``SolveResult.particular_numerators`` (over det, the last
-of ``pivot_polys``), so a caller that combines its entries linearly can
-reduce once instead of once per entry.
+returns those polynomial rows with the pivots, so it makes no gcd call;
+``slope``'s per-presentation records read their slopes off the rows, as
+polynomials over det or evaluated at a point.  ``solve`` reduces only the
+entries callers see as fractions to ``RatFunc``: the free columns (the
+kernel basis) and the right-hand side (the particular solution).  The
+pivot columns are det times the identity and are read back as one and
+zero.
 """
 
 from __future__ import annotations
@@ -92,9 +89,6 @@ class SolveResult(Record):
     particular: tuple | None
     kernel_basis: tuple
     pivot_polys: tuple = ()
-    # fraction-free path only: particular[i] == RatFunc(num_i, det), det
-    # being pivot_polys[-1] (one when there are no pivots)
-    particular_numerators: tuple | None = None
 
 
 class _Echelon(Record):
@@ -290,14 +284,8 @@ def solve(m, b):
     particular = [m.ctx.zero] * m.cols
     for r, c in enumerate(ech.pivots):
         particular[c] = rows[r][m.cols]
-    numerators = None
-    if ech.poly_rows is not None:
-        numerators = [LaurentPoly.zero(m.ctx.num_vars)] * m.cols
-        for r, c in enumerate(ech.pivots):
-            numerators[c] = ech.poly_rows[r][m.cols]
-        numerators = tuple(numerators)
     status = UNIQUE if not kernel else UNDERDETERMINED
-    return SolveResult(status, tuple(particular), kernel, ech.pivot_polys, numerators)
+    return SolveResult(status, tuple(particular), kernel, ech.pivot_polys)
 
 
 def hermitian_inertia(m):
@@ -418,18 +406,3 @@ def hermitian_signature(m, tol_sig=1e-8):
     n_plus, n_minus = inertia(-t)[0], inertia(t)[1]
     return (n_plus, n_minus, n - n_plus - n_minus)
 
-
-def certificate_polys(pivot_polys):
-    """Distinct non-unit pivot factors, unit-normalized.
-
-    Monomials and constants are units of the Laurent ring and never vanish
-    on the character torus, so they are dropped.
-    """
-    seen = []
-    for p in pivot_polys:
-        q = normalize_poly(p)
-        if q.is_constant() or q.is_monomial():
-            continue
-        if q not in seen:
-            seen.append(q)
-    return seen

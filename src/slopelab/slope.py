@@ -31,12 +31,11 @@ from .errors import (
     UsageError,
 )
 from .fields import ApproxComplex, Cyclotomic, RatFunc, RationalFunctionField
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, normalize_poly
 from .linalg import (
     INCONSISTENT,
     _check_tol_sig,
     _eliminate,
-    certificate_polys,
     hermitian_inertia,
     hermitian_signature,
     rank,
@@ -83,10 +82,16 @@ def _refuse_invalid(presentation, check_transpose=True):
 
 
 def _certificate(pivot_polys, num_vars):
-    """``valid_away_from``: the product of the distinct non-unit pivots."""
+    """``valid_away_from``: the product of the distinct non-unit pivots,
+    unit-normalized.  Monomials and constants are units of the Laurent
+    ring and never vanish on the character torus, so they are dropped."""
     certificate = LaurentPoly.one(num_vars)
-    for p in certificate_polys(pivot_polys):
-        certificate = certificate * p
+    seen = []
+    for p in pivot_polys:
+        q = normalize_poly(p)
+        if not (q.is_constant() or q.is_monomial() or q in seen):
+            seen.append(q)
+            certificate = certificate * q
     return certificate
 
 
@@ -102,15 +107,8 @@ def slope_from_operator(e_matrix, kappa_scalars):
     whether it vanishes), so Undefined needs an operator that is not
     self-adjoint, such as one passed in directly.
 
-    Over the rational function field the pairing is formed on the
-    numerators of the fraction-free solution, alpha_i = num_i / det, as
-    -(sum_i kappa_i num_i) / det.  With polynomial kappa (always the case
-    for ``slope_at``) the sum stays a polynomial, and the division is the
-    one gcd reduction instead of a reduced product and sum per term.  Both
-    are the same rational function, and a ``RatFunc`` is stored in the
-    canonical reduced form, so the value is structurally identical to the
-    term-by-term sum.  The same context also returns ``valid_away_from``,
-    the product of the non-unit pivot polynomials.
+    Over the rational function field the result also carries
+    ``valid_away_from``, the product of the non-unit pivot polynomials.
     """
     ctx = e_matrix.ctx
     kappa = list(kappa_scalars)
@@ -131,16 +129,9 @@ def slope_from_operator(e_matrix, kappa_scalars):
         certificate = _certificate(sol.pivot_polys, ctx.num_vars)
     if in_image and in_annihilator:
         alpha = sol.particular
-        if sol.particular_numerators is not None:
-            det = sol.pivot_polys[-1] if sol.pivot_polys else LaurentPoly.one(ctx.num_vars)
-            pairing = ctx.zero
-            for num, k in zip(sol.particular_numerators, kappa):
-                pairing = pairing + k * RatFunc.from_poly(num)
-            pairing = pairing / RatFunc.from_poly(det)
-        else:
-            pairing = ctx.zero
-            for a, k in zip(alpha, kappa):
-                pairing = pairing + a * k
+        pairing = ctx.zero
+        for a, k in zip(alpha, kappa):
+            pairing = pairing + a * k
         return SlopeValue(FINITE, -pairing, tuple(alpha), report, approximate, certificate)
     if not in_image and not in_annihilator:
         return SlopeValue(INFINITY, None, None, report, approximate, certificate)
@@ -149,23 +140,32 @@ def slope_from_operator(e_matrix, kappa_scalars):
 
 class _Elimination:
     """The fraction-free elimination of [E(w) | kappa] for one presentation,
-    E(w) its symbolic operator, and the slope read off it at torsion
-    characters.
+    E(w) its symbolic operator, and the slope read off it, symbolically and
+    at torsion characters.
 
     ``linalg._echelon_fraction_free`` clears each row of [E(w) | kappa] and
-    runs one-step Bareiss on it; the record keeps the pivot columns, the
-    pivots p_1, ..., p_r (det = p_r, or 1 when r = 0) and the final
-    polynomial rows R, with no gcd.  Write n for the number of columns of
-    E, I for the pivot columns below n, and num_c = R[row of c][n].  For a
-    free column f < n the pairing numerator is
+    runs one-step Bareiss on it, giving the pivot columns, the pivots
+    p_1, ..., p_r (det = p_r, or 1 when r = 0) and the final polynomial
+    rows R, with no gcd.  Write n for the number of columns of E, I for the
+    pivot columns below n, and num_c = R[row of c][n].  For a free column
+    f < n the pairing numerator is
     P_f = kappa_f det - sum over c in I of kappa_c R[row of c][f], and the
-    value numerator is V = sum over c in I of kappa_c num_c.
+    value numerator is V = sum over c in I of kappa_c num_c.  The record
+    derives det, the P_f, the pairs (c, num_c) and V (both None when column
+    n holds a pivot) and ``valid_away_from`` (the product of the distinct
+    non-unit pivots) when it is built, and keeps only those.
+
+    Over the rational function field the final rows are exactly det times
+    the reduced row echelon form of [E(w) | kappa] (``linalg``), so the
+    readings below hold with the identity as the evaluation, and
+    ``symbolic`` returns what ``slope_from_operator`` returns on E(w):
+    the same rational functions, in ``RatFunc``'s canonical stored form,
+    with the record's ``valid_away_from`` as the certificate.
 
     Specialization, at a torsion character omega with no coordinate 1
-    where ``valid_away_from`` (the product of the non-unit pivots) does not
-    vanish.  The units it leaves out are monomials, which do not vanish on
-    the torus, so no pivot vanishes at omega.  No transpose symmetry is
-    used.
+    where ``valid_away_from`` does not vanish.  The units it leaves out are
+    monomials, which do not vanish on the torus, so no pivot vanishes at
+    omega.  No transpose symmetry is used.
 
     * Each row of [E | kappa] is cleared by the lcm of its entries'
       denominators.  ``build_E`` writes entry (r, c) over the product of
@@ -212,74 +212,79 @@ class _Elimination:
     (``evaluate_at_torsion``), with no elimination.  Where a pivot vanishes
     at omega the first choice can differ, and ``slope`` solves directly.
     ``certify_zero_slope`` relies on the same argument.
-
-    P_f, V and ``valid_away_from`` are derived at the first use.
     """
 
-    __slots__ = ("mu", "kappa", "echelon", "valid_away_from", "_parts")
+    __slots__ = ("mu", "n", "det", "pairings", "numerators", "value", "valid_away_from")
 
     def __init__(self, e, kappa):
         """Eliminate [e | kappa], e the symbolic operator and kappa the
-        integer class of a presentation."""
-        self.mu = e.ctx.num_vars
-        self.kappa = tuple(kappa)
-        self.echelon = _eliminate(e, [e.ctx.from_int(k) for k in kappa])
-        self.valid_away_from = None
-        self._parts = None
-
-    def specializes_at(self, omega):
-        """True when no pivot vanishes at the torsion character omega."""
-        if self.valid_away_from is None:
-            self.valid_away_from = _certificate(self.echelon.pivot_polys, self.mu)
-        return not evaluate_at_torsion(self.valid_away_from, omega).is_zero()
-
-    def _derive(self):
-        """(det, the P_f, (c, num_c) for c in I, V); the last two are None
-        when column n holds a pivot."""
-        ech, kappa, n = self.echelon, self.kappa, len(self.kappa)
-        det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(self.mu)
-        pivot_cols = [c for c in ech.pivots if c < n]
+        integer class of a presentation, and keep the derived parts."""
+        mu, n = e.ctx.num_vars, len(kappa)
+        ech = _eliminate(e, [e.ctx.from_int(k) for k in kappa])
         rows = ech.poly_rows
-        pairings = []
+        pivot_cols = [c for c in ech.pivots if c < n]
+        self.mu, self.n = mu, n
+        self.det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(mu)
+        self.pairings = []
         for f in range(n):
             if f in pivot_cols:
                 continue
-            acc = det * kappa[f]
+            acc = self.det * kappa[f]
             for r, c in enumerate(pivot_cols):
                 if kappa[c]:
                     acc = acc - rows[r][f] * kappa[c]
-            pairings.append(acc)
-        numerators = value = None
+            self.pairings.append(acc)
+        self.numerators = self.value = None
         if n not in ech.pivots:
-            numerators = [(c, rows[r][n]) for r, c in enumerate(pivot_cols)]
-            value = LaurentPoly.zero(self.mu)
-            for c, num in numerators:
+            self.numerators = [(c, rows[r][n]) for r, c in enumerate(pivot_cols)]
+            self.value = LaurentPoly.zero(mu)
+            for c, num in self.numerators:
                 if kappa[c]:
-                    value = value + num * kappa[c]
-        self._parts = (det, pairings, numerators, value)
+                    self.value = self.value + num * kappa[c]
+        self.valid_away_from = _certificate(ech.pivot_polys, mu)
+
+    def specializes_at(self, omega):
+        """True when no pivot vanishes at the torsion character omega."""
+        return not evaluate_at_torsion(self.valid_away_from, omega).is_zero()
+
+    def _unless_finite(self, in_annihilator, certificate=None):
+        """The slope when one membership fails, else None."""
+        in_image = self.numerators is not None
+        if in_image and in_annihilator:
+            return None
+        kind = INFINITY if in_image == in_annihilator else UNDEFINED
+        report = CaseReport(in_image, in_annihilator)
+        return SlopeValue(kind, None, None, report, False, certificate)
 
     def at(self, omega):
         """The slope at a torsion character where ``specializes_at`` holds."""
-        if self._parts is None:
-            self._derive()
-        det, pairings, numerators, value = self._parts
-        in_image = numerators is not None
-        in_annihilator = not any(evaluate_at_torsion(p, omega) for p in pairings)
-        report = CaseReport(in_image, in_annihilator)
-        if not (in_image and in_annihilator):
-            kind = INFINITY if in_image == in_annihilator else UNDEFINED
-            return SlopeValue(kind, None, None, report)
-        inv = evaluate_at_torsion(det, omega).invert()
-        witness = [Cyclotomic(omega.conductor).zero] * len(self.kappa)
-        for c, num in numerators:
+        in_annihilator = not any(evaluate_at_torsion(p, omega) for p in self.pairings)
+        sv = self._unless_finite(in_annihilator)
+        if sv is not None:
+            return sv
+        inv = evaluate_at_torsion(self.det, omega).invert()
+        witness = [Cyclotomic(omega.conductor).zero] * self.n
+        for c, num in self.numerators:
             witness[c] = evaluate_at_torsion(num, omega) * inv
-        value = -(evaluate_at_torsion(value, omega) * inv)
-        return SlopeValue(FINITE, value, tuple(witness), report)
+        value = -(evaluate_at_torsion(self.value, omega) * inv)
+        return SlopeValue(FINITE, value, tuple(witness), CaseReport(True, True))
+
+    def symbolic(self):
+        """The slope over the rational function field, with no
+        specialization: the P_f, num_c and V themselves over det."""
+        sv = self._unless_finite(not any(self.pairings), self.valid_away_from)
+        if sv is not None:
+            return sv
+        witness = [RationalFunctionField(self.mu).zero] * self.n
+        for c, num in self.numerators:
+            witness[c] = RatFunc(num, self.det)
+        value = RatFunc(-self.value, self.det)
+        report = CaseReport(True, True)
+        return SlopeValue(FINITE, value, tuple(witness), report, False, self.valid_away_from)
 
 
-# What is known of each presentation asked, by content (mu, n, theta,
-# kappa), oldest first: its record, or, while it has none, the certificate
-# ``valid_away_from`` a symbolic request left, else None.
+# Each presentation asked, by content (mu, n, theta, kappa), oldest first:
+# its record, or None while it has been asked once at a torsion character.
 _RECORDS = {}
 RECORD_BOUND = 32
 
@@ -292,26 +297,19 @@ def _key(presentation):
     return (p.mu, p.n, theta, tuple(p.kappa))
 
 
-def _remember(key, record):
-    if key not in _RECORDS and len(_RECORDS) >= RECORD_BOUND:
-        del _RECORDS[next(iter(_RECORDS))]
-    _RECORDS[key] = record
-
-
-def _torsion_record(presentation, omega):
-    """The presentation's record for a torsion request at omega, or None to
-    solve directly.  A record that exists is used.  Otherwise a
-    presentation asked before gets one, unless the certificate of a
-    symbolic request vanishes at omega, where no record could be read."""
+def _record(presentation, symbolic):
+    """The presentation's record, built unless this is the first request
+    and a torsion one (``symbolic`` false), which gets None and is noted."""
     key = _key(presentation)
-    if key not in _RECORDS:
-        _remember(key, None)
-        return None
-    known = _RECORDS[key]
-    if isinstance(known, _Elimination):
-        return known
-    if known is not None and evaluate_at_torsion(known, omega).is_zero():
-        return None
+    record = _RECORDS.get(key, False)  # False: never asked
+    if record:
+        return record
+    if record is False:
+        if len(_RECORDS) >= RECORD_BOUND:
+            del _RECORDS[next(iter(_RECORDS))]
+        if not symbolic:
+            _RECORDS[key] = None
+            return None
     mu = presentation.mu
     e = build_E(presentation, Character.symbolic(mu), RationalFunctionField(mu))
     record = _RECORDS[key] = _Elimination(e, presentation.kappa)
@@ -332,21 +330,18 @@ def _slope_in(presentation, omega, ctx):
         )
     if omega.mu != presentation.mu:
         raise UsageError("character length does not match the presentation")
-    kappa = [ctx.from_int(k) for k in presentation.kappa]
+    if isinstance(ctx, RationalFunctionField):
+        return _record(presentation, True).symbolic()
     if isinstance(ctx, Cyclotomic):
         if any(k % omega.conductor == 0 for k in omega.exponents):
             raise UnsupportedHypothesisError(
                 "vanishing character coordinate (omega_i = 1): patching is not supported"
             )
-        record = _torsion_record(presentation, omega)
+        record = _record(presentation, False)
         if record is not None and record.specializes_at(omega):
             return record.at(omega)
-    sv = slope_from_operator(build_E(presentation, omega, ctx), kappa)
-    if isinstance(ctx, RationalFunctionField):
-        key = _key(presentation)
-        if _RECORDS.get(key) is None:
-            _remember(key, sv.valid_away_from)
-    return sv
+    kappa = [ctx.from_int(k) for k in presentation.kappa]
+    return slope_from_operator(build_E(presentation, omega, ctx), kappa)
 
 
 def slope_at(presentation, omega, *, tol=None, check_transpose=True):
@@ -359,18 +354,17 @@ def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     before the presentation is checked, so a bad tolerance is refused
     first.
 
-    A process-wide memo keeps what is known of up to ``RECORD_BOUND`` (32)
-    presentations, keyed by their content (mu, n, theta, kappa) and dropped
-    oldest first.  A torsion request uses the presentation's record, the
-    fraction-free elimination of [E(w) | kappa] (``_Elimination``), where
-    one exists, and reads the slope off it unless a pivot vanishes at the
-    character; otherwise it solves directly in Q(zeta_N).  A presentation
-    without a record gets one at its second request, symbolic or torsion:
-    building one costs more than a direct solve, so a single request never
-    builds it.  A symbolic request solves as before and leaves its
-    certificate ``valid_away_from``, and a torsion request where that
-    vanishes builds no record.  Either way the answer is the same, storage
-    included.
+    A process-wide memo keeps up to ``RECORD_BOUND`` (32) presentations,
+    keyed by their content (mu, n, theta, kappa) and dropped oldest first,
+    each with its record, the fraction-free elimination of [E(w) | kappa]
+    (``_Elimination``), or with None while it has been asked once at a
+    torsion character.  A symbolic request reads its answer off the record,
+    which it builds and keeps when there is none.  A torsion request reads
+    the record unless a pivot vanishes at the character, and otherwise
+    solves directly in Q(zeta_N).  A presentation without a record gets one
+    at its second torsion request: building one costs more than a direct
+    solve, so a single torsion request never builds it.  Either way the
+    answer is the same, storage included.
     """
     ctx = default_context_for(omega, tol)
     _refuse_invalid(presentation, check_transpose)
@@ -467,11 +461,12 @@ def certify_zero_slope(presentation):
     This certifies that the computed slope function vanishes; it does not
     certify sliceness.
 
-    Only battery characters on the zero locus of the symbolic solve's
-    certificate ``valid_away_from`` get a direct solve, and no record is
-    built for them.  At every other one the pointwise slope is the
-    specialization of the symbolic one, by the proof in ``_Elimination``'s
-    docstring (the certificate is the record's): finite, with value
+    The symbolic request leaves the presentation's record in the memo.
+    Only battery characters on the zero locus of its certificate
+    ``valid_away_from`` get a direct solve, as the record declines them,
+    and nothing is built for them.  At every other one the pointwise slope
+    is the specialization of the symbolic one, by the proof in
+    ``_Elimination``'s docstring: finite, with value
     -V(omega) / det(omega), where V / det reduces to the symbolic value,
     here the zero function, so V is the zero polynomial.  omega passes
     without a solve.

@@ -83,12 +83,11 @@ RECORDS = [
     ),
     (
         SolveResult,
-        ("status", "particular", "kernel_basis", "pivot_polys", "particular_numerators"),
-        ("unique", (1, 2), (), (W,), (ONE, W)),
-        {"pivot_polys": (), "particular_numerators": None},
+        ("status", "particular", "kernel_basis", "pivot_polys"),
+        ("unique", (1, 2), (), (W,)),
+        {"pivot_polys": ()},
         "SolveResult(status='unique', particular=(1, 2), kernel_basis=(), "
-        "pivot_polys=(LaurentPoly(1, 'w1'),), "
-        "particular_numerators=(LaurentPoly(1, '1'), LaurentPoly(1, 'w1')))",
+        "pivot_polys=(LaurentPoly(1, 'w1'),))",
     ),
     (
         _Echelon,

@@ -53,6 +53,15 @@ def old_slope_at(p, omega):
     return slope_from_operator(build_E(p, omega, ctx), [ctx.from_int(k) for k in p.kappa])
 
 
+def old_slope_symbolic(p):
+    """The symbolic slope by the generic solve of E(w) over the rational
+    function field, the path the record's symbolic read-off replaces (no
+    validation, no memo)."""
+    rf = RationalFunctionField(p.mu)
+    e = build_E(p, Character.symbolic(p.mu), rf)
+    return slope_from_operator(e, [rf.from_int(k) for k in p.kappa])
+
+
 def closed_form_whitehead():
     w = LaurentPoly.var(1, 0)
     one = LaurentPoly.one(1)
@@ -455,7 +464,7 @@ def test_symbolic_slope_matches_bordered_determinant(rng):
 )
 def test_symbolic_underdetermined_operator(shape, kappa, kind):
     """Operators with a kernel over the rational function field keep their
-    kind; the numerator pairing also holds for a rational kappa entry."""
+    kind, also with a rational kappa entry."""
     rf = RationalFunctionField(1)
     [w] = rf.variables()
     scalars = {0: rf.zero, 1: rf.one, "1/(1-w)": rf.one / (rf.one - w)}
@@ -887,6 +896,85 @@ def test_records_match_gauss_jordan(rng, monkeypatch):
     assert not all(is_prime_power(omega.conductor) for _, omega, _ in answered)
 
 
+def test_symbolic_read_off_matches_the_generic_solve(rng):
+    """Differential: every slope_symbolic, read off the record, is
+    storage-equal to the generic solve over the rational function field,
+    ``valid_away_from`` included."""
+    # (presentation, check_transpose)
+    cases = []
+    for mu, sizes in ((1, range(6)), (2, range(6)), (3, range(3))):
+        for n in sizes:
+            for _ in range(2):
+                p = random_presentation(rng, mu=mu, n=n, kappa_zero=rng.random() < 0.2)
+                cases.append((p, True))
+    for _ in range(6):
+        mu, n = rng.randint(1, 2), rng.randint(1, 3)
+        p = random_presentation(rng, mu=mu, n=n, kappa_zero=rng.random() < 0.3)
+        disguises = [
+            change_basis(p, random_unimodular(rng, n)),
+            stabilize(p),
+            stabilize(stabilize(p)),
+            p.replace(kappa=(p.kappa[0] + 1,) + p.kappa[1:]),
+        ]
+        cases.extend((q, True) for q in [p] + disguises)
+    for _ in range(12):
+        cases.append((_broken(rng, rng.randint(2, 4)), False))
+    kinds = set()
+    for p, check_transpose in cases:
+        slope_module._RECORDS.clear()
+        got = slope_symbolic(p, check_transpose=check_transpose)
+        assert got == old_slope_symbolic(p), p
+        assert isinstance(slope_module._RECORDS[slope_module._key(p)], slope_module._Elimination)
+        kinds.add(got.kind)
+    assert kinds == {FINITE, INFINITY, UNDEFINED}
+
+
+def test_slope_sign_matches_haynsworth_inertia(rng, monkeypatch):
+    """Metamorphic: for Hermitian E(omega) and H = [[E, kappa], [kappa^T, 0]],
+    Haynsworth's inertia additivity gives In(H) - In(E) = In(slope) when
+    the slope is finite (the Schur complement of E in H is the slope) and
+    (1, 1, -1) when it is infinite.  Each character is asked twice on an
+    empty memo, so the direct path and the record path both answer."""
+    by_sign = {1: (1, 0, 0), -1: (0, 1, 0), 0: (0, 0, 1)}
+    deltas, read_off = [], []
+    at = slope_module._Elimination.at
+
+    def counting(record, omega):
+        read_off.append(omega)
+        return at(record, omega)
+
+    monkeypatch.setattr(slope_module._Elimination, "at", counting)
+    for trial in range(150):
+        mu, n = rng.randint(1, 2), rng.randint(1, 4)
+        p = random_presentation(rng, mu=mu, n=n)
+        if trial % 3 == 0:
+            # half of the stabilized ones put kappa on the new generator,
+            # outside the image and off the annihilator: infinite
+            p = stabilize(p)
+            if trial % 2:
+                p = p.replace(kappa=p.kappa[:-1] + (rng.choice([-1, 1]),))
+        conductor = rng.choice([3, 4, 5, 7, 8, 9, 11, 13, 16, 25])
+        exponents = tuple(rng.randrange(1, conductor) for _ in range(mu))
+        omega = Character.root_of_unity(conductor, exponents)
+        slope_module._RECORDS.clear()
+        first, second = slope_at(p, omega), slope_at(p, omega)
+        assert first == second
+        ctx = Cyclotomic(conductor)
+        e = build_E(p, omega, ctx)
+        kappa = [ctx.from_int(k) for k in p.kappa]
+        bordered = [list(row) + [k] for row, k in zip(e.entries, kappa)]
+        h = Matrix(ctx, bordered + [kappa + [ctx.zero]])
+        delta = tuple(a - b for a, b in zip(hermitian_inertia(h), hermitian_inertia(e)))
+        if first.kind == FINITE:
+            assert delta == by_sign[first.value.sign()], (p, omega)
+        else:
+            assert first.kind == INFINITY and delta == (1, 1, -1), (p, omega)
+        deltas.append(delta)
+    assert set(deltas) == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)}
+    assert deltas.count((1, 1, -1)) >= 3
+    assert len(read_off) >= 100
+
+
 @pytest.mark.parametrize("mu", [1, 2])
 def test_single_torsion_request_builds_no_record(mu, eliminations):
     p = random_presentation(random.Random(mu), mu=mu, n=2)
@@ -901,27 +989,23 @@ def test_single_torsion_request_builds_no_record(mu, eliminations):
 
 
 @pytest.mark.parametrize("mu", [1, 2])
-def test_a_symbolic_request_is_a_first_request(mu, eliminations):
+def test_a_symbolic_request_leaves_the_record(mu, eliminations):
     p = random_presentation(random.Random(4), mu=mu, n=2)
     key = slope_module._key(p)
     symbolic = slope_symbolic(p)
     assert len(eliminations) == 1
-    assert slope_module._RECORDS[key] == symbolic.valid_away_from
+    record = slope_module._RECORDS[key]
+    assert isinstance(record, slope_module._Elimination)
+    assert record.valid_away_from == symbolic.valid_away_from
+    # every later torsion request reads the same record or, on its
+    # certificate's zero locus, solves directly
     for k in range(1, 5):
         omega = Character.root_of_unity(5, (k,) + (5 - k,) * (mu - 1))
         assert slope_at(p, omega) == old_slope_at(p, omega)
-    # the first torsion request built the record, and later ones reused it
-    assert len(eliminations) == 2
-    record = slope_module._RECORDS[key]
-    assert isinstance(record, slope_module._Elimination)
-    # a symbolic request solves as before and leaves the record in place
-    rf = RationalFunctionField(mu)
-    e = build_E(p, Character.symbolic(mu), rf)
-    assert slope_symbolic(p) == symbolic == slope_from_operator(
-        e, [rf.from_int(k) for k in p.kappa]
-    )
-    assert len(eliminations) == 4  # with the oracle's own solve
+    assert slope_symbolic(p) == symbolic
+    assert len(eliminations) == 1
     assert slope_module._RECORDS[key] is record
+    assert symbolic == old_slope_symbolic(p)
 
 
 def test_certify_builds_no_record_on_the_locus(eliminations):
@@ -931,8 +1015,9 @@ def test_certify_builds_no_record_on_the_locus(eliminations):
         2, 2, {"++": [[2, 0], [-1, 0]], "-+": [[-1, 0], [1, 0]]}, [0, 0]
     )
     assert certify_zero_slope(p)
-    assert len(eliminations) == 1  # the symbolic solve
-    assert slope_module._RECORDS[slope_module._key(p)] == slope_symbolic(p).valid_away_from
+    assert len(eliminations) == 1  # the symbolic request's record
+    record = slope_module._RECORDS[slope_module._key(p)]
+    assert record.valid_away_from == slope_symbolic(p).valid_away_from
 
 
 def test_refusals_come_before_the_memo(whitehead, eliminations):
