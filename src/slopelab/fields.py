@@ -34,6 +34,7 @@ from .errors import UsageError
 from .laurent import (
     LaurentPoly,
     _cyclotomic_coeffs,
+    _div_term,
     _power,
     euler_phi,
     exact_div,
@@ -215,14 +216,9 @@ def _reduce_fraction(num, den):
     if not g.is_constant():
         num = exact_div(num, g)
         den = exact_div(den, g)
-    # unit-normalize: make the denominator's lex-leading term the constant 1
+    # unit-normalize in one pass: divide both by den's lex-leading term
     e, c = den.lex_leading()
-    e = tuple(-x for x in e)
-    num, den = num.shift(e), den.shift(e)
-    if c != 1:
-        inv = Fraction(1) / c
-        num, den = num * inv, den * inv
-    return num, den
+    return _div_term(num, e, c), _div_term(den, e, c)
 
 
 # -- cyclotomic numbers --------------------------------------------------------

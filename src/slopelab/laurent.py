@@ -11,16 +11,21 @@ run on ``int`` arithmetic throughout, and every division stays exact.
 
 The module also provides the polynomial gcd that keeps rational functions
 reduced, and cyclotomic polynomials.  ``poly_gcd`` normalizes both
-operands and then tries a modular front end: equal operands are their own
-gcd; one image of the pair modulo the prime 2^61 - 1 per shared variable,
-taken where the first operand's leading coefficient in that variable
-survives, bounds the degree of the gcd in that variable (Gauss's lemma),
-so all-zero bounds prove the gcd is 1; and bounds equal to one operand's
-degrees make that operand the candidate, accepted only if it divides the
-other exactly.  Everything else goes to the recursive
-content/primitive-part gcd with a subresultant remainder sequence in the
-main variable, which also serves the tests as the oracle.  The full proof
-is in the ``poly_gcd`` docstring.
+operands; equal operands are their own gcd.  For each shared variable it
+then divides w_v - 1 out of both operands, by synthetic division, as often
+as it divides each (it divides exactly when the operand vanishes at
+w_v = 1), and keeps the lesser power as a factor of the gcd: w_v - 1 is
+irreducible, so unique factorization gives that power.  The stripped pair
+goes to a modular front end: one image of the pair modulo the prime
+2^61 - 1 per shared variable, taken where the first operand's leading
+coefficient in that variable survives, bounds the degree of the gcd in
+that variable (Gauss's lemma), and a nonzero bound is retried at the
+next points, keeping the least; all-zero bounds prove the gcd is 1, and
+bounds equal to one operand's degrees make that operand the candidate,
+accepted only if it divides the other exactly.  Everything else goes to
+the recursive content/primitive-part gcd with a subresultant remainder
+sequence in the main variable, which also serves the tests as the
+oracle.  The full proof is in the ``poly_gcd`` docstring.
 """
 
 from __future__ import annotations
@@ -343,12 +348,17 @@ def exact_div(p, d):
         return LaurentPoly.zero(p.num_vars)
     if len(d.terms) == 1:
         (de, dc), = d.terms.items()
-        return LaurentPoly._make(
-            p.num_vars,
-            {tuple(map(sub, e, de)): _coeff_quo(c, dc) for e, c in p.terms.items()},
-        )
+        return _div_term(p, de, dc)
     bound = tuple(map(sub, p.min_exps(), d.min_exps()))
     return LaurentPoly._make(p.num_vars, _quotient_terms(p.terms, d.terms, bound))
+
+
+def _div_term(p, de, dc):
+    """p divided by the one-term polynomial dc * w^de: a shift and a
+    coefficient division, so integral values stay ``int``."""
+    return LaurentPoly._make(
+        p.num_vars, {tuple(map(sub, e, de)): _coeff_quo(c, dc) for e, c in p.terms.items()}
+    )
 
 
 def _coeff_quo(c, lead_c):
@@ -580,11 +590,15 @@ def _image(p, v, point):
     return [c % _P for c in dense]
 
 
-def _image_gcd_degree(a, b, v):
-    """deg_v of gcd(a, b) mod _P, the other variables fixed at a point of
-    small integers where lc_v(a) survives; None when none of the points
-    tried is such a point."""
+def _image_gcd_degree(a, b, v, retry):
+    """An upper bound on deg_v gcd(a, b): deg_v of gcd(a, b) mod _P with the
+    other variables fixed at a point of small integers where lc_v(a)
+    survives, the least over the points tried.  The points after the first
+    usable one are tried only with ``retry`` and only while the bound is
+    above 0.  None when no point tried is usable.
+    """
     n = a.num_vars
+    least = None
     for attempt in range(_POINTS_TRIED):
         point = range(2 + attempt * n, 2 + (attempt + 1) * n)
         x = _image(a, v, point)
@@ -604,18 +618,63 @@ def _image_gcd_degree(a, b, v):
                 while x and not x[-1]:
                     x.pop()
             x, y = y, x
-        return len(x) - 1
-    return None
+        if least is None or len(x) - 1 < least:
+            least = len(x) - 1
+        if not retry or not least:
+            break
+    return least
+
+
+def _divide_out_w_minus_1(p, v, most=None):
+    """(q, k): p = (w_v - 1)^k q with k as large as possible, but at most
+    ``most``.  w_v - 1 divides p iff p vanishes at w_v = 1, i.e. the
+    coefficients of every class of terms that agree off v sum to zero; the
+    quotient is then found by synthetic division in each class, its
+    coefficient of w_v^j being minus the sum of the class's coefficients of
+    degree at most j."""
+    classes = {}
+    for e, c in p.terms.items():
+        classes.setdefault(e[:v] + e[v + 1:], {})[e[v]] = c
+    k = 0
+    while k != most and all(sum(col.values()) == 0 for col in classes.values()):
+        for rest, col in classes.items():
+            degs = sorted(col)
+            quo = {}
+            s = 0
+            for lo, hi in zip(degs, degs[1:]):
+                s += col[lo]
+                if s:
+                    for j in range(lo, hi):
+                        quo[j] = -s
+            classes[rest] = quo
+        k += 1
+    if not k:
+        return p, 0
+    terms = {rest[:v] + (j,) + rest[v:]: c for rest, col in classes.items() for j, c in col.items()}
+    return LaurentPoly._make(p.num_vars, terms), k
 
 
 def poly_gcd(p, q):
     """Gcd up to units, as a normalized polynomial (see normalize_poly).
 
-    After normalization a modular front end answers most calls without the
-    subresultant (``_gcd_rec``), which stays the only fallback.  Let g be
-    the normalized gcd of the normalized operands a and b.
+    After normalization, known linear factors are divided out and a modular
+    front end answers most calls without the subresultant (``_gcd_rec``),
+    which stays the only fallback.  Let g be the normalized gcd of the
+    normalized operands a and b.
 
     * Equal operands: g = a.
+    * Strip w_v - 1 for each variable v active in both: divide it out of a
+      as often as it divides (k_a times), then out of b at most k_a times
+      (k_b times), and g = (w_v - 1)^min(k_a, k_b) times the gcd of the
+      stripped pair.  Proof: w_v - 1 is irreducible and primitive, so by
+      unique factorization in Z[w] it divides g exactly min(k_a, k_b)
+      times, and the stripped pair has no such factor in common.  Stripping
+      keeps an operand normalized: the minimum exponents stay 0 (w_v - 1
+      has a constant term), the quotient is primitive by Gauss's lemma, and
+      the lex-leading coefficient is unchanged, the lex-leading term of
+      w_v - 1 being w_v.  A product of normalized polynomials is
+      normalized, so the result is the normalized g.  The stripped pair
+      goes on to the next steps, and a constant operand gives 1.
     * For each variable v active in both, fix the other variables at small
       integers where lc_v(a), the leading coefficient of a in v, is nonzero
       modulo the prime p = 2^61 - 1, and take the degree d_v of the gcd of
@@ -625,7 +684,10 @@ def poly_gcd(p, q):
       the point modulo p and the image of g keeps its degree in v.  The
       image of g divides both images, hence their gcd.  A variable active
       in only one operand does not occur in g (g divides the other).  So
-      d_v = 0 for every shared v proves g = 1.
+      d_v = 0 for every shared v proves g = 1.  While d_v > 0 and the
+      operands involve another variable, the next points are tried and the
+      least d_v is kept: each is an upper bound, so the least one is too
+      (with no other variable every point gives the same image).
     * If d_v = deg_v b for every v and b has no variable a lacks, b is the
       only candidate the bounds leave, and it is tried by exact division
       of a; likewise a.  The division alone is the proof: b | a and b | b
@@ -645,20 +707,35 @@ def poly_gcd(p, q):
         return normalize_poly(p)
     a = normalize_poly(p)
     b = normalize_poly(q)
-    if a.is_constant() or b.is_constant():
-        return LaurentPoly.one(p.num_vars)
     if a == b:
         return a
+    n = p.num_vars
+    common = LaurentPoly.one(n)
+    for v in sorted(a.active_vars() & b.active_vars()):
+        a, k = _divide_out_w_minus_1(a, v)
+        if k:
+            b, k = _divide_out_w_minus_1(b, v, k)
+            if k:
+                common = common * (LaurentPoly.var(n, v) - 1) ** k
+    g = _stripped_gcd(a, b)
+    return g if common.is_constant() else common * g
+
+
+def _stripped_gcd(a, b):
+    """poly_gcd of normalized operands by the front end, else ``_gcd_rec``."""
+    if a.is_constant() or b.is_constant():
+        return LaurentPoly.one(a.num_vars)
     va, vb = a.active_vars(), b.active_vars()
+    retry = len(va | vb) > 1
     bounds = {}
     for v in va & vb:
-        d = _image_gcd_degree(a, b, v)
+        d = _image_gcd_degree(a, b, v, retry)
         if d is None or d not in (0, _deg_in(a, v), _deg_in(b, v)):
             break
         bounds[v] = d
     else:
         if not any(bounds.values()):
-            return LaurentPoly.one(p.num_vars)
+            return LaurentPoly.one(a.num_vars)
         for c, other, vc in ((b, a, vb), (a, b, va)):
             if vc == bounds.keys() and all(d == _deg_in(c, v) for v, d in bounds.items()):
                 try:

@@ -18,7 +18,13 @@ from slopelab.fields import (
     _reduce_mod_phi,
     resolve_tolerance,
 )
-from slopelab.laurent import LaurentPoly, cyclotomic_minimal_poly, euler_phi
+from slopelab.laurent import (
+    LaurentPoly,
+    cyclotomic_minimal_poly,
+    euler_phi,
+    exact_div,
+    poly_gcd,
+)
 
 from conftest import random_laurent, random_nonzero_laurent
 
@@ -71,6 +77,50 @@ def test_canonical_denominator_normalization():
     e, c = f.den.lex_leading()
     assert e == (0,) and c == 1
     assert f * RatFunc.from_poly(one - w) == RatFunc.from_poly(one)
+
+
+def old_reduce_fraction(num, den):
+    """The unit normalization as a shift followed by a scaling by 1/c, kept
+    as the oracle of the one-pass division by den's lex-leading term."""
+    g = poly_gcd(num, den)
+    if not g.is_constant():
+        num = exact_div(num, g)
+        den = exact_div(den, g)
+    e, c = den.lex_leading()
+    e = tuple(-x for x in e)
+    num, den = num.shift(e), den.shift(e)
+    if c != 1:
+        inv = Fraction(1) / c
+        num, den = num * inv, den * inv
+    return num, den
+
+
+def test_one_pass_normalization_matches_shift_and_scale(rng):
+    leads = (1, -1, 3, -3, Fraction(2, 3), Fraction(-5, 7))
+    seen = set()
+    for trial in range(300):
+        n = 1 + trial % 3
+        # lex-greater than every random term, so it leads den
+        top = LaurentPoly.monomial(n, (3,) * n, leads[trial % len(leads)])
+        den = random_laurent(rng, n, max_terms=3, exp_range=2) + top
+        num = random_nonzero_laurent(rng, n, max_terms=4, exp_range=2)
+        if trial % 4 == 1:
+            num = num * Fraction(1, 3)
+        if trial % 2:
+            g = random_laurent(rng, n, max_terms=2, exp_range=1)
+            g = g + LaurentPoly.monomial(n, (2,) * n)
+            num, den = num * g, den * g
+        reduced_den = exact_div(den, poly_gcd(num, den))
+        seen.add(reduced_den.lex_leading()[1])
+        got = RatFunc(num, den)
+        want_num, want_den = old_reduce_fraction(num, den)
+        assert got.num.terms == want_num.terms and got.den.terms == want_den.terms
+        assert got.num.render() == want_num.render()
+        assert got.den.render() == want_den.render()
+        # integral values are stored as int
+        assert all(type(c) is int for c in got.num.terms.values() if c.denominator == 1)
+        assert all(type(c) is int for c in got.den.terms.values() if c.denominator == 1)
+    assert seen >= set(leads)
 
 
 def test_is_polynomial_reads_the_stored_denominator(rng):

@@ -13,6 +13,7 @@ from slopelab.laurent import (
     LaurentPoly,
     _cyclotomic_coeffs,
     _gcd_rec,
+    _image_gcd_degree,
     cyclotomic_minimal_poly,
     divisors,
     euler_phi,
@@ -419,13 +420,23 @@ def _check_against_oracle(p, q):
     assert _all_int(got)
 
 
+def _retried_pair():
+    """Coprime operands whose images in w2 share the factor w2 - 3 at the
+    first point (w1 = 2), a bound of 1 that is neither operand's degree,
+    and are coprime at the second (w1 = 4)."""
+    w1, w2 = LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
+    return (w2 - w1 - 1) * (w2 + 1), (w2 - 3) * (w2 * w2 + 2)
+
+
 def _front_end_cases():
     """Hand-built pairs the front end must not get wrong.  It fixes w1, w2
     at 2, 3 at its first evaluation point, at 4, 5 at the second and at
-    6, 7 at the third."""
+    6, 7 at the third, and goes on to the next point while a bound is
+    above 0."""
     w1, w2 = LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
     p = 2 ** 61 - 1
     t = LaurentPoly.var(1, 0)
+    yield _retried_pair()
     # g maps to 1 at the first point in either variable, where lc_v(g) vanishes
     g = (w1 - 2) * (w2 - 3) + 1
     yield g * (w1 + w2 + 7), g * (w1 * w2 - 11)
@@ -471,6 +482,20 @@ def test_poly_gcd_matches_subresultant_oracle_random():
             _check_against_oracle(a, b)
 
 
+def test_retry_settles_an_ambiguous_first_image():
+    a, b = _retried_pair()
+    assert _image_gcd_degree(a, b, 1, retry=False) == 1
+    assert _image_gcd_degree(a, b, 1, retry=True) == 0
+
+
+def _w_minus_1_powers(num_vars, powers):
+    """The product of (w_i - 1)^powers[i]."""
+    out = LaurentPoly.one(num_vars)
+    for i, k in enumerate(powers):
+        out = out * (LaurentPoly.var(num_vars, i) - 1) ** k
+    return out
+
+
 def test_coprime_pairs_never_reach_the_subresultant(monkeypatch):
     rng = random.Random(7)
     battery = []
@@ -480,6 +505,15 @@ def test_coprime_pairs_never_reach_the_subresultant(monkeypatch):
         q = random_nonzero_laurent(rng, n, max_terms=5, exp_range=2)
         if not normalize_poly(p).is_constant() and _gcd_oracle(p, q).is_constant():
             battery.append((p, q))
+    battery.append(_retried_pair())
+    # powers of w_i - 1 on coprime parts: the stripped parts stay coprime
+    stripped = []
+    for p, q in battery:
+        n = p.num_vars
+        j = [rng.randint(0, 3) for _ in range(n)]
+        k = [rng.randint(0, 3) for _ in range(n)]
+        a, b = _w_minus_1_powers(n, j) * p, _w_minus_1_powers(n, k) * q
+        stripped.append((a, b, _gcd_oracle(a, b)))
 
     def unreachable(a, b):
         raise AssertionError("_gcd_rec reached")
@@ -490,3 +524,31 @@ def test_coprime_pairs_never_reach_the_subresultant(monkeypatch):
         assert poly_gcd(p, q) == LaurentPoly.one(p.num_vars)
         assert poly_gcd(p * q, q) == normalize_poly(q)
         assert poly_gcd(p, p * 5) == normalize_poly(p)
+    for a, b, want in stripped:
+        assert poly_gcd(a, b) == want
+        assert poly_gcd(b, a) == want
+
+
+def test_stripped_gcd_matches_subresultant_oracle():
+    """Pairs (w_i - 1)^j p g and (w_i - 1)^k q g, j and k from 0 to 4 in
+    each variable, the factor on both operands, on one or on neither, with
+    g shared or absent."""
+    rng = random.Random(29)
+    for trial in range(150):
+        n = 1 + trial % 3
+        kw = dict(max_terms=3, exp_range=1, coeff_range=rng.choice((3, 2 ** 64)))
+        p = random_nonzero_laurent(rng, n, **kw)
+        q = random_nonzero_laurent(rng, n, **kw)
+        g = random_nonzero_laurent(rng, n, **kw) if trial % 4 else LaurentPoly.one(n)
+        j = [rng.randint(0, 4) for _ in range(n)]
+        k = [rng.randint(0, 4) for _ in range(n)]
+        if trial % 5 == 1:
+            k = [0] * n
+        a = _w_minus_1_powers(n, j) * p * g
+        b = _w_minus_1_powers(n, k) * q * g
+        if trial % 3 == 0:
+            # Fraction coefficients and a shift to negative exponents
+            a = a * Fraction(2, 3)
+            b = b.shift(tuple(rng.randint(-3, 0) for _ in range(n))) * Fraction(-1, 5)
+        _check_against_oracle(a, b)
+        _check_against_oracle(b, a)
