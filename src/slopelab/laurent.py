@@ -12,10 +12,11 @@ run on ``int`` arithmetic throughout, and every division stays exact.
 The module also provides the polynomial gcd that keeps rational functions
 reduced, and cyclotomic polynomials.  ``poly_gcd`` normalizes both
 operands; equal operands are their own gcd.  For each shared variable it
-then divides w_v - 1 out of both operands, by synthetic division, as often
-as it divides each (it divides exactly when the operand vanishes at
-w_v = 1), and keeps the lesser power as a factor of the gcd: w_v - 1 is
-irreducible, so unique factorization gives that power.  The stripped pair
+then divides w_v - 1 and w_v + 1 out of both operands, by synthetic
+division, as often as each divides each operand (w_v - s divides exactly
+when the operand vanishes at w_v = s), and keeps the lesser power as a
+factor of the gcd: w_v - s is irreducible, so unique factorization gives
+that power.  The stripped pair
 goes to a modular front end: one image of the pair modulo the prime
 2^61 - 1 per shared variable, taken where the first operand's leading
 coefficient in that variable survives, bounds the degree of the gcd in
@@ -26,6 +27,12 @@ accepted only if it divides the other exactly.  Everything else goes to
 the recursive content/primitive-part gcd with a subresultant remainder
 sequence in the main variable, which also serves the tests as the
 oracle.  The full proof is in the ``poly_gcd`` docstring.
+
+``kronecker_pack`` and ``kronecker_unpack`` map an integer polynomial with
+exponents in a box to its Kronecker image, one Python integer, and back,
+each in time linear in the image's size (``int.from_bytes`` and
+``int.to_bytes`` over balanced digits); the fraction-free elimination in
+``linalg`` runs on these images.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from operator import add, lt, sub
+from operator import add, lt, mul, sub
 
 from .errors import UsageError
 
@@ -399,6 +406,75 @@ def _quotient_terms(p_terms, d_terms, bound):
     return q
 
 
+# -- Kronecker images ---------------------------------------------------------
+
+
+def _place_values(radix):
+    """The mixed-radix place values s_v = radix_1 * ... * radix_(v-1)."""
+    out, s = [], 1
+    for r in radix:
+        out.append(s)
+        s *= r
+    return out
+
+
+def kronecker_pack(p, radix, width):
+    """The Kronecker image of p: p evaluated at w_v = 2^(8 width s_v), s_v
+    the mixed-radix place values of ``radix``.
+
+    p must have integer coefficients of absolute value below
+    2^(8 width - 1) and exponents in [0, radix_v) in each variable v.  A
+    term c w^e is then one balanced digit c of ``width`` bytes at position
+    sum e_v s_v, distinct terms taking distinct positions, and the image is
+    the positive digits minus the magnitudes of the negative ones, each
+    side one ``int.from_bytes`` of its digits laid out little-endian.
+    """
+    if not p.terms:
+        return 0
+    s = _place_values(radix)
+    at = [sum(map(mul, e, s)) * width for e in p.terms]
+    size = max(at) + width
+    plus, minus = bytearray(size), bytearray(size)
+    for i, c in zip(at, p.terms.values()):
+        if c > 0:
+            plus[i:i + width] = c.to_bytes(width, "little")
+        else:
+            minus[i:i + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
+def kronecker_unpack(k, radix, width):
+    """The polynomial whose Kronecker image (``kronecker_pack``) is k.
+
+    Read k as balanced digits of ``width`` bytes: adding the half digit
+    h = 2^(8 width - 1) at every position moves each digit c into
+    [0, 2^(8 width)) with no carry between positions, so one
+    ``int.to_bytes`` gives every c + h.  A nonzero top digit at position t
+    makes |k| > 2^(8 width t - 1) (the digits below sum to less than half
+    a unit of position t), so bit_length(|k|) // (8 width) + 1 positions
+    hold every digit.  Position sum e_v s_v is read back as the exponent
+    vector e, and the digits are unique (see ``_echelon_fraction_free`` in
+    ``linalg``), so this inverts ``kronecker_pack`` on its domain.
+    """
+    n = len(radix)
+    if not k:
+        return LaurentPoly.zero(n)
+    half = 1 << (8 * width - 1)
+    count = abs(k).bit_length() // (8 * width) + 1
+    zero_digit = half.to_bytes(width, "little")
+    data = (k + int.from_bytes(zero_digit * count, "little")).to_bytes(count * width, "little")
+    terms = {}
+    for pos in range(count):
+        digit = data[pos * width:(pos + 1) * width]
+        if digit != zero_digit:
+            exps, rest = [], pos
+            for r in radix:
+                rest, e = divmod(rest, r)
+                exps.append(e)
+            terms[tuple(exps)] = int.from_bytes(digit, "little") - half
+    return LaurentPoly._make(n, terms)
+
+
 # -- gcd ----------------------------------------------------------------------
 
 
@@ -625,27 +701,31 @@ def _image_gcd_degree(a, b, v, retry):
     return least
 
 
-def _divide_out_w_minus_1(p, v, most=None):
-    """(q, k): p = (w_v - 1)^k q with k as large as possible, but at most
-    ``most``.  w_v - 1 divides p iff p vanishes at w_v = 1, i.e. the
-    coefficients of every class of terms that agree off v sum to zero; the
-    quotient is then found by synthetic division in each class, its
-    coefficient of w_v^j being minus the sum of the class's coefficients of
-    degree at most j."""
+def _divide_out_linear(p, v, s, most=None):
+    """(q, k): p = (w_v - s)^k q with k as large as possible, but at most
+    ``most``, for s = 1 or -1.  w_v - s divides p iff p vanishes at
+    w_v = s, i.e. every class of terms that agree off v has
+    sum_j c_j s^j = 0; the quotient is then found by synthetic division in
+    each class, from the lowest degree up: q_j = s (q_(j-1) - c_j), as
+    1 / s = s.  The sum over all classes is checked first: when it is not
+    zero, some class does not vanish."""
+    odd = s == -1  # negate the coefficients of odd degree in v
+    if sum(-c if odd and e[v] & 1 else c for e, c in p.terms.items()):
+        return p, 0
     classes = {}
     for e, c in p.terms.items():
         classes.setdefault(e[:v] + e[v + 1:], {})[e[v]] = c
     k = 0
-    while k != most and all(sum(col.values()) == 0 for col in classes.values()):
+    while k != most and not any(
+        sum(-c if odd and j & 1 else c for j, c in col.items()) for col in classes.values()
+    ):
         for rest, col in classes.items():
-            degs = sorted(col)
             quo = {}
-            s = 0
-            for lo, hi in zip(degs, degs[1:]):
-                s += col[lo]
-                if s:
-                    for j in range(lo, hi):
-                        quo[j] = -s
+            acc = 0
+            for j in range(min(col), max(col)):
+                acc = s * (acc - col.get(j, 0))
+                if acc:
+                    quo[j] = acc
             classes[rest] = quo
         k += 1
     if not k:
@@ -663,16 +743,18 @@ def poly_gcd(p, q):
     normalized operands a and b.
 
     * Equal operands: g = a.
-    * Strip w_v - 1 for each variable v active in both: divide it out of a
-      as often as it divides (k_a times), then out of b at most k_a times
-      (k_b times), and g = (w_v - 1)^min(k_a, k_b) times the gcd of the
-      stripped pair.  Proof: w_v - 1 is irreducible and primitive, so by
-      unique factorization in Z[w] it divides g exactly min(k_a, k_b)
-      times, and the stripped pair has no such factor in common.  Stripping
-      keeps an operand normalized: the minimum exponents stay 0 (w_v - 1
-      has a constant term), the quotient is primitive by Gauss's lemma, and
-      the lex-leading coefficient is unchanged, the lex-leading term of
-      w_v - 1 being w_v.  A product of normalized polynomials is
+    * Strip w_v - s, s = 1 then s = -1, for each variable v active in
+      both: divide it out of a as often as it divides (k_a times), then out
+      of b at most k_a times (k_b times), and g = (w_v - s)^min(k_a, k_b)
+      times the gcd of the stripped pair.  Proof: w_v - s is irreducible
+      and primitive, so by unique factorization in Z[w] it divides g
+      exactly min(k_a, k_b) times, and the stripped pair has no such factor
+      in common; the two factors are coprime, so stripping one leaves the
+      power of the other in each operand as it was.  Stripping keeps an
+      operand normalized: the minimum exponents stay 0 (w_v - s has a
+      constant term), the quotient is primitive by Gauss's lemma, and the
+      lex-leading coefficient is unchanged, the lex-leading term of
+      w_v - s being w_v.  A product of normalized polynomials is
       normalized, so the result is the normalized g.  The stripped pair
       goes on to the next steps, and a constant operand gives 1.
     * For each variable v active in both, fix the other variables at small
@@ -712,11 +794,12 @@ def poly_gcd(p, q):
     n = p.num_vars
     common = LaurentPoly.one(n)
     for v in sorted(a.active_vars() & b.active_vars()):
-        a, k = _divide_out_w_minus_1(a, v)
-        if k:
-            b, k = _divide_out_w_minus_1(b, v, k)
+        for s in (1, -1):
+            a, k = _divide_out_linear(a, v, s)
             if k:
-                common = common * (LaurentPoly.var(n, v) - 1) ** k
+                b, k = _divide_out_linear(b, v, s, k)
+                if k:
+                    common = common * (LaurentPoly.var(n, v) - s) ** k
     g = _stripped_gcd(a, b)
     return g if common.is_constant() else common * g
 

@@ -25,17 +25,41 @@ entries callers see as fractions to ``RatFunc``: the free columns (the
 kernel basis) and the right-hand side (the particular solution).  The
 pivot columns are det times the identity and are read back as one and
 zero.
+
+The steps run on one Python integer per entry.  Each cleared row is
+scaled once by a unit c_i w^-m_i into integer polynomials with exponents
+in [0, span_i], and each entry becomes its Kronecker image, its value at
+w_v = 2^(8 W s_v): s_v are the place values of the mixed radix
+radix_v = 2 sum_i span_i,v + 1, and the digit width W bytes holds
+bit_length(2 H^2) + 1 bits, H the product of the rows' 1-norms (each at
+least 1).  Every minor of the scaled rows has 1-norm at most H and
+exponents in [0, sum_i span_i,v], so every product p * x - f * y a step
+forms has a faithful image: a product or an exact quotient of
+polynomials is one big-integer operation.  Only the pivots and the
+non-pivot columns of the pivot rows are unpacked
+(``laurent.kronecker_unpack``) and divided by the units of the rows
+taken; the proof is in the ``_echelon_fraction_free`` docstring.
 """
 
 from __future__ import annotations
 
 from cmath import isfinite
 from fractions import Fraction
-from math import inf
+from functools import reduce
+from math import inf, lcm
+from operator import sub
 
 from .errors import UsageError
 from .fields import ApproxComplex, Cyclotomic, CyclotomicNumber, RatFunc, RationalFunctionField
-from .laurent import LaurentPoly, exact_div, normalize_poly, poly_lcm
+from .laurent import (
+    LaurentPoly,
+    _div_term,
+    exact_div,
+    kronecker_pack,
+    kronecker_unpack,
+    normalize_poly,
+    poly_lcm,
+)
 from .record import Record
 
 UNIQUE = "unique"
@@ -175,8 +199,58 @@ def _cleared(row):
     ]
 
 
+def _integral(row, num_vars):
+    """(c, m, row'): row' = c w^-m row, c the lcm of the row's coefficient
+    denominators and m its per-variable minimum exponent, so row' holds
+    integer polynomials with minimum exponent 0 (m is 0 for a zero row)."""
+    terms = [t for x in row for t in x.terms.items()]
+    if not terms:
+        return 1, (0,) * num_vars, row
+    m = tuple(map(min, zip(*(e for e, _ in terms))))
+    c = reduce(lcm, (coeff.denominator for _, coeff in terms), 1)
+    out = [
+        LaurentPoly._make(num_vars, {
+            tuple(map(sub, e, m)): coeff.numerator * (c // coeff.denominator)
+            for e, coeff in x.terms.items()
+        })
+        for x in row
+    ]
+    return c, m, out
+
+
+def _layout(rows, num_vars):
+    """(radix, width) of the Kronecker images of the integral rows: radix_v
+    = 2 sum_i span_i,v + 1, span_i,v the largest exponent of w_v in row i,
+    and the least whole number of bytes holding bit_length(2 H^2) + 1
+    bits, H = prod_i max(1, ||row_i||_1), the 1-norm of a row summing the
+    absolute values of all its coefficients."""
+    radix = [1] * num_vars
+    h = 1
+    for row in rows:
+        exps = [e for x in row for e in x.terms]
+        for v, top in enumerate(map(max, zip(*exps)) if exps else ()):
+            radix[v] += 2 * top
+        h *= max(1, sum(abs(c) for x in row for c in x.terms.values()))
+    return tuple(radix), ((2 * h * h).bit_length() + 8) // 8
+
+
+def _unscaled(k, radix, width, scale, shift):
+    """The polynomial with Kronecker image k, divided by scale * w^shift."""
+    x = kronecker_unpack(k, radix, width)
+    return x if scale == 1 and not any(shift) else _div_term(x, shift, scale)
+
+
+def _exact_quotient(a, d):
+    """a / d for integers where d divides a; raises otherwise."""
+    q, r = divmod(a, d)
+    if r:
+        raise ArithmeticError("inexact division in the fraction-free elimination")
+    return q
+
+
 def _echelon_fraction_free(rows, ncols, ctx):
-    """One-step Bareiss Gauss-Jordan elimination of the cleared rows.
+    """One-step Bareiss Gauss-Jordan elimination of the cleared rows, run on
+    one integer per entry.
 
     Step r takes the pivot p in column c and replaces every other row i by
     (p * row_i - f * row_r) / prev, f being row i's entry in column c and
@@ -189,45 +263,106 @@ def _echelon_fraction_free(rows, ncols, ctx):
       and zero in every other row, the pivot row r included, so the update
       is p * prev / prev = p there and p * 0 / prev = 0 elsewhere;
     * every other column, including the non-pivot columns left of c that
-      the earlier pivot rows still carry, is the exact division.
+      the earlier pivot rows still carry, is the exact division
+      (``_exact_quotient``, which checks that the remainder is zero).
 
-    The pivot row itself is left as it is.
+    The pivot row itself is left as it is.  So at the end each pivot row
+    holds det, the last pivot, in its own pivot column and zero in the
+    other pivot columns; only its other columns and the pivots are read
+    back as polynomials.
+
+    The steps run on integers.  Each cleared row R_i is scaled once by the
+    unit u_i = c_i w^-m_i (``_integral``), and each entry x of the scaled
+    rows S_i is replaced by its Kronecker image K(x), x evaluated at
+    w_v = 2^(8 W s_v) (``laurent.kronecker_pack``), with radix_v =
+    2 sum_i span_i,v + 1, s_v the mixed-radix place values and W bytes
+    holding bit_length(2 H^2) + 1 bits (``_layout``).  Soundness:
+
+    * The scaling is multilinear in the rows.  Let V_k be the product of
+      the u of the rows taken as pivot rows at steps 0..k (V_-1 = 1).  By
+      induction over the steps, after step k every pivot row of the scaled
+      run is V_k times the unscaled one, and every other row i is V_k u_i
+      times it: the pivot of step k is V_k p, prev is V_(k-1) prev, and
+      (V_k p V_(k-1) u_i x - V_(k-1) u_i f V_k y) / (V_(k-1) prev) =
+      V_k u_i (p x - f y) / prev, and likewise without u_i for an earlier
+      pivot row (V_(k-1) u_r = V_k).  Units are not zero divisors, so an
+      entry is zero exactly when the unscaled one is: the scaled run takes
+      the same pivots and row swaps.  The pivot of step k is therefore
+      unscaled by V_k, and the final pivot rows by V_(r-1); the V are
+      exact units (a positive integer times a monomial), and dividing by
+      them gives back ``Fraction`` coefficients where the unscaled run had
+      them.
+    * Every value is in the box.  Each stored entry of the scaled run is,
+      up to sign, a minor of the scaled matrix (Sylvester's identity, and
+      Cramer's rule for the earlier pivot rows).  Each term of a minor is
+      a product of one entry from each of some distinct rows, so its
+      exponents lie in [0, sum_i span_i,v], and its 1-norm is at most the
+      permanent of the matrix of entry norms, which is at most the product
+      of its row sums, so at most H.  The products p x and f y then have
+      exponents in [0, 2 sum_i span_i,v] = [0, radix_v - 1] and 1-norm at
+      most H^2, and p x - f y at most 2 H^2, below 2^(8 W - 1).
+    * K is injective on the box.  Position sum e_v s_v is a bijection from
+      the exponent box onto [0, prod radix_v), and balanced digits of
+      absolute value below 2^(8 W - 1) are unique: if two such digit
+      strings gave the same integer, the lowest position where they differ
+      would leave a nonzero difference below 2^(8 W) in absolute value
+      that 2^(8 W) divides.
+    * K is a ring homomorphism Z[w] -> Z (an evaluation), so the integer
+      steps compute the images of the polynomial steps: an exact
+      polynomial quotient q = a / prev gives K(a) = K(q) K(prev) with
+      K(prev) != 0, and the integer division returns K(q) with remainder
+      zero.  An entry is zero exactly when its image is, so the pivot rule
+      reads the images, and ``laurent.kronecker_unpack`` recovers each
+      polynomial read back.
     """
-    poly_rows = [_cleared(row) for row in rows]
-    zero = LaurentPoly.zero(ctx.num_vars)
-    prev = LaurentPoly.one(ctx.num_vars)
+    n = ctx.num_vars
+    scaled = [_integral(_cleared(row), n) for row in rows]
+    radix, width = _layout([s for _, _, s in scaled], n)
+    units = [(c, m) for c, m, _ in scaled]
+    work = [[kronecker_pack(x, radix, width) for x in s] for _, _, s in scaled]
+    prev = 1
     pivots = []
-    pivot_polys = []
+    pivot_images = []
     r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, len(poly_rows)):
-            if not poly_rows[i][c].is_zero():
-                sel = i
-                break
+        sel = next((i for i in range(r, len(work)) if work[i][c]), None)
         if sel is None:
             continue
-        poly_rows[r], poly_rows[sel] = poly_rows[sel], poly_rows[r]
-        pivot_row = poly_rows[r]
+        work[r], work[sel] = work[sel], work[r]
+        units[r], units[sel] = units[sel], units[r]
+        pivot_row = work[r]
         p = pivot_row[c]
-        assert not p.is_zero()
         unknown = [j for j in range(ncols) if j != c and j not in pivots]
-        for i, row in enumerate(poly_rows):
+        for i, row in enumerate(work):
             if i == r:
                 continue
             f = row[c]
-            new = [zero] * ncols
+            new = [0] * ncols
             for j in unknown:
-                new[j] = exact_div(p * row[j] - f * pivot_row[j], prev)
+                new[j] = _exact_quotient(p * row[j] - f * pivot_row[j], prev)
             if i < r:
                 new[pivots[i]] = p
-            poly_rows[i] = new
+            work[i] = new
         prev = p
         pivots.append(c)
-        pivot_polys.append(p)
+        pivot_images.append(p)
         r += 1
-    for row in poly_rows[r:]:
-        assert all(x.is_zero() for x in row), "nonzero row below the pivot rows"
+    assert not any(any(row) for row in work[r:]), "nonzero row below the pivot rows"
+
+    # V_k = scale * w^shift, the product of the units of the rows taken so far
+    scale, shift = 1, (0,) * n
+    pivot_polys = []
+    for (u, m), k in zip(units, pivot_images):
+        scale, shift = scale * u, tuple(map(sub, shift, m))
+        pivot_polys.append(_unscaled(k, radix, width, scale, shift))
+    zero = LaurentPoly.zero(n)
+    poly_rows = [[zero] * ncols for _ in work]
+    for i, own in enumerate(pivots):
+        row = poly_rows[i]
+        for j, k in enumerate(work[i]):
+            if j not in pivots:
+                row[j] = _unscaled(k, radix, width, scale, shift)
+        row[own] = pivot_polys[-1]
     return _Echelon(None, pivots, pivot_polys=tuple(pivot_polys), poly_rows=poly_rows)
 
 

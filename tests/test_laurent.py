@@ -19,6 +19,8 @@ from slopelab.laurent import (
     euler_phi,
     exact_div,
     is_prime_power,
+    kronecker_pack,
+    kronecker_unpack,
     normalize_poly,
     poly_gcd,
     poly_lcm,
@@ -488,11 +490,11 @@ def test_retry_settles_an_ambiguous_first_image():
     assert _image_gcd_degree(a, b, 1, retry=True) == 0
 
 
-def _w_minus_1_powers(num_vars, powers):
-    """The product of (w_i - 1)^powers[i]."""
+def _linear_powers(num_vars, powers, s=1):
+    """The product of (w_i - s)^powers[i]."""
     out = LaurentPoly.one(num_vars)
     for i, k in enumerate(powers):
-        out = out * (LaurentPoly.var(num_vars, i) - 1) ** k
+        out = out * (LaurentPoly.var(num_vars, i) - s) ** k
     return out
 
 
@@ -506,13 +508,15 @@ def test_coprime_pairs_never_reach_the_subresultant(monkeypatch):
         if not normalize_poly(p).is_constant() and _gcd_oracle(p, q).is_constant():
             battery.append((p, q))
     battery.append(_retried_pair())
-    # powers of w_i - 1 on coprime parts: the stripped parts stay coprime
+    # powers of w_i - 1 and w_i + 1 on coprime parts: the stripped parts
+    # stay coprime
     stripped = []
     for p, q in battery:
         n = p.num_vars
-        j = [rng.randint(0, 3) for _ in range(n)]
-        k = [rng.randint(0, 3) for _ in range(n)]
-        a, b = _w_minus_1_powers(n, j) * p, _w_minus_1_powers(n, k) * q
+        j, k = ([rng.randint(0, 3) for _ in range(n)] for _ in range(2))
+        jj, kk = ([rng.randint(0, 2) for _ in range(n)] for _ in range(2))
+        a = _linear_powers(n, j) * _linear_powers(n, jj, -1) * p
+        b = _linear_powers(n, k) * _linear_powers(n, kk, -1) * q
         stripped.append((a, b, _gcd_oracle(a, b)))
 
     def unreachable(a, b):
@@ -530,9 +534,10 @@ def test_coprime_pairs_never_reach_the_subresultant(monkeypatch):
 
 
 def test_stripped_gcd_matches_subresultant_oracle():
-    """Pairs (w_i - 1)^j p g and (w_i - 1)^k q g, j and k from 0 to 4 in
-    each variable, the factor on both operands, on one or on neither, with
-    g shared or absent."""
+    """Pairs (w_i - 1)^j (w_i + 1)^jj p g and (w_i - 1)^k (w_i + 1)^kk q g,
+    the powers from 0 to 4 (w_i - 1) and 0 to 2 (w_i + 1) in each variable,
+    each factor on both operands, on one or on neither, with g shared or
+    absent."""
     rng = random.Random(29)
     for trial in range(150):
         n = 1 + trial % 3
@@ -542,13 +547,61 @@ def test_stripped_gcd_matches_subresultant_oracle():
         g = random_nonzero_laurent(rng, n, **kw) if trial % 4 else LaurentPoly.one(n)
         j = [rng.randint(0, 4) for _ in range(n)]
         k = [rng.randint(0, 4) for _ in range(n)]
+        jj = [rng.randint(0, 2) for _ in range(n)]
+        kk = [rng.randint(0, 2) for _ in range(n)]
         if trial % 5 == 1:
             k = [0] * n
-        a = _w_minus_1_powers(n, j) * p * g
-        b = _w_minus_1_powers(n, k) * q * g
+        if trial % 7 == 2:
+            kk = [0] * n
+        a = _linear_powers(n, j) * _linear_powers(n, jj, -1) * p * g
+        b = _linear_powers(n, k) * _linear_powers(n, kk, -1) * q * g
         if trial % 3 == 0:
             # Fraction coefficients and a shift to negative exponents
             a = a * Fraction(2, 3)
             b = b.shift(tuple(rng.randint(-3, 0) for _ in range(n))) * Fraction(-1, 5)
         _check_against_oracle(a, b)
         _check_against_oracle(b, a)
+
+
+# -- Kronecker images -------------------------------------------------------------
+
+
+def _evaluated(p, radix, width):
+    """p at w_v = 2^(8 width s_v), term by term."""
+    s, place = [], 1
+    for r in radix:
+        s.append(place)
+        place *= r
+    return sum(c << (8 * width * sum(e * x for e, x in zip(es, s))) for es, c in p.terms.items())
+
+
+def test_kronecker_round_trip_at_extreme_digits():
+    """Digits of +-(2^(8 width - 1) - 1), runs of adjacent negative digits
+    (each borrows from the next position up) and single digits at the top
+    of the box pack to the evaluation at w_v = 2^(8 width s_v) and unpack
+    to the polynomial."""
+    rng = random.Random(31)
+    for width in (1, 2, 3, 9):
+        top = (1 << (8 * width - 1)) - 1
+        for radix in ((), (5,), (3, 4), (2, 3, 3)):
+            n = len(radix)
+            box = [()]
+            for r in radix:
+                box = [e + (x,) for e in box for x in range(r)]
+            polys = [
+                LaurentPoly(n, {e: -top for e in box}),
+                LaurentPoly(n, {e: top for e in box}),
+                LaurentPoly(n, {e: top if i % 2 else -top for i, e in enumerate(box)}),
+                LaurentPoly(n, {box[-1]: -top}),
+                LaurentPoly(n, {box[0]: 1, box[-1]: -1}),
+                LaurentPoly(n, {}),
+            ]
+            for _ in range(5):
+                polys.append(LaurentPoly(n, {e: rng.choice((-top, -1, 1, top, rng.randint(-top, top)))
+                                             for e in box if rng.random() < 0.6}))
+            for p in polys:
+                k = kronecker_pack(p, radix, width)
+                assert k == _evaluated(p, radix, width)
+                back = kronecker_unpack(k, radix, width)
+                assert back == p
+                assert all(type(c) is int for c in back.terms.values())

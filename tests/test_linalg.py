@@ -14,7 +14,13 @@ from slopelab.fields import (
     RatFunc,
     RationalFunctionField,
 )
-from slopelab.laurent import LaurentPoly, exact_div, normalize_poly, poly_gcd
+from slopelab.laurent import (
+    LaurentPoly,
+    kronecker_pack,
+    kronecker_unpack,
+    normalize_poly,
+    poly_gcd,
+)
 from slopelab.linalg import (
     _echelon,
     INCONSISTENT,
@@ -504,23 +510,24 @@ def test_elimination_skips_only_entries_it_knows(rng):
 def _division_count(monkeypatch, rows, ncols, ctx):
     calls = []
 
-    def counted(p, d):
+    def counted(a, d):
         calls.append(d)
-        return exact_div(p, d)
+        return exact_quotient(a, d)
 
-    monkeypatch.setattr(linalg_module, "exact_div", counted)
+    exact_quotient = linalg_module._exact_quotient
+    monkeypatch.setattr(linalg_module, "_exact_quotient", counted)
     ech = _echelon(rows, ncols, ctx)
     monkeypatch.undo()
     return len(calls), ech
 
 
-def test_elimination_divides_only_unknown_entries_on_the_traced_binding(monkeypatch, rng):
-    """Step k of the elimination makes one exact division for each other
-    row and each column that is neither its pivot column nor an earlier
-    one: the sum over the steps of (rows - 1) * (ncols - k), k counting
-    this step's pivot.  Recomputing a known entry raises the count, and a
-    division that leaves ``linalg.exact_div`` (the binding the benchmark
-    tracer patches) lowers it to zero."""
+def test_elimination_divides_only_unknown_entries(monkeypatch, rng):
+    """Step k of the elimination makes one exact division of Kronecker
+    images (``linalg._exact_quotient``) for each other row and each column
+    that is neither its pivot column nor an earlier one: the sum over the
+    steps of (rows - 1) * (ncols - k), k counting this step's pivot.
+    Recomputing a known entry raises the count, and a division that leaves
+    the helper lowers it."""
     rf = RationalFunctionField(2)
     for n, rank_of in ((3, 3), (4, 4), (4, 2), (3, 1)):
         while True:
@@ -538,6 +545,126 @@ def test_elimination_divides_only_unknown_entries_on_the_traced_binding(monkeypa
                 break
         expected = sum((n - 1) * (n + 1 - k) for k in range(1, rank_of + 1))
         assert calls == expected
+
+
+def _int_where_oracle_int(got, want):
+    """Every coefficient the oracle stores as an ``int`` is an ``int``."""
+    return all(
+        type(got.terms[e]) is int for e, c in want.terms.items() if type(c) is int
+    )
+
+
+def _kernel_cases(rng):
+    """(ctx, rows, ncols, labels) for the differential test of the kernel."""
+    big = 2 ** 64 + 13
+
+    def poly(mu, kind):
+        x = random_laurent(rng, mu, max_terms=2, exp_range=1, coeff_range=3)
+        if kind == "big":
+            x = x * big + random_laurent(rng, mu, max_terms=1, exp_range=1)
+        elif kind == "fraction":
+            x = x * Fraction(rng.choice((1, 2, 5)), rng.choice((2, 3, 7)))
+        return x
+
+    def entry(mu, kind):
+        if rng.random() < 0.25:
+            return RatFunc.from_poly(LaurentPoly.zero(mu))
+        num = poly(mu, kind)
+        if kind == "fraction" and rng.random() < 0.5:
+            # a denominator whose lex-leading coefficient is 2 or 3: RatFunc
+            # stores num and den over it, so with Fraction coefficients
+            den = LaurentPoly.var(mu, mu - 1) * rng.choice((2, -3)) + rng.choice((1, -1, 5))
+            return RatFunc(num, den.shift(tuple(rng.randint(-1, 1) for _ in range(mu))))
+        return RatFunc.from_poly(num)
+
+    shapes = [(mu, n, kind) for mu in (1, 2, 3)
+              # the oracle's cost grows fast with the rows: n up to 6 at mu = 1
+              for n in range(9 - 2 * mu)
+              for kind in ("plain", "big", "fraction")]
+    for trial, (mu, n, kind) in enumerate(shapes * 2):
+        ncols = n + 1 if trial % 2 else max(1, n)
+        rows = [[entry(mu, kind) for _ in range(ncols)] for _ in range(n)]
+        labels = {kind, f"mu{mu}", f"n{n}"}
+        if n >= 2 and trial % 4 == 1:
+            rows[rng.randrange(n)] = [RatFunc.from_poly(LaurentPoly.zero(mu))] * ncols
+            labels.add("zero row")
+        if n >= 2 and trial % 4 == 3:
+            col = rng.randrange(ncols)
+            for row in rows:
+                row[col] = RatFunc.from_poly(LaurentPoly.zero(mu))
+            labels.add("zero column")
+        yield RationalFunctionField(mu), rows, ncols, labels
+    for mu in (1, 2, 3):
+        ctx = RationalFunctionField(mu)
+        for n in (1, 2, 3) if mu == 3 else (1, 2, 3, 4):
+            p = random_presentation(rng, mu=mu, n=n, bound=1 + n % 2)
+            s = stabilize(p)
+            bad = s.replace(kappa=s.kappa[:-1] + (1,))
+            for q in (p, s, bad):
+                yield ctx, _augmented(q, ctx), q.n + 1, {f"mu{mu}", "presentation"}
+
+
+def test_kernel_matches_the_per_entry_elimination(rng):
+    """The elimination on Kronecker images gives the rows, pivots and pivot
+    polynomials of the former per-entry ``LaurentPoly`` elimination, with
+    ``int`` storage wherever it stores an ``int``: mu 1-3, 0-6 rows,
+    negative exponents and rows of different minimum exponents, Fraction
+    coefficients, coefficients above 2^64, zero rows and columns, row
+    swaps, and rank-deficient and inconsistent [E | kappa] of stabilized
+    presentations."""
+    facts = set()
+    for ctx, rows, ncols, labels in _kernel_cases(rng):
+        seen = set()
+        want = old_echelon_fraction_free(rows, ncols, ctx, seen)
+        got = _echelon(rows, ncols, ctx)
+        assert (got.poly_rows, got.pivots, got.pivot_polys) == want
+        for grow, wrow in zip(got.poly_rows, want[0]):
+            assert all(_int_where_oracle_int(g, w) for g, w in zip(grow, wrow))
+        assert all(_int_where_oracle_int(g, w) for g, w in zip(got.pivot_polys, want[2]))
+        facts |= seen | labels
+        cleared = [linalg_module._cleared(row) for row in rows]
+        mins = {x.min_exps() for row in cleared for x in row if x}
+        if any(e < 0 for m in mins for e in m):
+            facts.add("negative exponent")
+        if len({tuple(map(min, zip(*(x.min_exps() for x in row if x)))) for row in cleared
+                if any(row)}) > 1:
+            facts.add("rows of different minimum exponents")
+        if any(type(c) is Fraction and c.denominator > 1
+               for row in cleared for x in row for c in x.terms.values()):
+            facts.add("Fraction coefficients")
+        if any(abs(c) > 2 ** 64 for row in cleared for x in row for c in x.terms.values()):
+            facts.add("coefficient above 2^64")
+        if "presentation" in labels and ncols - 1 in want[1]:
+            facts.add("inconsistent [E | kappa]")
+        elif "presentation" in labels and len(want[1]) < len(rows):
+            facts.add("rank-deficient [E | kappa]")
+    assert facts >= {
+        "mu1", "mu2", "mu3", *(f"n{n}" for n in range(7)),
+        "negative exponent", "rows of different minimum exponents",
+        "Fraction coefficients", "coefficient above 2^64",
+        "zero row", "zero column", "swap",
+        "rank-deficient [E | kappa]", "inconsistent [E | kappa]",
+    }
+
+
+def test_layout_holds_every_product_of_two_minors():
+    """The radix and digit width of ``_layout`` give a faithful Kronecker
+    image to p * x - f * y for any entries of norm up to H and exponents up
+    to the summed spans: here the extreme 2 H^2 w^(2 sum span), for norms
+    whose bit length puts the width at a byte boundary and off it."""
+    for mu, spans in ((1, [(1,), (2,)]), (2, [(1, 0), (0, 3), (2, 2)]), (3, [(1, 1, 0)])):
+        for h in (1, 2, 8, 11, 128, 181, 2 ** 20 + 1, 2 ** 31):
+            # one row of norm h carrying the spans of all, the rest norm 1
+            top = tuple(map(sum, zip(*spans)))
+            rows = [[LaurentPoly(mu, {(0,) * mu: h - 1, top: 1} if h > 1 else {top: 1})]]
+            rows += [[LaurentPoly.one(mu)] for _ in spans[1:]]
+            radix, width = linalg_module._layout(rows, mu)
+            extreme = LaurentPoly(mu, {top: h})
+            pack = [kronecker_pack(x, radix, width) for x in (extreme, -extreme)]
+            image = pack[0] * pack[0] - pack[1] * pack[0]
+            want = LaurentPoly(mu, {tuple(2 * t for t in top): 2 * h * h})
+            assert kronecker_unpack(image, radix, width) == want
+            assert kronecker_unpack(-image, radix, width) == -want
 
 
 # -- Gauss-Jordan elimination against the two routines it replaced ------------------
