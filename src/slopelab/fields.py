@@ -38,7 +38,8 @@ from .laurent import (
     _power,
     euler_phi,
     exact_div,
-    poly_gcd,
+    poly_gcd,  # unused here, but slopebench/tracer.py binds fields:poly_gcd
+    poly_gcds,
 )
 
 DEFAULT_TOLERANCE = 1e-10
@@ -84,7 +85,7 @@ class RatFunc:
     def __init__(self, num, den=None):
         if den is None:
             den = LaurentPoly.one(num.num_vars)
-        num, den = _reduce_fraction(num, den)
+        (num, den), = _reduce_fractions([num], den)
         self.num = num
         self.den = den
 
@@ -95,6 +96,11 @@ class RatFunc:
         out.num = num
         out.den = den
         return out
+
+    @classmethod
+    def over(cls, nums, den):
+        """[RatFunc(num, den) for num in nums], sharing the work on den."""
+        return [cls._make(num, d) for num, d in _reduce_fractions(nums, den)]
 
     @classmethod
     def from_poly(cls, p):
@@ -204,21 +210,35 @@ class RatFunc:
         return f"RatFunc({self.render()!r})"
 
 
-def _reduce_fraction(num, den):
-    if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
+def _reduce_fractions(nums, den):
+    """The canonical reduced pair of each num / den.  den is prepared once
+    for all the gcds (``laurent.poly_gcds``), and den / g is divided and
+    unit-normalized once per distinct gcd g; a zero num needs no gcd."""
+    if not isinstance(den, LaurentPoly) or not all(isinstance(x, LaurentPoly) for x in nums):
         raise UsageError("RatFunc expects LaurentPoly numerator and denominator")
-    num._check_same(den)
+    for num in nums:
+        num._check_same(den)
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return LaurentPoly.zero(num.num_vars), LaurentPoly.one(num.num_vars)
-    g = poly_gcd(num, den)
-    if not g.is_constant():
-        num = exact_div(num, g)
-        den = exact_div(den, g)
-    # unit-normalize in one pass: divide both by den's lex-leading term
-    e, c = den.lex_leading()
-    return _div_term(num, e, c), _div_term(den, e, c)
+    n = den.num_vars
+    gcds = iter(poly_gcds(den, [num for num in nums if num]))
+    quotients = {}  # g: den / g's lex-leading term and den / g divided by it
+    out = []
+    for num in nums:
+        if not num:
+            out.append((LaurentPoly.zero(n), LaurentPoly.one(n)))
+            continue
+        g = next(gcds)
+        if g not in quotients:
+            d = den if g.is_constant() else exact_div(den, g)
+            # unit-normalize in one pass: divide both by the lex-leading term
+            e, c = d.lex_leading()
+            quotients[g] = e, c, _div_term(d, e, c)
+        e, c, d = quotients[g]
+        if not g.is_constant():
+            num = exact_div(num, g)
+        out.append((_div_term(num, e, c), d))
+    return out
 
 
 # -- cyclotomic numbers --------------------------------------------------------

@@ -10,23 +10,25 @@ integer data (the theta matrices, Bareiss rows, subresultant remainders)
 run on ``int`` arithmetic throughout, and every division stays exact.
 
 The module also provides the polynomial gcd that keeps rational functions
-reduced, and cyclotomic polynomials.  ``poly_gcd`` normalizes both
-operands; equal operands are their own gcd.  For each shared variable it
-then divides w_v - 1 and w_v + 1 out of both operands, by synthetic
-division, as often as each divides each operand (w_v - s divides exactly
-when the operand vanishes at w_v = s), and keeps the lesser power as a
-factor of the gcd: w_v - s is irreducible, so unique factorization gives
-that power.  The stripped pair
-goes to a modular front end: one image of the pair modulo the prime
-2^61 - 1 per shared variable, taken where the first operand's leading
-coefficient in that variable survives, bounds the degree of the gcd in
-that variable (Gauss's lemma), and a nonzero bound is retried at the
-next points, keeping the least; all-zero bounds prove the gcd is 1, and
-bounds equal to one operand's degrees make that operand the candidate,
-accepted only if it divides the other exactly.  Everything else goes to
-the recursive content/primitive-part gcd with a subresultant remainder
-sequence in the main variable, which also serves the tests as the
-oracle.  The full proof is in the ``poly_gcd`` docstring.
+reduced, and cyclotomic polynomials.  ``poly_gcds`` takes the gcds of one
+prepared operand d with many others, and ``poly_gcd`` is its one-operand
+case.  d is normalized once, and w_v - 1 and w_v + 1 are divided out of
+it once for each of its variables, by synthetic division, as often as
+each divides (w_v - s divides exactly when the operand vanishes at
+w_v = s).  Each other operand is normalized (equal operands are their
+own gcd), the same factors are divided out of it at most as often as
+out of d, and that lesser power is kept as a factor of the gcd: w_v - s
+is irreducible, so unique factorization gives that power.  The stripped
+pair goes to a modular front end: one image of the pair modulo the prime
+2^61 - 1 per shared variable, taken where d's leading coefficient in that
+variable survives, bounds the degree of the gcd in that variable (Gauss's
+lemma), and a nonzero bound is retried at the next points, keeping the
+least (the images of d are taken once); all-zero bounds prove the gcd is
+1, and bounds equal to one operand's degrees make that operand the
+candidate, accepted only if it divides the other exactly.  Everything
+else goes to the recursive content/primitive-part gcd with a
+subresultant remainder sequence in the main variable, which also serves
+the tests as the oracle.  The full proof is in the ``poly_gcds`` docstring.
 
 ``kronecker_pack`` and ``kronecker_unpack`` map an integer polynomial with
 exponents in a box to its Kronecker image, one Python integer, and back,
@@ -666,18 +668,23 @@ def _image(p, v, point):
     return [c % _P for c in dense]
 
 
-def _image_gcd_degree(a, b, v, retry):
+def _image_gcd_degree(a, b, v, retry, images=None):
     """An upper bound on deg_v gcd(a, b): deg_v of gcd(a, b) mod _P with the
     other variables fixed at a point of small integers where lc_v(a)
     survives, the least over the points tried.  The points after the first
     usable one are tried only with ``retry`` and only while the bound is
-    above 0.  None when no point tried is usable.
+    above 0.  None when no point tried is usable.  ``images`` keeps the
+    images of a by (v, attempt), for a divisor shared by many calls.
     """
     n = a.num_vars
+    images = {} if images is None else images
     least = None
     for attempt in range(_POINTS_TRIED):
         point = range(2 + attempt * n, 2 + (attempt + 1) * n)
-        x = _image(a, v, point)
+        key = (v, attempt)
+        if key not in images:
+            images[key] = _image(a, v, point)
+        x = list(images[key])
         if not x[-1]:
             continue
         y = _image(b, v, point)
@@ -735,28 +742,41 @@ def _divide_out_linear(p, v, s, most=None):
 
 
 def poly_gcd(p, q):
-    """Gcd up to units, as a normalized polynomial (see normalize_poly).
+    """Gcd up to units, as a normalized polynomial (see normalize_poly):
+    the one-operand case of ``poly_gcds``, with p the prepared operand."""
+    return poly_gcds(p, [q])[0]
 
-    After normalization, known linear factors are divided out and a modular
-    front end answers most calls without the subresultant (``_gcd_rec``),
-    which stays the only fallback.  Let g be the normalized gcd of the
-    normalized operands a and b.
 
-    * Equal operands: g = a.
-    * Strip w_v - s, s = 1 then s = -1, for each variable v active in
-      both: divide it out of a as often as it divides (k_a times), then out
-      of b at most k_a times (k_b times), and g = (w_v - s)^min(k_a, k_b)
+def poly_gcds(d, ps):
+    """[poly_gcd(d, p) for p in ps], each normalized (see normalize_poly),
+    with d prepared once for all of them: normalized, stripped of its
+    linear factors, and its images kept.
+
+    Known linear factors are divided out and a modular front end answers
+    most gcds without the subresultant (``_gcd_rec``), which stays the
+    only fallback.  Let a be d normalized, b an operand p normalized, and
+    g the normalized gcd of a and b.
+
+    * A zero operand: g = a (a zero d gives each b).  Equal operands:
+      g = a.
+    * Strip w_v - s, s = 1 then s = -1, for each variable v of a: divide it
+      out of a as often as it divides (k_a times, once for all operands),
+      then out of b at most k_a times (k_b times), and g = (w_v - s)^k_b
       times the gcd of the stripped pair.  Proof: w_v - s is irreducible
       and primitive, so by unique factorization in Z[w] it divides g
-      exactly min(k_a, k_b) times, and the stripped pair has no such factor
-      in common; the two factors are coprime, so stripping one leaves the
-      power of the other in each operand as it was.  Stripping keeps an
-      operand normalized: the minimum exponents stay 0 (w_v - s has a
-      constant term), the quotient is primitive by Gauss's lemma, and the
-      lex-leading coefficient is unchanged, the lex-leading term of
-      w_v - s being w_v.  A product of normalized polynomials is
-      normalized, so the result is the normalized g.  The stripped pair
-      goes on to the next steps, and a constant operand gives 1.
+      exactly min(k_a, k_b) = k_b times.  The stripped a has no factor
+      w_v - s, so the gcd of the stripped pair is also the gcd of the
+      stripped a and b with every w_v - s divided out: the powers of
+      w_v - s left in b do not change it.  The two factors are coprime,
+      so stripping one leaves the power of the other in each operand as it
+      was, and a variable of a that b lacks divides no factor out of b (b
+      does not vanish at w_v = s).  Stripping keeps an operand normalized:
+      the minimum exponents stay 0 (w_v - s has a constant term), the
+      quotient is primitive by Gauss's lemma, and the lex-leading
+      coefficient is unchanged, the lex-leading term of w_v - s being w_v.
+      A product of normalized polynomials is normalized, so the result is
+      the normalized g.  The stripped pair goes on to the next steps, and
+      a constant operand gives 1.
     * For each variable v active in both, fix the other variables at small
       integers where lc_v(a), the leading coefficient of a in v, is nonzero
       modulo the prime p = 2^61 - 1, and take the degree d_v of the gcd of
@@ -769,7 +789,8 @@ def poly_gcd(p, q):
       d_v = 0 for every shared v proves g = 1.  While d_v > 0 and the
       operands involve another variable, the next points are tried and the
       least d_v is kept: each is an upper bound, so the least one is too
-      (with no other variable every point gives the same image).
+      (with no other variable every point gives the same image).  The
+      images of the stripped a are taken once per variable and point.
     * If d_v = deg_v b for every v and b has no variable a lacks, b is the
       only candidate the bounds leave, and it is tried by exact division
       of a; likewise a.  The division alone is the proof: b | a and b | b
@@ -778,41 +799,53 @@ def poly_gcd(p, q):
 
     Anything else (a shared d_v that matches neither operand, no point
     where lc_v(a) survives, an inexact division) falls through to
-    ``_gcd_rec``.  Both paths return the same normalized polynomial.
+    ``_gcd_rec``.  The normalized gcd is unique, so every path, and every
+    choice of which operand is prepared, returns the same polynomial.
+    Nothing is prepared when ``ps`` is empty.
     """
-    if not isinstance(p, LaurentPoly) or not isinstance(q, LaurentPoly):
+    if not isinstance(d, LaurentPoly) or not all(isinstance(p, LaurentPoly) for p in ps):
         raise UsageError("poly_gcd expects LaurentPoly operands")
-    p._check_same(q)
-    if p.is_zero():
-        return normalize_poly(q)
-    if q.is_zero():
-        return normalize_poly(p)
-    a = normalize_poly(p)
-    b = normalize_poly(q)
-    if a == b:
-        return a
-    n = p.num_vars
-    common = LaurentPoly.one(n)
-    for v in sorted(a.active_vars() & b.active_vars()):
+    for p in ps:
+        d._check_same(p)
+    if not ps:
+        return []
+    if d.is_zero():
+        return [normalize_poly(p) for p in ps]
+    n = d.num_vars
+    a = stripped = normalize_poly(d)
+    linear = []  # (v, s, k_a)
+    for v in sorted(a.active_vars()):
         for s in (1, -1):
-            a, k = _divide_out_linear(a, v, s)
+            stripped, k = _divide_out_linear(stripped, v, s)
             if k:
-                b, k = _divide_out_linear(b, v, s, k)
-                if k:
-                    common = common * (LaurentPoly.var(n, v) - s) ** k
-    g = _stripped_gcd(a, b)
-    return g if common.is_constant() else common * g
+                linear.append((v, s, k))
+    images = {}
+    out = []
+    for p in ps:
+        b = normalize_poly(p)
+        if not b or b == a:
+            out.append(a)
+            continue
+        common = LaurentPoly.one(n)
+        for v, s, most in linear:
+            b, k = _divide_out_linear(b, v, s, most)
+            if k:
+                common = common * (LaurentPoly.var(n, v) - s) ** k
+        g = _stripped_gcd(stripped, b, images)
+        out.append(g if common.is_constant() else common * g)
+    return out
 
 
-def _stripped_gcd(a, b):
-    """poly_gcd of normalized operands by the front end, else ``_gcd_rec``."""
+def _stripped_gcd(a, b, images):
+    """poly_gcd of normalized operands by the front end, else ``_gcd_rec``;
+    ``images`` keeps the images of a."""
     if a.is_constant() or b.is_constant():
         return LaurentPoly.one(a.num_vars)
     va, vb = a.active_vars(), b.active_vars()
     retry = len(va | vb) > 1
     bounds = {}
     for v in va & vb:
-        d = _image_gcd_degree(a, b, v, retry)
+        d = _image_gcd_degree(a, b, v, retry, images)
         if d is None or d not in (0, _deg_in(a, v), _deg_in(b, v)):
             break
         bounds[v] = d

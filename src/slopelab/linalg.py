@@ -1,13 +1,18 @@
 """Dense linear algebra generic over a field context.
 
 There are two eliminations.  Over the rational function field, forward
-and backward elimination run fraction-free on cleared numerators
-(one-step Bareiss style divisions, always exact) so the intermediate
-polynomials stay small.  Each input row is cleared once, by the lcm L of
-its distinct denominators: the first one normalized (``normalize_poly``,
-no gcd), each further one folded in by ``poly_lcm``.  The cofactor L/d is
-divided out once per distinct d and applied as a shift when it is one
-term; a row of polynomials is used as it is.  Q(zeta_N) and the
+and backward elimination run fraction-free (one-step Bareiss style
+divisions, always exact) so the intermediate polynomials stay small.  The
+kernel, ``_echelon_fraction_free``, takes rows already cleared of
+denominators and scaled to integer polynomials.  ``slope``'s
+per-presentation records get those rows straight from the presentation
+(``seifert.symbolic_rows``), with no rational function on the way.  Only
+generic ``RatFunc`` input, through ``solve`` and ``rank``, is cleared
+here: each row once, by the lcm L of its distinct denominators, the first
+one normalized (``normalize_poly``, no gcd), each further one folded in
+by ``poly_lcm``.  The cofactor L/d is divided out once per distinct d and
+applied as a shift when it is one term; a row of polynomials is used as
+it is, and ``_integral`` scales the cleared row.  Q(zeta_N) and the
 approximate complex numbers share one Gauss-Jordan loop with two pivot
 rules; callers mark approximate results through ``ctx.is_exact``.
 
@@ -22,7 +27,8 @@ returns those polynomial rows with the pivots, so it makes no gcd call;
 ``slope``'s per-presentation records read their slopes off the rows, as
 polynomials over det or evaluated at a point.  ``solve`` reduces only the
 entries callers see as fractions to ``RatFunc``: the free columns (the
-kernel basis) and the right-hand side (the particular solution).  The
+kernel basis) and the right-hand side (the particular solution), all
+over det, in one call that prepares det once (``RatFunc.over``).  The
 pivot columns are det times the identity and are read back as one and
 zero.
 
@@ -127,7 +133,8 @@ class _Echelon(Record):
 
 def _echelon(rows, ncols, ctx):
     if isinstance(ctx, RationalFunctionField):
-        return _echelon_fraction_free(rows, ncols, ctx)
+        n = ctx.num_vars
+        return _echelon_fraction_free([_integral(_cleared(row), n) for row in rows], ncols, n)
     return _echelon_division(rows, ncols, ctx)
 
 
@@ -248,9 +255,9 @@ def _exact_quotient(a, d):
     return q
 
 
-def _echelon_fraction_free(rows, ncols, ctx):
-    """One-step Bareiss Gauss-Jordan elimination of the cleared rows, run on
-    one integer per entry.
+def _echelon_fraction_free(scaled, ncols, n):
+    """One-step Bareiss Gauss-Jordan elimination of cleared rows, given
+    scaled (``_integral``) as (c_i, m_i, S_i), run on one integer per entry.
 
     Step r takes the pivot p in column c and replaces every other row i by
     (p * row_i - f * row_r) / prev, f being row i's entry in column c and
@@ -271,12 +278,14 @@ def _echelon_fraction_free(rows, ncols, ctx):
     other pivot columns; only its other columns and the pivots are read
     back as polynomials.
 
-    The steps run on integers.  Each cleared row R_i is scaled once by the
-    unit u_i = c_i w^-m_i (``_integral``), and each entry x of the scaled
-    rows S_i is replaced by its Kronecker image K(x), x evaluated at
-    w_v = 2^(8 W s_v) (``laurent.kronecker_pack``), with radix_v =
-    2 sum_i span_i,v + 1, s_v the mixed-radix place values and W bytes
-    holding bit_length(2 H^2) + 1 bits (``_layout``).  Soundness:
+    The steps run on integers.  Each cleared row R_i comes scaled by the
+    unit u_i = c_i w^-m_i into S_i = u_i R_i, integer polynomials with
+    minimum exponent 0 (``_integral``, or ``seifert.symbolic_rows`` for the
+    rows of a presentation), and each entry x of the S_i is replaced by
+    its Kronecker image K(x), x evaluated at w_v = 2^(8 W s_v)
+    (``laurent.kronecker_pack``), with radix_v = 2 sum_i span_i,v + 1, s_v
+    the mixed-radix place values and W bytes holding bit_length(2 H^2) + 1
+    bits (``_layout``).  Soundness:
 
     * The scaling is multilinear in the rows.  Let V_k be the product of
       the u of the rows taken as pivot rows at steps 0..k (V_-1 = 1).  By
@@ -315,8 +324,6 @@ def _echelon_fraction_free(rows, ncols, ctx):
       reads the images, and ``laurent.kronecker_unpack`` recovers each
       polynomial read back.
     """
-    n = ctx.num_vars
-    scaled = [_integral(_cleared(row), n) for row in rows]
     radix, width = _layout([s for _, _, s in scaled], n)
     units = [(c, m) for c, m, _ in scaled]
     work = [[kronecker_pack(x, radix, width) for x in s] for _, _, s in scaled]
@@ -387,12 +394,6 @@ def _kernel_from_echelon(rows, pivots, ncols, ctx):
     return tuple(basis)
 
 
-def _eliminate(m, b):
-    """The elimination (``_echelon``) of the augmented matrix [M | b]."""
-    aug = [list(row) + [bi] for row, bi in zip(m.entries, b)]
-    return _echelon(aug, m.cols + 1, m.ctx)
-
-
 def solve(m, b):
     """Solve M x = b, reporting a particular solution and a kernel basis.
 
@@ -401,17 +402,16 @@ def solve(m, b):
     """
     if len(b) != m.rows:
         raise UsageError("right-hand side length does not match matrix rows")
-    ech = _eliminate(m, b)
+    ech = _echelon([list(row) + [bi] for row, bi in zip(m.entries, b)], m.cols + 1, m.ctx)
     rows = ech.rows
     if ech.poly_rows is not None:
         # only the free columns and the right-hand side are read, so only
         # they are reduced
         det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(m.ctx.num_vars)
-        pivot_set = set(ech.pivots)
-        rows = [
-            [None if c in pivot_set else RatFunc(x, det) for c, x in enumerate(row)]
-            for row in ech.poly_rows[: len(ech.pivots)]
-        ]
+        free = [c for c in range(m.cols + 1) if c not in ech.pivots]
+        pivot_rows = ech.poly_rows[: len(ech.pivots)]
+        reduced = iter(RatFunc.over([row[c] for row in pivot_rows for c in free], det))
+        rows = [{c: next(reduced) for c in free} for _ in pivot_rows]
     inconsistent = m.cols in ech.pivots
     kernel = _kernel_from_echelon(rows, ech.pivots, m.cols, m.ctx)
     if inconsistent:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import add
 
 from .datasets import read_json
 from .errors import UnsupportedHypothesisError, UsageError
@@ -267,8 +268,9 @@ def build_E(presentation, omega, ctx):
     * The f_i are linear in distinct variables, hence irreducible and
       pairwise non-associate, so P is squarefree and gcd(x, P) is the
       product of the f_i over the set S of i with f_i | x.  For j != i,
-      f_j | x = x_0 f_i iff f_j | x_0, so testing the quotients one
-      variable after another finds the same S.
+      f_j | x = x_0 f_i iff f_j | x_0, so testing x itself for each i
+      (``_f_divides``) finds S, and dividing by the f_i of S one after
+      another keeps the terms of x with e_i = 0 for every i in S.
     * x / P = q / D with q = x / prod_{i in S} f_i and
       D = prod_{i not in S} f_i.  An irreducible common factor of q and D
       would be some f_j with j not in S dividing x, so q / D is reduced.
@@ -308,48 +310,105 @@ def build_E(presentation, omega, ctx):
     return _assemble_A(presentation, inverted, ctx).map(lambda x: scale * x)
 
 
-def _operator_symbolic(presentation):
-    """The rows of E(w) over the rational function field in mu variables,
-    each entry q / D in reduced form (the proof is in ``build_E``)."""
+def _inverse_terms(presentation):
+    """The term maps of the x_rc = A_rc(w^-1), row by row (exponents in
+    {0, -1}^mu; distinct sign vectors have distinct exponent vectors)."""
     from .characters import _signed_thetas
-    from .fields import RatFunc
-    from .laurent import LaurentPoly
 
-    mu = presentation.mu
+    mu, n = presentation.mu, presentation.n
     parts = [
         (tuple(-1 if i in neg else 0 for i in range(mu)), sign, theta)
         for sign, neg, theta in _signed_thetas(presentation)
     ]
+    return [
+        [{e: sign * theta[r][c] for e, sign, theta in parts if theta[r][c]} for c in range(n)]
+        for r in range(n)
+    ]
+
+
+def _f_divides(terms, i):
+    """Whether f_i = 1 - w_i^-1 divides x (``build_E``): x_1 = -x_0, that
+    is, the term at e with e_i flipped cancels the one at e."""
+    return all(terms.get(e[:i] + (-1 - e[i],) + e[i + 1:], 0) == -v for e, v in terms.items())
+
+
+def _divided(terms, divides):
+    """x / prod f_i over i in ``divides``, each f_i dividing x: the terms
+    with e_i = 0 for each such i."""
+    return {e: v for e, v in terms.items() if not any(e[i] for i in divides)}
+
+
+def _operator_symbolic(presentation):
+    """The rows of E(w) over the rational function field in mu variables,
+    each entry q / D in reduced form (the proof is in ``build_E``)."""
+    from .fields import RatFunc
+    from .laurent import LaurentPoly
+
+    mu = presentation.mu
     one = LaurentPoly.one(mu)
     zero = RatFunc.const(mu, 0)
     factors = [one - LaurentPoly.var(mu, i).subst_inverse() for i in range(mu)]
     dens = {}  # D for each tuple of the i not in S
     rows = []
-    for r in range(presentation.n):
+    for entries in _inverse_terms(presentation):
         row = []
-        for c in range(presentation.n):
-            # distinct sign vectors have distinct exponent vectors
-            terms = {e: sign * theta[r][c] for e, sign, theta in parts if theta[r][c]}
+        for terms in entries:
             if not terms:
                 row.append(zero)
                 continue
-            rest = []
-            for i in range(mu):
-                # x_1 = -x_0: the term at e with e_i flipped cancels the one at e
-                if all(terms.get(e[:i] + (-1 - e[i],) + e[i + 1:], 0) == -v
-                       for e, v in terms.items()):
-                    terms = {e: v for e, v in terms.items() if not e[i]}
-                else:
-                    rest.append(i)
-            rest = tuple(rest)
+            rest = tuple(i for i in range(mu) if not _f_divides(terms, i))
             if rest not in dens:
                 den = one
                 for i in rest:
                     den = den * factors[i]
                 dens[rest] = den
-            row.append(RatFunc._make(LaurentPoly._make(mu, terms), dens[rest]))
+            q = _divided(terms, [i for i in range(mu) if i not in rest])
+            row.append(RatFunc._make(LaurentPoly._make(mu, q), dens[rest]))
         rows.append(row)
     return rows
+
+
+def symbolic_rows(presentation):
+    """The rows of [E(w) | kappa], cleared and scaled for
+    ``linalg._echelon_fraction_free``, with no rational function formed:
+    (1, m, row), row integer polynomials of minimum exponent 0 and unit
+    w^-m.  They equal ``linalg._integral(linalg._cleared(row))`` of
+    ``build_E``'s symbolic row r with kappa_r appended, term maps included.
+
+    Let x_rc = A_rc(w^-1), f_i = 1 - w_i^-1 and U_r the i whose f_i fails
+    to divide some x_rc (``_f_divides``, the test ``build_E`` uses).
+    ``build_E`` writes x_rc / prod_i f_i over D = prod f_i, i not in S_rc,
+    the i whose f_i does not divide x_rc; the complements of the S_rc are
+    subsets of U_r with union U_r.  Each f_i normalizes to w_i - 1, so
+    ``_cleared``'s lcm is L = prod over U_r of (w_i - 1), and the cleared
+    row is L times row r.  As w_i - 1 = w_i f_i, L x_rc / prod_i f_i is
+    x_rc divided by the f_i, i not in U_r (``_divided``), times w^(1 on
+    U_r); kappa_r becomes kappa_r L.  Every exponent is then 0 or 1 and
+    every coefficient an integer, so ``_integral`` takes c = 1 and shifts
+    by m, the least exponent of the row.  m_i is 1 exactly when i is in
+    U_r, kappa_r is 0 (kappa_r L has a constant term) and no entry keeps a
+    term with e_i = -1; else 0, for a zero row too (U_r is empty).
+    """
+    from .laurent import LaurentPoly
+
+    mu = presentation.mu
+    out = []
+    for entries, k in zip(_inverse_terms(presentation), presentation.kappa):
+        keep = [i for i in range(mu) if not all(_f_divides(t, i) for t in entries)]
+        drop = [i for i in range(mu) if i not in keep]
+        row = [_divided(t, drop) if drop else t for t in entries]
+        m = tuple(int(i in keep and not k and not any(e[i] for t in row for e in t))
+                  for i in range(mu))
+        shift = tuple(int(i in keep) - m[i] for i in range(mu))
+        if any(shift):
+            row = [{tuple(map(add, e, shift)): v for e, v in t.items()} for t in row]
+        kappa = {(0,) * mu: k} if k else {}
+        for i in keep:  # times w_i - 1
+            kappa = {f: c for e, v in kappa.items()
+                     for f, c in ((e[:i] + (1,) + e[i + 1:], v), (e, -v))}
+        row.append(kappa)
+        out.append((1, m, [LaurentPoly._make(mu, t) for t in row]))
+    return out
 
 
 # -- transforms -------------------------------------------------------------------

@@ -32,17 +32,17 @@ from .errors import (
 )
 from .fields import ApproxComplex, Cyclotomic, RatFunc, RationalFunctionField
 from .laurent import LaurentPoly, normalize_poly
+from . import linalg
 from .linalg import (
     INCONSISTENT,
     _check_tol_sig,
-    _eliminate,
     hermitian_inertia,
     hermitian_signature,
     rank,
     solve,
 )
 from .record import Record
-from .seifert import build_E, validate
+from .seifert import build_E, symbolic_rows, validate
 
 FINITE = "finite"
 INFINITY = "infinity"
@@ -143,13 +143,14 @@ class _Elimination:
     E(w) its symbolic operator, and the slope read off it, symbolically and
     at torsion characters.
 
-    ``linalg._echelon_fraction_free`` clears each row of [E(w) | kappa] and
-    runs one-step Bareiss on it, giving the pivot columns, the pivots
-    p_1, ..., p_r (det = p_r, or 1 when r = 0) and the final polynomial
-    rows R, with no gcd.  Write n for the number of columns of E, I for the
-    pivot columns below n, and num_c = R[row of c][n].  For a free column
-    f < n the pairing numerator is
-    P_f = kappa_f det - sum over c in I of kappa_c R[row of c][f], and the
+    ``seifert.symbolic_rows`` gives the rows of [E(w) | kappa] cleared and
+    scaled, straight from the presentation, and
+    ``linalg._echelon_fraction_free`` runs one-step Bareiss on them, giving
+    the pivot columns, the pivots p_1, ..., p_r (det = p_r, or 1 when
+    r = 0) and the final polynomial rows R, with no gcd.  Write n for the
+    number of columns of E, I for the pivot columns below n, and
+    num_c = R[row of c][n].  For a free column f < n the pairing numerator
+    is P_f = kappa_f det - sum over c in I of kappa_c R[row of c][f], and the
     value numerator is V = sum over c in I of kappa_c num_c.  The record
     derives det, the P_f, the pairs (c, num_c) and V (both None when column
     n holds a pivot) and ``valid_away_from`` (the product of the distinct
@@ -160,22 +161,29 @@ class _Elimination:
     readings below hold with the identity as the evaluation, and
     ``symbolic`` returns what ``slope_from_operator`` returns on E(w):
     the same rational functions, in ``RatFunc``'s canonical stored form,
-    with the record's ``valid_away_from`` as the certificate.
+    with the record's ``valid_away_from`` as the certificate.  It reduces
+    every num_c and -V over det in one ``RatFunc.over`` call, which
+    prepares det once; the reduced form is canonical, so sharing changes
+    nothing stored.
 
     Specialization, at a torsion character omega with no coordinate 1
     where ``valid_away_from`` does not vanish.  The units it leaves out are
     monomials, which do not vanish on the torus, so no pivot vanishes at
     omega.  No transpose symmetry is used.
 
-    * Each row of [E | kappa] is cleared by the lcm of its entries'
-      denominators.  ``build_E`` writes entry (r, c) over the product of
-      the f_i = 1 - w_i^-1 that do not divide A_rc(w^-1), and kappa is
-      integral, so row r is cleared by the product of (w_i - 1) over the
-      i whose f_i fails to divide some entry of the row; it is nonzero at
-      omega because no omega_i is 1.  The cleared rows at omega are
-      nonzero multiples of the rows of [E(omega) | kappa], and
-      Gauss-Jordan elimination on either takes the same pivots and ends
-      in the same reduced row echelon form.
+    * The rows are built from the presentation, with no rational
+      function: row r is L_r w^-m_r times row r of [E(w) | kappa], L_r the
+      product of (w_i - 1) over the i whose f_i = 1 - w_i^-1 fails to
+      divide some entry A_rc(w^-1) of the row, which is the lcm of the
+      denominators ``build_E`` writes there.  They are exactly
+      ``linalg._integral(linalg._cleared(row))`` of ``build_E``'s rows
+      (the proof is in ``seifert.symbolic_rows``), so the pivots, det and
+      final rows are identical to those of the generic elimination of
+      E(w), not merely equal up to units.  L_r w^-m_r is nonzero at omega
+      because no omega_i is 1, so the rows at omega are nonzero multiples
+      of the rows of [E(omega) | kappa], and Gauss-Jordan elimination on
+      either takes the same pivots and ends in the same reduced row
+      echelon form.
     * After step k the fraction-free rows are p_k times the Gauss-Jordan
       rows with the same pivots (one-step Bareiss).  The step is the
       polynomial identity p_k R' = p_(k+1) R - f R_pivot, and evaluation at
@@ -216,11 +224,11 @@ class _Elimination:
 
     __slots__ = ("mu", "n", "det", "pairings", "numerators", "value", "valid_away_from")
 
-    def __init__(self, e, kappa):
-        """Eliminate [e | kappa], e the symbolic operator and kappa the
-        integer class of a presentation, and keep the derived parts."""
-        mu, n = e.ctx.num_vars, len(kappa)
-        ech = _eliminate(e, [e.ctx.from_int(k) for k in kappa])
+    def __init__(self, presentation):
+        """Eliminate [E(w) | kappa] of a presentation and keep the derived
+        parts."""
+        mu, n, kappa = presentation.mu, presentation.n, presentation.kappa
+        ech = linalg._echelon_fraction_free(symbolic_rows(presentation), n + 1, mu)
         rows = ech.poly_rows
         pivot_cols = [c for c in ech.pivots if c < n]
         self.mu, self.n = mu, n
@@ -276,9 +284,12 @@ class _Elimination:
         if sv is not None:
             return sv
         witness = [RationalFunctionField(self.mu).zero] * self.n
-        for c, num in self.numerators:
-            witness[c] = RatFunc(num, self.det)
-        value = RatFunc(-self.value, self.det)
+        # every num_c and -V over det, det prepared once
+        *reduced, value = RatFunc.over(
+            [num for _, num in self.numerators] + [-self.value], self.det
+        )
+        for (c, _), x in zip(self.numerators, reduced):
+            witness[c] = x
         report = CaseReport(True, True)
         return SlopeValue(FINITE, value, tuple(witness), report, False, self.valid_away_from)
 
@@ -310,9 +321,7 @@ def _record(presentation, symbolic):
         if not symbolic:
             _RECORDS[key] = None
             return None
-    mu = presentation.mu
-    e = build_E(presentation, Character.symbolic(mu), RationalFunctionField(mu))
-    record = _RECORDS[key] = _Elimination(e, presentation.kappa)
+    record = _RECORDS[key] = _Elimination(presentation)
     return record
 
 
@@ -340,6 +349,12 @@ def _slope_in(presentation, omega, ctx):
         record = _record(presentation, False)
         if record is not None and record.specializes_at(omega):
             return record.at(omega)
+    return _direct(presentation, omega, ctx)
+
+
+def _direct(presentation, omega, ctx):
+    """The slope at omega by a solve of E(omega) in ``ctx``, with no record
+    and no checks: the caller has validated the presentation and omega."""
     kappa = [ctx.from_int(k) for k in presentation.kappa]
     return slope_from_operator(build_E(presentation, omega, ctx), kappa)
 
@@ -358,13 +373,16 @@ def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     keyed by their content (mu, n, theta, kappa) and dropped oldest first,
     each with its record, the fraction-free elimination of [E(w) | kappa]
     (``_Elimination``), or with None while it has been asked once at a
-    torsion character.  A symbolic request reads its answer off the record,
-    which it builds and keeps when there is none.  A torsion request reads
-    the record unless a pivot vanishes at the character, and otherwise
-    solves directly in Q(zeta_N).  A presentation without a record gets one
-    at its second torsion request: building one costs more than a direct
-    solve, so a single torsion request never builds it.  Either way the
-    answer is the same, storage included.
+    torsion character.  A record is built from the presentation's integer
+    rows (``seifert.symbolic_rows``), with no rational function, and its
+    symbolic answer reduces every numerator over one prepared det
+    (``RatFunc.over``).  A symbolic request reads its answer off the
+    record, which it builds and keeps when there is none.  A torsion
+    request reads the record unless a pivot vanishes at the character, and
+    otherwise solves directly in Q(zeta_N).  A presentation without a
+    record gets one at its second torsion request: building one costs more
+    than a direct solve, so a single torsion request never builds it.
+    Either way the answer is the same, storage included.
     """
     ctx = default_context_for(omega, tol)
     _refuse_invalid(presentation, check_transpose)
@@ -463,8 +481,11 @@ def certify_zero_slope(presentation):
 
     The symbolic request leaves the presentation's record in the memo.
     Only battery characters on the zero locus of its certificate
-    ``valid_away_from`` get a direct solve, as the record declines them,
-    and nothing is built for them.  At every other one the pointwise slope
+    ``valid_away_from`` get a solve, where the record would decline them:
+    straight to the direct solve in Q(zeta_N) (``_direct``), with nothing
+    built for them.  The presentation was validated by the symbolic
+    request, and no battery coordinate is 1, so ``slope_at``'s checks are
+    not repeated.  At every other one the pointwise slope
     is the specialization of the symbolic one, by the proof in
     ``_Elimination``'s docstring: finite, with value
     -V(omega) / det(omega), where V / det reduces to the symbolic value,
@@ -480,7 +501,7 @@ def certify_zero_slope(presentation):
         omega = Character.root_of_unity(conductor, exponents)
         if not evaluate_at_torsion(symbolic.valid_away_from, omega).is_zero():
             continue
-        point = slope_at(presentation, omega)
+        point = _direct(presentation, omega, default_context_for(omega))
         if not point.is_finite() or not point.value.is_zero():
             return False
     return True

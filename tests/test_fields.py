@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slopelab.fields as fields_module
+import slopelab.laurent as laurent_module
 from slopelab.errors import UsageError
 from slopelab.fields import (
     ApproxComplex,
@@ -20,9 +21,11 @@ from slopelab.fields import (
 )
 from slopelab.laurent import (
     LaurentPoly,
+    _gcd_rec,
     cyclotomic_minimal_poly,
     euler_phi,
     exact_div,
+    normalize_poly,
     poly_gcd,
 )
 
@@ -121,6 +124,101 @@ def test_one_pass_normalization_matches_shift_and_scale(rng):
         assert all(type(c) is int for c in got.num.terms.values() if c.denominator == 1)
         assert all(type(c) is int for c in got.den.terms.values() if c.denominator == 1)
     assert seen >= set(leads)
+
+
+def _linear_power(n, v, s, k):
+    return (LaurentPoly.var(n, v) - s) ** k
+
+
+def _reduced_by_subresultant(num, den):
+    """num / den in canonical form, its gcd taken by ``_gcd_rec`` alone."""
+    if num.is_zero():
+        return LaurentPoly.zero(num.num_vars), LaurentPoly.one(num.num_vars)
+    g = normalize_poly(_gcd_rec(normalize_poly(num), normalize_poly(den)))
+    num, den = exact_div(num, g), exact_div(den, g)
+    e, c = den.lex_leading()
+    return exact_div(num, LaurentPoly.monomial(num.num_vars, e, c)), exact_div(
+        den, LaurentPoly.monomial(num.num_vars, e, c))
+
+
+def _multiplicity(p, v, s):
+    """How often w_v - s divides p."""
+    k, q = 0, normalize_poly(p)
+    while True:
+        try:
+            q = exact_div(q, _linear_power(p.num_vars, v, s, 1))
+        except ArithmeticError:
+            return k
+        k += 1
+
+
+def test_shared_denominator_matches_per_entry_reduction(rng, monkeypatch):
+    """Differential: RatFunc.over(nums, den) is storage-equal to RatFunc(num,
+    den) for each num, and to a reduction whose gcd is the subresultant's.
+    Each batch holds a zero numerator and an associate of den."""
+    calls = []
+    gcd_rec = laurent_module._gcd_rec
+
+    def counting(a, b):
+        calls.append(a)
+        return gcd_rec(a, b)
+
+    monkeypatch.setattr(laurent_module, "_gcd_rec", counting)
+    seen = set()
+    reached = 0
+    for trial in range(120):
+        n = 1 + trial % 3
+        v = rng.randrange(n)
+        den = random_nonzero_laurent(rng, n, max_terms=3, exp_range=1)
+        if trial % 3 == 0:
+            den = den * _linear_power(n, v, 1, rng.randint(1, 3))
+        if trial % 4 == 1:
+            den = den * _linear_power(n, v, -1, rng.randint(1, 2))
+        shared = random_nonzero_laurent(rng, n, max_terms=2, exp_range=1)
+        nums = [LaurentPoly.zero(n), den * LaurentPoly.monomial(n, (1,) * n, -3)]
+        for _ in range(4):
+            num = random_nonzero_laurent(rng, n, max_terms=3, exp_range=1)
+            if rng.random() < 0.5:
+                num = num * _linear_power(n, v, rng.choice((1, -1)), rng.randint(1, 3))
+            if rng.random() < 0.4:
+                num = num * shared
+            nums.append(num)
+        if trial % 3 == 0:
+            den = den * shared
+        before = len(calls)
+        got = RatFunc.over(nums, den)
+        reached += len(calls) > before
+        assert len(got) == len(nums)
+        for num, x in zip(nums, got):
+            want = RatFunc(num, den)
+            oracle = _reduced_by_subresultant(num, den)
+            assert x.num.terms == want.num.terms == oracle[0].terms
+            assert x.den.terms == want.den.terms == oracle[1].terms
+            assert all(type(c) is int for c in x.num.terms.values() if c.denominator == 1)
+            assert all(type(c) is int for c in x.den.terms.values() if c.denominator == 1)
+            for s in (1, -1):
+                on_num = bool(num) and _multiplicity(num, v, s) > 0
+                on_den = _multiplicity(den, v, s) > 0
+                if on_num or on_den:
+                    where = "both" if on_num and on_den else "num only" if on_num else "den only"
+                    seen.add((where, s))
+        seen.add(n)
+    assert seen >= {1, 2, 3} | {
+        (where, s) for where in ("both", "den only", "num only") for s in (1, -1)}
+    assert reached, "no batch reached the subresultant"
+
+
+def test_all_zero_numerators_prepare_nothing(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the denominator was prepared")
+
+    monkeypatch.setattr(laurent_module, "normalize_poly", unreachable)
+    monkeypatch.setattr(laurent_module, "_divide_out_linear", unreachable)
+    w = LaurentPoly.var(2, 0)
+    den = (w - 1) * (w + 1) * 3
+    zero = LaurentPoly.zero(2)
+    assert RatFunc.over([zero, zero], den) == [RatFunc.const(2, 0)] * 2
+    assert RatFunc.over([], den) == []
 
 
 def test_is_polynomial_reads_the_stored_denominator(rng):

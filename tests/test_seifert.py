@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import slopelab.linalg as linalg_module
 from slopelab.characters import Character
 from slopelab.errors import UnsupportedHypothesisError, UsageError
 from slopelab.fields import (
@@ -33,6 +34,7 @@ from slopelab.seifert import (
     save_presentation,
     sign_string,
     stabilize,
+    symbolic_rows,
     validate,
 )
 
@@ -663,3 +665,44 @@ def test_from_dict_malformed():
 def test_sign_strings():
     assert sign_string((1, -1, 1)) == "+-+"
     assert all_sign_vectors(1) == [(1,), (-1,)]
+
+
+def test_symbolic_rows_equal_the_cleared_rows_of_build_E(rng):
+    """Differential: the integer rows a record eliminates, built from the
+    presentation, equal the integral cleared rows of build_E's symbolic
+    operator with kappa appended, as (c, m, term maps), all int."""
+    seen = set()
+    for trial in range(300):
+        mu = 1 + trial % 3
+        n = rng.randint(0, (6, 4, 3)[mu - 1])
+        p = random_presentation(rng, mu=mu, n=n, bound=rng.choice((1, 2)),
+                                kappa_zero=trial % 4 == 0)
+        if trial % 5 == 1:
+            p = stabilize(p)
+        n = p.n
+        if trial % 7 == 3 and n:
+            # theta^eps symmetric for every eps: f_i divides every entry
+            sym = {eps: [[m[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+                   for eps, m in p.theta.items()}
+            p = CComplexPresentation.build(mu, n, sym, p.kappa)
+        ctx = RationalFunctionField(mu)
+        e = build_E(p, Character.symbolic(mu), ctx)
+        got = symbolic_rows(p)
+        assert len(got) == n
+        seen.update({("mu", mu), ("n", n)})
+        for row, k, (c, m, scaled) in zip(e.entries, p.kappa, got):
+            row = list(row) + [ctx.from_int(k)]
+            want_c, want_m, want = linalg_module._integral(linalg_module._cleared(row), mu)
+            assert (c, m) == (want_c, want_m)
+            assert [x.terms for x in scaled] == [x.terms for x in want]
+            assert all(type(v) is int for x in scaled for v in x.terms.values())
+            if not any(row):
+                seen.add("zero row")
+            elif any(all(i not in x.den.active_vars() for x in row) for i in range(mu)):
+                seen.add("some f_i divides every entry")
+            if any(row[:-1]) and not k:
+                seen.add("kappa zero")
+            if any(m):
+                seen.add("shifted")
+    assert seen >= {("mu", mu) for mu in (1, 2, 3)} | {("n", n) for n in range(7)} | {
+        "zero row", "some f_i divides every entry", "kappa zero", "shifted"}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import slopelab.linalg as linalg_module
+import slopelab.seifert as seifert_module
 import slopelab.slope as slope_module
 from slopelab.characters import Character, evaluate_at_torsion, sample_safe_characters
 from slopelab.errors import InvalidPresentationError, UnsupportedHypothesisError, UsageError
@@ -685,17 +686,23 @@ def test_certify_solves_directly_only_on_the_certificate_locus(monkeypatch):
     )
     locus = _on_locus(slope_symbolic(p), 2)
     assert len(locus) == 7
-    calls = []
-    direct = slope_module.slope_at
+    calls = {"slope_at": [], "_direct": []}
 
-    def counting(presentation, omega, *args, **kwargs):
-        calls.append(omega)
-        return direct(presentation, omega, *args, **kwargs)
+    def counting(name):
+        original = getattr(slope_module, name)
 
-    monkeypatch.setattr(slope_module, "slope_at", counting)
+        def counted(presentation, omega, *args, **kwargs):
+            calls[name].append(omega)
+            return original(presentation, omega, *args, **kwargs)
+
+        monkeypatch.setattr(slope_module, name, counted)
+
+    counting("slope_at")
+    counting("_direct")
     assert certify_zero_slope(p)
-    # the one symbolic solve, then one direct solve per character on the locus
-    assert calls == [Character.symbolic(2)] + locus
+    # the one symbolic solve, then one direct solve per character on the
+    # locus, which skips slope_at's checks
+    assert calls == {"slope_at": [Character.symbolic(2)], "_direct": locus}
 
 
 def test_three_colors_smoke(rng):
@@ -1006,6 +1013,24 @@ def test_a_symbolic_request_leaves_the_record(mu, eliminations):
     assert len(eliminations) == 1
     assert slope_module._RECORDS[key] is record
     assert symbolic == old_slope_symbolic(p)
+
+
+@pytest.mark.parametrize("mu", [1, 2, 3])
+def test_a_record_forms_no_rational_function_rows(mu, monkeypatch, eliminations):
+    """Building a record reads the presentation's integer rows: neither
+    build_E nor the clearing of RatFunc rows runs."""
+    p = random_presentation(random.Random(mu), mu=mu, n=3 - mu // 3)
+    want = old_slope_symbolic(p)
+    eliminations.clear()  # the generic solve's
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a record went through RatFunc rows")
+
+    for owner, name in ((seifert_module, "build_E"), (slope_module, "build_E"),
+                        (linalg_module, "_cleared")):
+        monkeypatch.setattr(owner, name, refused)
+    assert slope_symbolic(p) == want
+    assert len(eliminations) == 1
 
 
 def test_certify_builds_no_record_on_the_locus(eliminations):
