@@ -576,38 +576,6 @@ def _content_primitive(p, v):
     return cont, exact_div(p, cont)
 
 
-def _gcd_univariate(a, b, v):
-    """Monic Euclid for polynomials whose only active variable is v."""
-    da = {e[v]: c for e, c in a.terms.items()}
-    db = {e[v]: c for e, c in b.terms.items()}
-
-    def dense(d):
-        n = max(d)
-        return [d.get(i, 0) for i in range(n + 1)]
-
-    x, y = dense(da), dense(db)
-    while y and any(y):
-        inv = Fraction(1) / y[-1]
-        y = [c * inv for c in y]
-        while len(x) >= len(y):
-            if x[-1]:
-                f = x[-1]
-                off = len(x) - len(y)
-                for i in range(len(y)):
-                    x[off + i] -= f * y[i]
-            x.pop()
-        while x and not x[-1]:
-            x.pop()
-        x, y = y, x
-    terms = {}
-    for i, c in enumerate(x):
-        if c:
-            e = [0] * a.num_vars
-            e[v] = i
-            terms[tuple(e)] = c
-    return LaurentPoly(a.num_vars, terms)
-
-
 def _subresultant(a, b, v):
     """Gcd of polynomials primitive in v, via the subresultant sequence."""
     if _deg_in(a, v) < _deg_in(b, v):
@@ -645,9 +613,6 @@ def _gcd_rec(a, b):
         return _gcd_rec(a, _content_primitive(b, v)[0])
     if v not in active_b:
         return _gcd_rec(_content_primitive(a, v)[0], b)
-    if active == {v}:
-        g = _gcd_univariate(a, b, v)
-        return LaurentPoly.one(a.num_vars) if g.is_constant() else g
     ca, pa = _content_primitive(a, v)
     cb, pb = _content_primitive(b, v)
     return _gcd_rec(ca, cb) * _subresultant(pa, pb, v)

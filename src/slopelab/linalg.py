@@ -8,11 +8,8 @@ denominators and scaled to integer polynomials.  ``slope``'s
 per-presentation records get those rows straight from the presentation
 (``seifert.symbolic_rows``), with no rational function on the way.  Only
 generic ``RatFunc`` input, through ``solve`` and ``rank``, is cleared
-here: each row once, by the lcm L of its distinct denominators, the first
-one normalized (``normalize_poly``, no gcd), each further one folded in
-by ``poly_lcm``.  The cofactor L/d is divided out once per distinct d and
-applied as a shift when it is one term; a row of polynomials is used as
-it is, and ``_integral`` scales the cleared row.  Q(zeta_N) and the
+here: each row by the lcm L of its denominators (``poly_lcm``), and
+``_integral`` scales the cleared row.  Q(zeta_N) and the
 approximate complex numbers share one Gauss-Jordan loop with two pivot
 rules; callers mark approximate results through ``ctx.is_exact``.
 
@@ -63,7 +60,6 @@ from .laurent import (
     exact_div,
     kronecker_pack,
     kronecker_unpack,
-    normalize_poly,
     poly_lcm,
 )
 from .record import Record
@@ -134,7 +130,7 @@ class _Echelon(Record):
 def _echelon(rows, ncols, ctx):
     if isinstance(ctx, RationalFunctionField):
         n = ctx.num_vars
-        return _echelon_fraction_free([_integral(_cleared(row), n) for row in rows], ncols, n)
+        return _echelon_fraction_free([_integral(_cleared(row, n), n) for row in rows], ncols, n)
     return _echelon_division(rows, ncols, ctx)
 
 
@@ -179,31 +175,11 @@ def _echelon_division(rows, ncols, ctx):
     return _Echelon(work, pivots)
 
 
-def _times(p, q):
-    """p * q, as a shift when q is one term."""
-    if len(q.terms) != 1:
-        return p * q
-    (e, c), = q.terms.items()
-    p = p.shift(e)
-    return p if c == 1 else p * c
-
-
-def _cleared(row):
+def _cleared(row, num_vars):
     """The numerators of a row times the lcm of its denominators."""
-    dens = []
-    for x in row:
-        if not x.is_polynomial() and x.den not in dens:
-            dens.append(x.den)
-    if not dens:
-        return [x.num for x in row]
-    lcm = normalize_poly(dens[0])
-    for d in dens[1:]:
-        lcm = poly_lcm(lcm, d)
-    cofactors = [exact_div(lcm, d) for d in dens]
-    return [
-        _times(x.num, lcm if x.is_polynomial() else cofactors[dens.index(x.den)])
-        for x in row
-    ]
+    dens = (x.den for x in row if not x.is_polynomial())
+    common = reduce(poly_lcm, dens, LaurentPoly.one(num_vars))
+    return [x.num * exact_div(common, x.den) for x in row]
 
 
 def _integral(row, num_vars):

@@ -252,36 +252,10 @@ def build_E(presentation, omega, ctx):
     because x^d = 1 and sum_{j<d} x^j = (x^d - 1) / (x - 1) = 0 for x != 1.
     Every x is a power of zeta_N, so the scale and every entry of
     A(omega^-1) are integer combinations of powers of zeta_N over the
-    integer prod_i d_i, with no inversion.
-
-    At the symbolic character in the rational function field each entry
-    is written directly in ``RatFunc``'s canonical reduced form, with no
-    gcd, product or inversion of rational functions.  Let f_i = 1 - w_i^-1,
-    P = prod_i f_i, and x = A_rc(w^-1), whose exponents lie in {0, -1}^mu.
-
-    * f_i divides x iff x vanishes identically at w_i = 1.  Write
-      x = x_0 + x_1 w_i^-1 with x_0, x_1 free of w_i.  Since
-      f_i = w_i^-1 (w_i - 1) and w_i - 1 is monic in w_i, the factor
-      theorem over the ring of the other variables says f_i | x iff
-      x(w_i = 1) = x_0 + x_1 = 0, and then x = x_0 f_i: the quotient is
-      x_0, whose exponents again lie in {0, -1}^mu.
-    * The f_i are linear in distinct variables, hence irreducible and
-      pairwise non-associate, so P is squarefree and gcd(x, P) is the
-      product of the f_i over the set S of i with f_i | x.  For j != i,
-      f_j | x = x_0 f_i iff f_j | x_0, so testing x itself for each i
-      (``_f_divides``) finds S, and dividing by the f_i of S one after
-      another keeps the terms of x with e_i = 0 for every i in S.
-    * x / P = q / D with q = x / prod_{i in S} f_i and
-      D = prod_{i not in S} f_i.  An irreducible common factor of q and D
-      would be some f_j with j not in S dividing x, so q / D is reduced.
-      The lex-leading term of each f_i is the constant 1 (the exponent 0
-      beats -1), and the leading term of a product is the product of the
-      leading terms, so D's lex-leading term is the constant 1: q / D is
-      already the canonical form ``RatFunc(x, P)`` would compute.
-
-    ApproxComplex assembles E with field operations.
+    integer prod_i d_i, with no inversion.  The rational function field
+    and ApproxComplex assemble E with field operations.
     """
-    from .characters import ROOT_OF_UNITY, SYMBOLIC, embed_character, operator_at_torsion
+    from .characters import ROOT_OF_UNITY, embed_character, operator_at_torsion
     from .fields import Cyclotomic
     from .linalg import Matrix
 
@@ -291,8 +265,6 @@ def build_E(presentation, omega, ctx):
         return Matrix(ctx, rows, cols=presentation.n)
     # also refuses a context the character does not embed in
     scalars = embed_character(omega, ctx)
-    if omega.kind == SYMBOLIC:
-        return Matrix(ctx, _operator_symbolic(presentation), cols=presentation.n)
     inverted = []
     for s in scalars:
         if ctx.is_zero(s):
@@ -327,8 +299,8 @@ def _inverse_terms(presentation):
 
 
 def _f_divides(terms, i):
-    """Whether f_i = 1 - w_i^-1 divides x (``build_E``): x_1 = -x_0, that
-    is, the term at e with e_i flipped cancels the one at e."""
+    """Whether f_i = 1 - w_i^-1 divides x (``symbolic_rows``): x_1 = -x_0,
+    that is, the term at e with e_i flipped cancels the one at e."""
     return all(terms.get(e[:i] + (-1 - e[i],) + e[i + 1:], 0) == -v for e, v in terms.items())
 
 
@@ -338,56 +310,41 @@ def _divided(terms, divides):
     return {e: v for e, v in terms.items() if not any(e[i] for i in divides)}
 
 
-def _operator_symbolic(presentation):
-    """The rows of E(w) over the rational function field in mu variables,
-    each entry q / D in reduced form (the proof is in ``build_E``)."""
-    from .fields import RatFunc
-    from .laurent import LaurentPoly
-
-    mu = presentation.mu
-    one = LaurentPoly.one(mu)
-    zero = RatFunc.const(mu, 0)
-    factors = [one - LaurentPoly.var(mu, i).subst_inverse() for i in range(mu)]
-    dens = {}  # D for each tuple of the i not in S
-    rows = []
-    for entries in _inverse_terms(presentation):
-        row = []
-        for terms in entries:
-            if not terms:
-                row.append(zero)
-                continue
-            rest = tuple(i for i in range(mu) if not _f_divides(terms, i))
-            if rest not in dens:
-                den = one
-                for i in rest:
-                    den = den * factors[i]
-                dens[rest] = den
-            q = _divided(terms, [i for i in range(mu) if i not in rest])
-            row.append(RatFunc._make(LaurentPoly._make(mu, q), dens[rest]))
-        rows.append(row)
-    return rows
-
-
 def symbolic_rows(presentation):
     """The rows of [E(w) | kappa], cleared and scaled for
     ``linalg._echelon_fraction_free``, with no rational function formed:
     (1, m, row), row integer polynomials of minimum exponent 0 and unit
-    w^-m.  They equal ``linalg._integral(linalg._cleared(row))`` of
+    w^-m.  They equal ``linalg._integral(linalg._cleared(row, mu), mu)`` of
     ``build_E``'s symbolic row r with kappa_r appended, term maps included.
 
-    Let x_rc = A_rc(w^-1), f_i = 1 - w_i^-1 and U_r the i whose f_i fails
-    to divide some x_rc (``_f_divides``, the test ``build_E`` uses).
-    ``build_E`` writes x_rc / prod_i f_i over D = prod f_i, i not in S_rc,
-    the i whose f_i does not divide x_rc; the complements of the S_rc are
-    subsets of U_r with union U_r.  Each f_i normalizes to w_i - 1, so
-    ``_cleared``'s lcm is L = prod over U_r of (w_i - 1), and the cleared
-    row is L times row r.  As w_i - 1 = w_i f_i, L x_rc / prod_i f_i is
-    x_rc divided by the f_i, i not in U_r (``_divided``), times w^(1 on
-    U_r); kappa_r becomes kappa_r L.  Every exponent is then 0 or 1 and
-    every coefficient an integer, so ``_integral`` takes c = 1 and shifts
-    by m, the least exponent of the row.  m_i is 1 exactly when i is in
-    U_r, kappa_r is 0 (kappa_r L has a constant term) and no entry keeps a
-    term with e_i = -1; else 0, for a zero row too (U_r is empty).
+    Let f_i = 1 - w_i^-1, P = prod_i f_i and x = x_rc = A_rc(w^-1), whose
+    exponents lie in {0, -1}^mu, so that E_rc = x / P.
+
+    * f_i divides x iff x vanishes identically at w_i = 1 (``_f_divides``).
+      Write x = x_0 + x_1 w_i^-1 with x_0, x_1 free of w_i.  Since
+      f_i = w_i^-1 (w_i - 1) and w_i - 1 is monic in w_i, the factor
+      theorem over the ring of the other variables says f_i | x iff
+      x(w_i = 1) = x_0 + x_1 = 0, and then x = x_0 f_i: the quotient is
+      x_0, the terms of x with e_i = 0, whose exponents again lie in
+      {0, -1}^mu.  For j != i, f_j | x = x_0 f_i iff f_j | x_0, so dividing
+      by several f_i one after another keeps the terms with e_i = 0 for
+      each of them (``_divided``).
+    * The f_i are linear in distinct variables, hence irreducible and
+      pairwise non-associate, so gcd(x, P) is the product of the f_i over
+      the set S_rc of i with f_i | x, and x / P in lowest terms has the
+      denominator D_rc = prod f_i, i not in S_rc, up to a unit: a common
+      factor of x / prod_(i in S_rc) f_i and D_rc would be some f_j, j not
+      in S_rc, dividing x.
+    * Let U_r be the union over the row of the complements of the S_rc,
+      the i whose f_i fails to divide some x_rc.  Each f_i normalizes to
+      w_i - 1, so ``_cleared``'s lcm is L = prod over U_r of (w_i - 1), and
+      the cleared row is L times row r.  As w_i - 1 = w_i f_i, L x_rc / P
+      is x_rc divided by the f_i, i not in U_r, times w^(1 on U_r); kappa_r
+      becomes kappa_r L.  Every exponent is then 0 or 1 and every
+      coefficient an integer, so ``_integral`` takes c = 1 and shifts by m,
+      the least exponent of the row.  m_i is 1 exactly when i is in U_r,
+      kappa_r is 0 (kappa_r L has a constant term) and no entry keeps a
+      term with e_i = -1; else 0, for a zero row too (U_r is empty).
     """
     from .laurent import LaurentPoly
 

@@ -175,10 +175,10 @@ class _Elimination:
       function: row r is L_r w^-m_r times row r of [E(w) | kappa], L_r the
       product of (w_i - 1) over the i whose f_i = 1 - w_i^-1 fails to
       divide some entry A_rc(w^-1) of the row, which is the lcm of the
-      denominators ``build_E`` writes there.  They are exactly
-      ``linalg._integral(linalg._cleared(row))`` of ``build_E``'s rows
-      (the proof is in ``seifert.symbolic_rows``), so the pivots, det and
-      final rows are identical to those of the generic elimination of
+      denominators of ``build_E``'s row.  They are exactly
+      ``linalg._integral(linalg._cleared(row, mu), mu)`` of ``build_E``'s
+      rows (the proof is in ``seifert.symbolic_rows``), so the pivots, det
+      and final rows are identical to those of the generic elimination of
       E(w), not merely equal up to units.  L_r w^-m_r is nonzero at omega
       because no omega_i is 1, so the rows at omega are nonzero multiples
       of the rows of [E(omega) | kappa], and Gauss-Jordan elimination on
@@ -217,9 +217,10 @@ class _Elimination:
     So the kind, value, witness and case report equal the direct path's,
     ``approximate`` is false and ``valid_away_from`` None at a torsion
     character.  The cost is one inversion and about 2n evaluations
-    (``evaluate_at_torsion``), with no elimination.  Where a pivot vanishes
-    at omega the first choice can differ, and ``slope`` solves directly.
-    ``certify_zero_slope`` relies on the same argument.
+    (``evaluate_at_torsion``), with no elimination.  Every torsion request
+    reads the presentation's record unless a pivot vanishes at the
+    character: there the first choice can differ, and ``slope`` solves
+    directly.  ``certify_zero_slope`` relies on the same argument.
     """
 
     __slots__ = ("mu", "n", "det", "pairings", "numerators", "value", "valid_away_from")
@@ -294,8 +295,8 @@ class _Elimination:
         return SlopeValue(FINITE, value, tuple(witness), report, False, self.valid_away_from)
 
 
-# Each presentation asked, by content (mu, n, theta, kappa), oldest first:
-# its record, or None while it has been asked once at a torsion character.
+# Each presentation asked, by content (mu, n, theta, kappa), oldest first,
+# with its record.
 _RECORDS = {}
 RECORD_BOUND = 32
 
@@ -308,20 +309,14 @@ def _key(presentation):
     return (p.mu, p.n, theta, tuple(p.kappa))
 
 
-def _record(presentation, symbolic):
-    """The presentation's record, built unless this is the first request
-    and a torsion one (``symbolic`` false), which gets None and is noted."""
+def _record(presentation):
+    """The presentation's record, built at its first request."""
     key = _key(presentation)
-    record = _RECORDS.get(key, False)  # False: never asked
-    if record:
-        return record
-    if record is False:
+    record = _RECORDS.get(key)
+    if record is None:
         if len(_RECORDS) >= RECORD_BOUND:
             del _RECORDS[next(iter(_RECORDS))]
-        if not symbolic:
-            _RECORDS[key] = None
-            return None
-    record = _RECORDS[key] = _Elimination(presentation)
+        record = _RECORDS[key] = _Elimination(presentation)
     return record
 
 
@@ -340,21 +335,23 @@ def _slope_in(presentation, omega, ctx):
     if omega.mu != presentation.mu:
         raise UsageError("character length does not match the presentation")
     if isinstance(ctx, RationalFunctionField):
-        return _record(presentation, True).symbolic()
+        return _record(presentation).symbolic()
     if isinstance(ctx, Cyclotomic):
         if any(k % omega.conductor == 0 for k in omega.exponents):
             raise UnsupportedHypothesisError(
                 "vanishing character coordinate (omega_i = 1): patching is not supported"
             )
-        record = _record(presentation, False)
-        if record is not None and record.specializes_at(omega):
+        record = _record(presentation)
+        if record.specializes_at(omega):
             return record.at(omega)
     return _direct(presentation, omega, ctx)
 
 
 def _direct(presentation, omega, ctx):
     """The slope at omega by a solve of E(omega) in ``ctx``, with no record
-    and no checks: the caller has validated the presentation and omega."""
+    and no checks: the caller has validated the presentation and omega.
+    It serves numeric characters and the torsion characters where a pivot
+    of the record vanishes."""
     kappa = [ctx.from_int(k) for k in presentation.kappa]
     return slope_from_operator(build_E(presentation, omega, ctx), kappa)
 
@@ -372,17 +369,14 @@ def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     A process-wide memo keeps up to ``RECORD_BOUND`` (32) presentations,
     keyed by their content (mu, n, theta, kappa) and dropped oldest first,
     each with its record, the fraction-free elimination of [E(w) | kappa]
-    (``_Elimination``), or with None while it has been asked once at a
-    torsion character.  A record is built from the presentation's integer
+    (``_Elimination``), built at the presentation's first symbolic or
+    torsion request.  A record is built from the presentation's integer
     rows (``seifert.symbolic_rows``), with no rational function, and its
     symbolic answer reduces every numerator over one prepared det
     (``RatFunc.over``).  A symbolic request reads its answer off the
-    record, which it builds and keeps when there is none.  A torsion
-    request reads the record unless a pivot vanishes at the character, and
-    otherwise solves directly in Q(zeta_N).  A presentation without a
-    record gets one at its second torsion request: building one costs more
-    than a direct solve, so a single torsion request never builds it.
-    Either way the answer is the same, storage included.
+    record.  Every torsion request reads the presentation's record unless
+    a pivot vanishes at the character, and then solves directly in
+    Q(zeta_N).  Either way the answer is the same, storage included.
     """
     ctx = default_context_for(omega, tol)
     _refuse_invalid(presentation, check_transpose)

@@ -563,6 +563,81 @@ def test_stripped_gcd_matches_subresultant_oracle():
         _check_against_oracle(b, a)
 
 
+def old_gcd_univariate(a, b, v):
+    """The former monic Euclid of ``_gcd_rec`` for polynomials whose only
+    active variable is v (exponents at least 0)."""
+    da = {e[v]: c for e, c in a.terms.items()}
+    db = {e[v]: c for e, c in b.terms.items()}
+
+    def dense(d):
+        n = max(d)
+        return [d.get(i, 0) for i in range(n + 1)]
+
+    x, y = dense(da), dense(db)
+    while y and any(y):
+        inv = Fraction(1) / y[-1]
+        y = [c * inv for c in y]
+        while len(x) >= len(y):
+            if x[-1]:
+                f = x[-1]
+                off = len(x) - len(y)
+                for i in range(len(y)):
+                    x[off + i] -= f * y[i]
+            x.pop()
+        while x and not x[-1]:
+            x.pop()
+        x, y = y, x
+    terms = {}
+    for i, c in enumerate(x):
+        if c:
+            e = [0] * a.num_vars
+            e[v] = i
+            terms[tuple(e)] = c
+    return LaurentPoly(a.num_vars, terms)
+
+
+def test_univariate_gcd_matches_monic_euclid():
+    """Differential: ``_gcd_rec``'s one recursion (content, primitive part
+    and subresultant sequence) gives the normalized gcd of the monic Euclid
+    it replaced for a single variable, on pairs with a planted common
+    factor, in w1 or in one variable of two: int and Fraction coefficients,
+    a constant operand, equal operands and a constant gcd."""
+    rng = random.Random(32)
+    seen = set()
+    for trial in range(240):
+        num_vars = 1 + trial % 2
+        v = rng.randrange(num_vars)
+        fraction = trial % 3 == 0
+
+        def poly(degree):
+            coeffs = [rng.randint(-4, 4) for _ in range(degree)] + [rng.choice((-3, -1, 1, 2))]
+            if fraction:
+                coeffs = [Fraction(c, rng.randint(1, 4)) for c in coeffs]
+            return LaurentPoly(num_vars, {
+                tuple(i if j == v else 0 for j in range(num_vars)): c
+                for i, c in enumerate(coeffs)
+            })
+
+        g = poly(rng.randint(0, 3))
+        a, b = g * poly(rng.randint(0, 3)), g * poly(rng.randint(0, 3))
+        if trial % 7 == 1:
+            b = poly(0)
+        elif trial % 7 == 2:
+            b = a
+        got = normalize_poly(_gcd_rec(a, b))
+        want = normalize_poly(old_gcd_univariate(a, b, v))
+        assert got == want, (a, b)
+        seen.add("Fraction" if any(type(c) is Fraction and c.denominator > 1
+                                   for x in (a, b) for c in x.terms.values()) else "int")
+        if a.is_constant() or b.is_constant():
+            seen.add("constant operand")
+        if a == b:
+            seen.add("equal operands")
+        seen.add("constant gcd" if want.is_constant() else "planted factor")
+    assert seen == {"int", "Fraction", "constant operand", "equal operands", "constant gcd",
+                    "planted factor"}
+
+
 # -- Kronecker images -------------------------------------------------------------
 
 

@@ -622,7 +622,7 @@ def test_kernel_matches_the_per_entry_elimination(rng):
             assert all(_int_where_oracle_int(g, w) for g, w in zip(grow, wrow))
         assert all(_int_where_oracle_int(g, w) for g, w in zip(got.pivot_polys, want[2]))
         facts |= seen | labels
-        cleared = [linalg_module._cleared(row) for row in rows]
+        cleared = [linalg_module._cleared(row, ctx.num_vars) for row in rows]
         mins = {x.min_exps() for row in cleared for x in row if x}
         if any(e < 0 for m in mins for e in m):
             facts.add("negative exponent")

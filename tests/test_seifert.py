@@ -393,8 +393,10 @@ def _presentation_free_of(rng, mu, n, free, bound=2):
 
 
 def test_build_E_symbolic_matches_field_op_assembly(rng):
-    """In the rational function field the closed form stores the same
-    numerator and denominator terms as the field-op assembly: mu 1-3, n 0-5,
+    """In the rational function field the field-op assembly stores, in every
+    entry of E(w), the numerator and denominator terms of
+    RatFunc(A_rc(w^-1), P), P = prod_i (1 - w_i^-1), one independent
+    reduction per entry: mu 1-3, n 0-5,
     stabilized presentations (zero rows), kappa-zero data, and entries that
     vanish at no, some or every w_i = 1."""
     cases = []
@@ -411,7 +413,11 @@ def test_build_E_symbolic_matches_field_op_assembly(rng):
     kinds = set()
     for p in cases:
         ctx = RationalFunctionField(p.mu)
-        want = old_build_E_field_ops(p, Character.symbolic(p.mu), ctx)
+        big_p = LaurentPoly.one(p.mu)
+        for i in range(p.mu):
+            big_p = big_p * (1 - LaurentPoly.var(p.mu, i).subst_inverse())
+        a = build_A(p, Character.symbolic(p.mu), ctx)
+        want = [[RatFunc(x.num.subst_inverse(), big_p) for x in row] for row in a.entries]
         got = build_E(p, Character.symbolic(p.mu), ctx)
         assert (got.rows, got.cols, got.ctx) == (p.n, p.n, ctx)
         assert [[(x.num.terms, x.den.terms) for x in row] for row in got.entries] == [
@@ -692,7 +698,7 @@ def test_symbolic_rows_equal_the_cleared_rows_of_build_E(rng):
         seen.update({("mu", mu), ("n", n)})
         for row, k, (c, m, scaled) in zip(e.entries, p.kappa, got):
             row = list(row) + [ctx.from_int(k)]
-            want_c, want_m, want = linalg_module._integral(linalg_module._cleared(row), mu)
+            want_c, want_m, want = linalg_module._integral(linalg_module._cleared(row, mu), mu)
             assert (c, m) == (want_c, want_m)
             assert [x.terms for x in scaled] == [x.terms for x in want]
             assert all(type(v) is int for x in scaled for v in x.terms.values())

@@ -940,8 +940,9 @@ def test_slope_sign_matches_haynsworth_inertia(rng, monkeypatch):
     """Metamorphic: for Hermitian E(omega) and H = [[E, kappa], [kappa^T, 0]],
     Haynsworth's inertia additivity gives In(H) - In(E) = In(slope) when
     the slope is finite (the Schur complement of E in H is the slope) and
-    (1, 1, -1) when it is infinite.  Each character is asked twice on an
-    empty memo, so the direct path and the record path both answer."""
+    (1, 1, -1) when it is infinite.  Each character is answered by the
+    direct solve and by ``slope_at`` on an empty memo, which reads the
+    record off the certificate's zero locus."""
     by_sign = {1: (1, 0, 0), -1: (0, 1, 0), 0: (0, 0, 1)}
     deltas, read_off = [], []
     at = slope_module._Elimination.at
@@ -963,10 +964,10 @@ def test_slope_sign_matches_haynsworth_inertia(rng, monkeypatch):
         conductor = rng.choice([3, 4, 5, 7, 8, 9, 11, 13, 16, 25])
         exponents = tuple(rng.randrange(1, conductor) for _ in range(mu))
         omega = Character.root_of_unity(conductor, exponents)
-        slope_module._RECORDS.clear()
-        first, second = slope_at(p, omega), slope_at(p, omega)
-        assert first == second
         ctx = Cyclotomic(conductor)
+        slope_module._RECORDS.clear()
+        first, second = slope_module._direct(p, omega, ctx), slope_at(p, omega)
+        assert first == second
         e = build_E(p, omega, ctx)
         kappa = [ctx.from_int(k) for k in p.kappa]
         bordered = [list(row) + [k] for row, k in zip(e.entries, kappa)]
@@ -983,15 +984,34 @@ def test_slope_sign_matches_haynsworth_inertia(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("mu", [1, 2])
-def test_single_torsion_request_builds_no_record(mu, eliminations):
+def test_first_torsion_request_builds_the_record(mu, eliminations, monkeypatch):
+    """The first torsion request builds the presentation's record and later
+    requests read it; a character on its certificate's zero locus still
+    goes to the direct solve."""
     p = random_presentation(random.Random(mu), mu=mu, n=2)
+    direct = []
+    original = slope_module._direct
+
+    def counting(presentation, omega, ctx):
+        direct.append(omega)
+        return original(presentation, omega, ctx)
+
+    monkeypatch.setattr(slope_module, "_direct", counting)
     omegas = [Character.root_of_unity(5, (k,) + (5 - k,) * (mu - 1)) for k in range(1, 5)]
-    slope_at(p, omegas[0])
-    assert eliminations == []
-    slope_at(p, omegas[1])
+    assert slope_at(p, omegas[0]) == old_slope_at(p, omegas[0])
     assert len(eliminations) == 1
-    for omega in omegas[2:] + omegas[:2]:
+    for omega in omegas[1:] + omegas[:1]:
         assert slope_at(p, omega) == old_slope_at(p, omega)
+    assert len(eliminations) == 1 and direct == []
+    record = slope_module._RECORDS[slope_module._key(p)]
+    locus = next(
+        omega for conductor in range(2, 13)
+        for exponents in itertools.product(range(1, conductor), repeat=mu)
+        for omega in [Character.root_of_unity(conductor, exponents)]
+        if not record.specializes_at(omega)
+    )
+    assert slope_at(p, locus) == old_slope_at(p, locus)
+    assert direct == [locus]
     assert len(eliminations) == 1
 
 
