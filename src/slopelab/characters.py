@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 
-from .errors import ContextMismatchError, UnsupportedHypothesisError, UsageError
+from .errors import ContextMismatchError, UsageError
 from .fields import (
     ApproxComplex,
     Cyclotomic,
@@ -191,65 +191,39 @@ def evaluate_at_torsion(p, omega):
     return CyclotomicNumber._from_ints(n, _reduce_mod_phi(coeffs, n), den)
 
 
-def _signed_thetas(presentation):
-    """(sign, neg, theta) per sign vector eps of a presentation: neg lists
-    the coordinates i with eps_i = -1 and sign = prod_i eps_i, so that
-    A(s) is the sum of sign * (prod over i in neg of s_i) * theta."""
-    for eps, theta in presentation.theta.items():
-        neg = [i for i, e in enumerate(eps) if e < 0]
-        yield -1 if len(neg) & 1 else 1, neg, theta
+def hermitian_at_torsion(presentation, omega):
+    """The rows of the Cimasoni-Florens matrix at a torsion character,
+    H(omega) = sum_eps prod_i (1 - omega_i^eps_i) theta^eps, in Q(zeta_N),
+    N the conductor of omega.  With no coordinate 1, H = |P|^2 E(omega),
+    P = prod_i (1 - omega_i^-1):
 
+    * In A(omega^-1) sign vector eps carries prod over the i with
+      eps_i = -1 of (-omega_i^-1).  Times prod_i (1 - omega_i), factor by
+      factor, that is prod_i (1 - omega_i^eps_i), as
+      (1 - omega_i)(-omega_i^-1) = 1 - omega_i^-1.  So
+      H = prod_i (1 - omega_i) A(omega^-1).
+    * |omega_i| = 1 makes 1 - omega_i = conj(1 - omega_i^-1), so
+      H = conj(P) P E(omega), and |P|^2 > 0 as no omega_i is 1.
 
-def operator_at_torsion(presentation, omega, conductor):
-    """The rows of E(omega) in Q(zeta_N), N = ``conductor``, on integers.
-
-    ``seifert.build_E`` has the closed form and its proof.  With
-    x_i = omega_i^-1 = zeta_N^(a_i) of exact order d_i, the scale
-    prod_i 1/(1 - x_i) is one cyclic integer vector of length N over
-    D = prod_i d_i, built by rotating and adding.  Entry (r, c) of
-    A(omega^-1) is sum over eps of sign(eps) theta^eps[r][c] zeta_N^(e_eps),
-    e_eps the sum of the a_i with eps_i = -1, so entry (r, c) of E is the
-    same combination of the scale rotated by e_eps.  Reduction modulo
-    Phi_N is linear, so each of the 2^mu rotations is reduced once, and
-    every entry is an integer combination of them over D.
-
-    Refuses, in this order and with the messages of the field-op
-    assembly, a conductor that Q(zeta_N) does not contain and a
-    coordinate equal to 1.
+    A positive multiple has the same inertia and nullity (Sylvester's
+    law), and H is exactly Hermitian iff E(omega) is.  Cimasoni and
+    Florens ("Generalized Seifert surfaces and signatures of colored
+    links", Trans. AMS 2008) write H_CF(omega) = prod_i (1 - conj(omega_i))
+    A(omega); A has integer coefficients, so H = conj(H_CF), with the same
+    eigenvalues.  prod_i (1 - zeta_N^(eps_i k_i)), k the exponents, is one
+    cyclic integer vector per sign vector, reduced once modulo Phi_N, and
+    each entry an integer combination of them: no field operation.
     """
-    if conductor % omega.conductor:
-        raise ContextMismatchError(
-            f"conductor {omega.conductor} does not embed in Q(zeta_{conductor})"
-        )
-    m = conductor // omega.conductor
-    inverse = [-k * m % conductor for k in omega.exponents]
-    scale = [0] * conductor
-    scale[0] = 1
-    den = 1
-    for a in inverse:
-        if not a:
-            raise UnsupportedHypothesisError(
-                "vanishing character coordinate (omega_i = 1): patching is not supported"
-            )
-        d = conductor // _int_gcd(a, conductor)
-        # times 1/(1 - x) = -(1/d) sum_{j<d} j x^j, x = zeta_N^a
-        terms = [(p, c) for p, c in enumerate(scale) if c]
-        scale = [0] * conductor
-        for j in range(1, d):
-            shift = a * j
-            for p, c in terms:
-                scale[(p + shift) % conductor] -= j * c
-        den *= d
+    n = omega.conductor
     parts = []
-    for sign, neg, theta in _signed_thetas(presentation):
-        # zeta_N^e times the scale: a rotation of the cyclic vector
-        e = 0
-        for i in neg:
-            e += inverse[i]
-        e %= conductor
-        vec = _reduce_mod_phi(scale[-e:] + scale[:-e] if e else scale, conductor)
-        parts.append((theta, vec if sign > 0 else [-v for v in vec]))
-    zero = [0] * euler_phi(conductor)
+    for eps, theta in presentation.theta.items():
+        vec = [1] + [0] * (n - 1)
+        for e, k in zip(eps, omega.exponents):
+            # times 1 - zeta_N^s: subtract the vector rotated by s
+            s = e * k % n
+            vec = [v - vec[p - s] for p, v in enumerate(vec)]
+        parts.append((theta, _reduce_mod_phi(vec, n)))
+    zero = [0] * euler_phi(n)
     rows = []
     for r in range(presentation.n):
         row = []
@@ -259,7 +233,7 @@ def operator_at_torsion(presentation, omega, conductor):
                 k = theta[r][c]
                 if k:
                     acc = [x + k * v for x, v in zip(acc, vec)]
-            row.append(CyclotomicNumber._from_ints(conductor, acc, den))
+            row.append(CyclotomicNumber._from_ints(n, acc))
         rows.append(row)
     return rows
 

@@ -203,9 +203,17 @@ def _check_length(presentation, omega):
         raise UsageError("character length does not match the presentation")
 
 
+def _signed_thetas(presentation):
+    """(sign, neg, theta) per sign vector eps of a presentation: neg lists
+    the coordinates i with eps_i = -1 and sign = prod_i eps_i, so that
+    A(s) is the sum of sign * (prod over i in neg of s_i) * theta."""
+    for eps, theta in presentation.theta.items():
+        neg = [i for i, e in enumerate(eps) if e < 0]
+        yield -1 if len(neg) & 1 else 1, neg, theta
+
+
 def _assemble_A(presentation, scalars, ctx):
     """sum over eps of (prod_i eps_i s_i^((1-eps_i)/2)) theta^eps at s = scalars."""
-    from .characters import _signed_thetas
     from .linalg import Matrix
 
     n = presentation.n
@@ -232,37 +240,26 @@ def build_A(presentation, omega, ctx):
 
 
 def build_E(presentation, omega, ctx):
-    """The operator E(omega) = A(omega^-1) / prod_i (1 - omega_i^-1).
+    """The operator E(omega) = A(omega^-1) / prod_i (1 - omega_i^-1), with
+    field operations in every field: embed, invert, take the product and
+    scale.
 
     Refuses a character whose length is not mu, then (as the field
     embedding does) a context the character does not embed in.  Requires
     every coordinate of omega to differ from 1 (the patching extension for
     vanishing coordinates is not supported).
 
-    At a torsion character in Q(zeta_N) no field operation is needed
-    (``characters.operator_at_torsion``).  Each x = omega_i^-1 is a root of
-    unity of some exact order d > 1, and
-
-        1 / (1 - x) = -(1/d) sum_{j<d} j x^j.
-
-    Proof: with S = sum_{j<d} j x^j,
-    (1 - x) S = sum_{j<d} j x^j - sum_{1<=j<=d} (j - 1) x^j
-              = sum_{1<=j<d} x^j - (d - 1) x^d
-              = (sum_{j<d} x^j) - 1 - (d - 1) = -d,
-    because x^d = 1 and sum_{j<d} x^j = (x^d - 1) / (x - 1) = 0 for x != 1.
-    Every x is a power of zeta_N, so the scale and every entry of
-    A(omega^-1) are integer combinations of powers of zeta_N over the
-    integer prod_i d_i, with no inversion.  The rational function field
-    and ApproxComplex assemble E with field operations.
+    Symbolic and torsion slopes read the presentation's integer rows
+    instead (``symbolic_rows``, through ``slope``'s records), and torsion
+    signatures the Cimasoni-Florens matrix
+    (``characters.hermitian_at_torsion``).  In the product E serves
+    numeric characters, and at a torsion character only the signature
+    fallback for an E that is not Hermitian (possible only without the
+    transpose check).
     """
-    from .characters import ROOT_OF_UNITY, embed_character, operator_at_torsion
-    from .fields import Cyclotomic
-    from .linalg import Matrix
+    from .characters import embed_character
 
     _check_length(presentation, omega)
-    if omega.kind == ROOT_OF_UNITY and isinstance(ctx, Cyclotomic):
-        rows = operator_at_torsion(presentation, omega, ctx.conductor)
-        return Matrix(ctx, rows, cols=presentation.n)
     # also refuses a context the character does not embed in
     scalars = embed_character(omega, ctx)
     inverted = []
@@ -285,8 +282,6 @@ def build_E(presentation, omega, ctx):
 def _inverse_terms(presentation):
     """The term maps of the x_rc = A_rc(w^-1), row by row (exponents in
     {0, -1}^mu; distinct sign vectors have distinct exponent vectors)."""
-    from .characters import _signed_thetas
-
     mu, n = presentation.mu, presentation.n
     parts = [
         (tuple(-1 if i in neg else 0 for i in range(mu)), sign, theta)

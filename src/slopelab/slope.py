@@ -23,6 +23,7 @@ from .characters import (
     Character,
     default_context_for,
     evaluate_at_torsion,
+    hermitian_at_torsion,
     sample_safe_characters,
 )
 from .errors import (
@@ -30,11 +31,12 @@ from .errors import (
     UnsupportedHypothesisError,
     UsageError,
 )
-from .fields import ApproxComplex, Cyclotomic, RatFunc, RationalFunctionField
+from .fields import ApproxComplex, Cyclotomic, RatFunc, RationalFunctionField, resolve_tolerance
 from .laurent import LaurentPoly, normalize_poly
 from . import linalg
 from .linalg import (
     INCONSISTENT,
+    Matrix,
     _check_tol_sig,
     hermitian_inertia,
     hermitian_signature,
@@ -110,9 +112,14 @@ def slope_from_operator(e_matrix, kappa_scalars):
     Over the rational function field the result also carries
     ``valid_away_from``, the product of the non-unit pivot polynomials.
     """
-    ctx = e_matrix.ctx
     kappa = list(kappa_scalars)
-    sol = solve(e_matrix, kappa)
+    return _read_off(solve(e_matrix, kappa), kappa, e_matrix.ctx)
+
+
+def _read_off(sol, kappa, ctx):
+    """The trichotomy from ``sol``, a solve of [E | kappa] or of nonzero
+    multiples of its rows (the same solution and kernel), read against
+    kappa itself."""
     in_image = sol.status != INCONSISTENT
     in_annihilator = True
     for v in sol.kernel_basis:
@@ -154,7 +161,7 @@ class _Elimination:
     value numerator is V = sum over c in I of kappa_c num_c.  The record
     derives det, the P_f, the pairs (c, num_c) and V (both None when column
     n holds a pivot) and ``valid_away_from`` (the product of the distinct
-    non-unit pivots) when it is built, and keeps only those.
+    non-unit pivots) when it is built, and keeps those, its rows and kappa.
 
     Over the rational function field the final rows are exactly det times
     the reduced row echelon form of [E(w) | kappa] (``linalg``), so the
@@ -217,22 +224,29 @@ class _Elimination:
     So the kind, value, witness and case report equal the direct path's,
     ``approximate`` is false and ``valid_away_from`` None at a torsion
     character.  The cost is one inversion and about 2n evaluations
-    (``evaluate_at_torsion``), with no elimination.  Every torsion request
-    reads the presentation's record unless a pivot vanishes at the
-    character: there the first choice can differ, and ``slope`` solves
-    directly.  ``certify_zero_slope`` relies on the same argument.
+    (``evaluate_at_torsion``), with no elimination.
+
+    Where a pivot vanishes at omega, ``solve_at`` runs Gauss-Jordan
+    (``linalg.solve``) on the record's rows at omega, by the first bullet
+    nonzero multiples of the rows of [E(omega) | kappa]: the same pivots,
+    the same reduced row echelon form, so the direct solve's solution and
+    kernel, which ``_read_off`` pairs with kappa itself.  No E(omega) is
+    formed, and the answer is the direct path's, storage included.
     """
 
-    __slots__ = ("mu", "n", "det", "pairings", "numerators", "value", "valid_away_from")
+    __slots__ = ("mu", "n", "kappa", "rows", "det", "pairings", "numerators", "value",
+                 "valid_away_from")
 
     def __init__(self, presentation):
         """Eliminate [E(w) | kappa] of a presentation and keep the derived
         parts."""
         mu, n, kappa = presentation.mu, presentation.n, presentation.kappa
-        ech = linalg._echelon_fraction_free(symbolic_rows(presentation), n + 1, mu)
+        scaled = symbolic_rows(presentation)
+        ech = linalg._echelon_fraction_free(scaled, n + 1, mu)
         rows = ech.poly_rows
         pivot_cols = [c for c in ech.pivots if c < n]
-        self.mu, self.n = mu, n
+        self.mu, self.n, self.kappa = mu, n, kappa
+        self.rows = [row for _, _, row in scaled]
         self.det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(mu)
         self.pairings = []
         for f in range(n):
@@ -277,6 +291,15 @@ class _Elimination:
             witness[c] = evaluate_at_torsion(num, omega) * inv
         value = -(evaluate_at_torsion(self.value, omega) * inv)
         return SlopeValue(FINITE, value, tuple(witness), CaseReport(True, True))
+
+    def solve_at(self, omega):
+        """The slope at a torsion character with no coordinate 1 where
+        ``specializes_at`` fails: Gauss-Jordan on the rows at omega."""
+        ctx = Cyclotomic(omega.conductor)
+        rows = [[evaluate_at_torsion(x, omega) for x in row] for row in self.rows]
+        sol = solve(Matrix(ctx, [row[:-1] for row in rows], cols=self.n),
+                    [row[-1] for row in rows])
+        return _read_off(sol, [ctx.from_int(k) for k in self.kappa], ctx)
 
     def symbolic(self):
         """The slope over the rational function field, with no
@@ -344,14 +367,14 @@ def _slope_in(presentation, omega, ctx):
         record = _record(presentation)
         if record.specializes_at(omega):
             return record.at(omega)
+        return record.solve_at(omega)
     return _direct(presentation, omega, ctx)
 
 
 def _direct(presentation, omega, ctx):
     """The slope at omega by a solve of E(omega) in ``ctx``, with no record
     and no checks: the caller has validated the presentation and omega.
-    It serves numeric characters and the torsion characters where a pivot
-    of the record vanishes."""
+    It serves numeric characters."""
     kappa = [ctx.from_int(k) for k in presentation.kappa]
     return slope_from_operator(build_E(presentation, omega, ctx), kappa)
 
@@ -374,9 +397,10 @@ def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     rows (``seifert.symbolic_rows``), with no rational function, and its
     symbolic answer reduces every numerator over one prepared det
     (``RatFunc.over``).  A symbolic request reads its answer off the
-    record.  Every torsion request reads the presentation's record unless
-    a pivot vanishes at the character, and then solves directly in
-    Q(zeta_N).  Either way the answer is the same, storage included.
+    record.  Every torsion request reads the presentation's record, and
+    where a pivot vanishes at the character, runs Gauss-Jordan in
+    Q(zeta_N) on the record's rows at the character.  Either way the
+    answer is the direct solve's, storage included.
     """
     ctx = default_context_for(omega, tol)
     _refuse_invalid(presentation, check_transpose)
@@ -407,22 +431,24 @@ class SignatureResult(Record):
 def signature_nullity(presentation, omega, tol_sig=1e-8, check_transpose=True, tol=None):
     """Signature and nullity of E(omega) at a unitary non-vanishing character.
 
-    At a torsion character E(omega) is built in Q(zeta_N) and is exactly
-    Hermitian.  One congruence diagonalization E = L D L*
-    (``linalg.hermitian_inertia``) gives both answers exactly: by
-    Sylvester's law of inertia the signs of D count the positive and
-    negative eigenvalues of E, and its zero block has the size of Ker E,
-    so sigma = n_plus - n_minus and eta = dim Ker E + b0 - 1.  Neither
-    tolerance is read there, but both are still checked, ``tol`` first.
+    At a torsion character the Cimasoni-Florens matrix H = |P|^2 E(omega)
+    (``characters.hermitian_at_torsion``) is built on integers instead of
+    E; it is exactly Hermitian under the transpose symmetry.  One
+    congruence diagonalization H = L D L* (``linalg.hermitian_inertia``)
+    gives both answers exactly: by Sylvester's law of inertia the signs of
+    D count the positive and negative eigenvalues of E, and its zero block
+    has the size of Ker E, so sigma = n_plus - n_minus and
+    eta = dim Ker E + b0 - 1.  Neither tolerance is read there, but both
+    are still checked, ``tol`` first.
 
     At a numeric character E is built in ApproxComplex: the nullity comes
     from its approximate rank, and the signature counts the eigenvalues of
     the float matrix above ``tol_sig`` and below ``-tol_sig``, exactly, by
-    the same law of inertia over Q(i) (``linalg.hermitian_signature``).  An
-    exact E that is not exactly Hermitian (possible only without the
-    transpose check) takes the same path, with its exact rank, after
-    mapping to ApproxComplex, where it is refused unless Hermitian within
-    tolerance.
+    the same law of inertia over Q(i) (``linalg.hermitian_signature``).  At
+    a torsion character whose H is not exactly Hermitian (possible only
+    without the transpose check) E(omega) is built in Q(zeta_N) and takes
+    the same path, with its exact rank, after mapping to ApproxComplex,
+    where it is refused unless Hermitian within tolerance.
     ``tol`` (default: ``resolve_tolerance()``) is the numeric zero
     tolerance of the unitarity and non-vanishing checks and of the
     approximate context.  ``sigma_approximate`` is reported true in every
@@ -445,17 +471,22 @@ def _signature_in(presentation, omega, tol_sig, tol):
             "vanishing character coordinate (omega_i = 1) is not supported"
         )
     ctx = default_context_for(omega, tol)
-    e = build_E(presentation, omega, ctx)
+    if ctx.is_exact:
+        m = Matrix(ctx, hermitian_at_torsion(presentation, omega), cols=presentation.n)
+    else:
+        m = build_E(presentation, omega, ctx)
     # both tolerances are checked at every character, tol first, although
     # the exact factorization reads neither
-    approx = ApproxComplex(tol)
+    resolve_tolerance(tol)
     _check_tol_sig(tol_sig)
-    counts = hermitian_inertia(e) if ctx.is_exact else None
+    counts = hermitian_inertia(m) if ctx.is_exact else None
     if counts is None:
-        kernel = presentation.n - rank(e)
+        # H has the rank of E; the approximate signature reads E itself
+        kernel = presentation.n - rank(m)
         if ctx.is_exact:
-            e = e.map(lambda x: x.to_complex(), ctx=approx)
-        counts = hermitian_signature(e, tol_sig=tol_sig)
+            e = build_E(presentation, omega, ctx)
+            m = e.map(lambda x: x.to_complex(), ctx=ApproxComplex(tol))
+        counts = hermitian_signature(m, tol_sig=tol_sig)
     else:
         kernel = counts[2]
     eta = kernel + presentation.b0 - 1
@@ -473,13 +504,13 @@ def certify_zero_slope(presentation):
     This certifies that the computed slope function vanishes; it does not
     certify sliceness.
 
-    The symbolic request leaves the presentation's record in the memo.
-    Only battery characters on the zero locus of its certificate
-    ``valid_away_from`` get a solve, where the record would decline them:
-    straight to the direct solve in Q(zeta_N) (``_direct``), with nothing
-    built for them.  The presentation was validated by the symbolic
-    request, and no battery coordinate is 1, so ``slope_at``'s checks are
-    not repeated.  At every other one the pointwise slope
+    The symbolic request leaves the presentation's record in the memo, and
+    the battery asks that record.  Only battery characters on the zero
+    locus of its certificate ``valid_away_from`` get a solve: Gauss-Jordan
+    on the record's rows at omega (``_Elimination.solve_at``), with
+    nothing built for them.  The presentation was validated by the
+    symbolic request, and no battery coordinate is 1, so ``slope_at``'s
+    checks are not repeated.  At every other one the pointwise slope
     is the specialization of the symbolic one, by the proof in
     ``_Elimination``'s docstring: finite, with value
     -V(omega) / det(omega), where V / det reduces to the symbolic value,
@@ -489,13 +520,14 @@ def certify_zero_slope(presentation):
     symbolic = slope_symbolic(presentation)
     if not symbolic.is_finite() or not symbolic.value.is_zero():
         return False
+    record = _record(presentation)
     for orders in itertools.product(ZERO_CERT_ORDERS, repeat=presentation.mu):
         conductor = lcm(*orders)
         exponents = tuple(conductor // o for o in orders)
         omega = Character.root_of_unity(conductor, exponents)
-        if not evaluate_at_torsion(symbolic.valid_away_from, omega).is_zero():
+        if record.specializes_at(omega):
             continue
-        point = _direct(presentation, omega, default_context_for(omega))
+        point = record.solve_at(omega)
         if not point.is_finite() or not point.value.is_zero():
             return False
     return True

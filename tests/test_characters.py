@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,12 +16,22 @@ from slopelab.characters import (
     concordance_root_status,
     embed_character,
     evaluate_at_torsion,
+    hermitian_at_torsion,
     sample_safe_characters,
     verify_root_witness,
 )
 from slopelab.errors import ContextMismatchError, UsageError
 from slopelab.fields import ApproxComplex, Cyclotomic, RationalFunctionField
 from slopelab.laurent import LaurentPoly, cyclotomic_minimal_poly, is_prime_power, normalize_poly
+from slopelab.seifert import (
+    CComplexPresentation,
+    all_sign_vectors,
+    build_A,
+    build_E,
+    random_presentation,
+    sign_string,
+)
+from slopelab.slope import signature_nullity
 
 
 # -- character basics -------------------------------------------------------------
@@ -193,6 +204,76 @@ def test_evaluate_at_torsion_refusals():
         evaluate_at_torsion(p, Character.numeric([1j, -1j]))
     with pytest.raises(UsageError, match="number of variables"):
         evaluate_at_torsion(p, Character.root_of_unity(5, (1,)))
+
+
+# -- the Cimasoni-Florens matrix ---------------------------------------------------
+
+
+def _storage(rows):
+    return [[(x.conductor, x.num, x.den) for x in row] for row in rows]
+
+
+def test_hermitian_at_torsion_is_P_squared_E():
+    """H(omega) = |P|^2 E(omega), P = prod_i (1 - omega_i^-1), entry by
+    entry and storage-equal, with E from the field-op assembly; and
+    H = conj(H_CF), H_CF(omega) = prod_i (1 - conj(omega_i)) A(omega) in
+    Cimasoni-Florens's convention.  mu 1-3, conductors 2-30, exponents
+    coprime to N and not, n 0-4, some presentations without the transpose
+    symmetry."""
+    rng = random.Random(33)
+    kinds = set()
+    for mu in (1, 2, 3):
+        for conductor in range(2, 31):
+            ctx = Cyclotomic(conductor)
+            for trial in range(3 if mu < 3 else 1):
+                omega = Character.root_of_unity(
+                    conductor, [rng.randrange(1, conductor) for _ in range(mu)]
+                )
+                n = rng.randint(0, 4)
+                if trial == 2 or conductor % 3 == 0:
+                    theta = {sign_string(eps): [[rng.randint(-3, 3) for _ in range(n)]
+                                                for _ in range(n)]
+                             for eps in all_sign_vectors(mu)}
+                    p = CComplexPresentation.build(mu, n, theta, [0] * n)
+                else:
+                    p = random_presentation(rng, mu=mu, n=n, bound=3)
+                values = embed_character(omega, ctx)
+                big_p = cf = ctx.one
+                for x in values:
+                    big_p = big_p * (ctx.one - x.invert())
+                    cf = cf * (ctx.one - x.conjugate())
+                scale = big_p * big_p.conjugate()
+                got = hermitian_at_torsion(p, omega)
+                assert _storage(got) == _storage(
+                    [[scale * x for x in row] for row in build_E(p, omega, ctx).entries]
+                )
+                assert _storage(got) == _storage(
+                    [[(cf * x).conjugate() for x in row] for row in build_A(p, omega, ctx).entries]
+                )
+                kinds.add(n)
+                kinds.add("coprime" if all(gcd(k, conductor) == 1 for k in omega.exponents)
+                          else "not coprime")
+    assert kinds == {0, 1, 2, 3, 4, "coprime", "not coprime"}
+
+
+def test_trefoil_cimasoni_florens_by_hand(trefoil):
+    """With V = theta^+ of the trefoil, H(w) = (1 - w) V + (1 - w^-1) V^T:
+    H(-1) = 2 (V + V^T) = [[-4, 2], [2, -4]], negative definite, and at
+    z = zeta_6, where 1 - z = z^-1 = conj(z) and 1 - z^-1 = z,
+    H(z) = [[-1, 1 - z], [z, -1]], of determinant 1 - |z|^2 = 0 and trace -2."""
+    minus_one = Character.root_of_unity(2, (1,))
+    two = Cyclotomic(2)
+    assert hermitian_at_torsion(trefoil, minus_one) == [
+        [two.from_int(-4), two.from_int(2)], [two.from_int(2), two.from_int(-4)]
+    ]
+    sig = signature_nullity(trefoil, minus_one)
+    assert (sig.sigma, sig.eta, sig.counts) == (-2, 0, (0, 2, 0))
+    six = Cyclotomic(6)
+    z = six.zeta(1)
+    sixth = Character.root_of_unity(6, (1,))
+    assert hermitian_at_torsion(trefoil, sixth) == [[-six.one, six.one - z], [z, -six.one]]
+    sig = signature_nullity(trefoil, sixth)
+    assert (sig.sigma, sig.eta, sig.counts) == (-1, 1, (0, 1, 1))
 
 
 def test_exhaustive_small_annihilator_search_for_zeta8():

@@ -2,13 +2,12 @@ import cmath
 import json
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
 import slopelab.linalg as linalg_module
 from slopelab.characters import Character
-from slopelab.errors import UnsupportedHypothesisError, UsageError
+from slopelab.errors import ContextMismatchError, UnsupportedHypothesisError, UsageError
 from slopelab.fields import (
     ApproxComplex,
     Cyclotomic,
@@ -326,47 +325,26 @@ def _outcome(fn, *args):
         return (type(exc), str(exc))
 
 
-def test_build_E_at_torsion_matches_field_op_assembly(rng):
-    """The integer assembly gives the same canonical entries, and the same
-    refusals in the same order, as the field-op assembly it replaced."""
-    cases = []
-    for mu in (1, 2, 3):
-        for conductor in (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 25, 30):
-            for _ in range(4 if mu < 3 else 2):
-                # exponents not coprime to N, and sometimes zero (vanishing)
-                exps = [rng.randrange(1, conductor) for _ in range(mu)]
-                if rng.random() < 0.15:
-                    exps[rng.randrange(mu)] = 0
-                omega = Character.root_of_unity(conductor, exps)
-                # the character's own conductor, a multiple, or a mismatch
-                ctx_conductor = rng.choice([conductor, conductor, 2 * conductor, 3 * conductor,
-                                            conductor + 1])
-                p = random_presentation(rng, mu=mu, n=rng.randint(0, 4), bound=3)
-                cases.append((p, omega, Cyclotomic(ctx_conductor)))
-    kinds = set()
-    for p, omega, ctx in cases:
-        want = _outcome(old_build_E_field_ops, p, omega, ctx)
-        got = _outcome(build_E, p, omega, ctx)
-        if isinstance(want, tuple):
-            assert got == want
-            kinds.add(want[0].__name__)
-            continue
-        assert (got.rows, got.cols, got.ctx) == (p.n, p.n, ctx)
-        assert [[(x.conductor, x.num, x.den) for x in row] for row in got.entries] == [
-            [(x.conductor, x.num, x.den) for x in row] for row in want
-        ]
-        kinds.add("coprime" if all(gcd(k, omega.conductor) == 1 for k in omega.exponents)
-                  else "not coprime")
-        kinds.add("embedded" if ctx.conductor != omega.conductor else "own")
-    assert kinds == {"ContextMismatchError", "UnsupportedHypothesisError", "coprime",
-                     "not coprime", "embedded", "own"}
-    # a mismatch is refused before a vanishing coordinate, as before
+def test_build_E_at_torsion_refuses_a_mismatch_first(rng):
+    """In Q(zeta_N) the field-op assembly refuses a character whose
+    conductor does not divide N before a coordinate equal to 1, each with
+    its message, and embeds a character of a dividing conductor."""
     p = random_presentation(rng, mu=2, n=2)
-    omega = Character.root_of_unity(5, (0, 1))
-    assert _outcome(build_E, p, omega, Cyclotomic(7)) == _outcome(
-        old_build_E_field_ops, p, omega, Cyclotomic(7)
-    )
-    assert _outcome(build_E, p, omega, Cyclotomic(7))[0].__name__ == "ContextMismatchError"
+    mismatch = (ContextMismatchError, "conductor 5 does not embed in Q(zeta_7)")
+    vanishing = (UnsupportedHypothesisError,
+                 "vanishing character coordinate (omega_i = 1): patching is not supported")
+    for exponents, conductor, want in (
+        ((0, 1), 7, mismatch),
+        ((2, 3), 7, mismatch),
+        ((0, 1), 10, vanishing),
+        ((4, 0), 5, vanishing),
+    ):
+        omega = Character.root_of_unity(5, exponents)
+        assert _outcome(build_E, p, omega, Cyclotomic(conductor)) == want
+    omega = Character.root_of_unity(5, (1, 3))
+    own, embedded = build_E(p, omega, Cyclotomic(5)), build_E(p, omega, Cyclotomic(15))
+    for x, y in zip(sum(own.entries, ()), sum(embedded.entries, ())):
+        assert cmath.isclose(x.to_complex(), y.to_complex(), abs_tol=1e-12)
 
 
 def _presentation_free_of(rng, mu, n, free, bound=2):
@@ -452,27 +430,6 @@ def test_character_length_must_match_the_presentation(rng, build):
             with pytest.raises(UsageError) as info:
                 build(p, omega, ctx)
             assert str(info.value) == "character length does not match the presentation"
-
-
-def test_inverse_closed_form_for_every_root_up_to_64():
-    """1/(1 - x) = -(1/d) sum_{j<d} j x^j for x = zeta_N^a of order d > 1:
-    (1 - x) S, formed on cyclic integer vectors, is -d modulo Phi_N."""
-    from slopelab.fields import _reduce_mod_phi
-
-    for conductor in range(2, 65):
-        for a in range(1, conductor):
-            d = conductor // gcd(a, conductor)
-            s_vec = [0] * conductor
-            for j in range(d):
-                s_vec[a * j % conductor] += j
-            # (1 - x) S = S - S rotated by a
-            prod = [s_vec[p] - s_vec[(p - a) % conductor] for p in range(conductor)]
-            reduced = _reduce_mod_phi(prod, conductor)
-            assert reduced == [-d] + [0] * (len(reduced) - 1), (conductor, a)
-            if conductor <= 16:
-                x = CyclotomicNumber.zeta_pow(conductor, a)
-                closed = CyclotomicNumber._from_ints(conductor, _reduce_mod_phi(s_vec, conductor))
-                assert closed * Fraction(-1, d) == (1 - x).invert()
 
 
 def test_E_hermitian_at_unitary_numeric(rng):

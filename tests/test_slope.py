@@ -595,6 +595,16 @@ def test_signature_of_exact_non_hermitian_operator_falls_back():
         signature_nullity(broken, omega, check_transpose=False)
 
 
+def test_signature_checks_both_tolerances_tol_first(trefoil):
+    # the exact factorization at a torsion character reads neither
+    # tolerance, yet both are refused, the zero tolerance first
+    omega = Character.root_of_unity(5, (1,))
+    with pytest.raises(UsageError, match="^tolerance must be positive$"):
+        signature_nullity(trefoil, omega, tol_sig=-1.0, tol=0.0)
+    with pytest.raises(UsageError, match="^signature tolerance must be"):
+        signature_nullity(trefoil, omega, tol_sig=-1.0)
+
+
 # -- zero certification ----------------------------------------------------------------
 
 
@@ -686,23 +696,24 @@ def test_certify_solves_directly_only_on_the_certificate_locus(monkeypatch):
     )
     locus = _on_locus(slope_symbolic(p), 2)
     assert len(locus) == 7
-    calls = {"slope_at": [], "_direct": []}
+    calls = {"slope_at": [], "_direct": [], "solve_at": []}
 
-    def counting(name):
-        original = getattr(slope_module, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-        def counted(presentation, omega, *args, **kwargs):
+        def counted(first, omega, *args, **kwargs):
             calls[name].append(omega)
-            return original(presentation, omega, *args, **kwargs)
+            return original(first, omega, *args, **kwargs)
 
-        monkeypatch.setattr(slope_module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    counting("slope_at")
-    counting("_direct")
+    counting(slope_module, "slope_at")
+    counting(slope_module, "_direct")
+    counting(slope_module._Elimination, "solve_at")
     assert certify_zero_slope(p)
-    # the one symbolic solve, then one direct solve per character on the
-    # locus, which skips slope_at's checks
-    assert calls == {"slope_at": [Character.symbolic(2)], "_direct": locus}
+    # the one symbolic solve, then one solve on the record's rows per
+    # character on the locus, which skips slope_at's checks
+    assert calls == {"slope_at": [Character.symbolic(2)], "_direct": [], "solve_at": locus}
 
 
 def test_three_colors_smoke(rng):
@@ -903,6 +914,92 @@ def test_records_match_gauss_jordan(rng, monkeypatch):
     assert not all(is_prime_power(omega.conductor) for _, omega, _ in answered)
 
 
+def _locus_points(record, mu, conductors, cap):
+    """Up to ``cap`` characters with no coordinate 1, at the given
+    conductors, on the zero locus of the record's certificate."""
+    points = (
+        Character.root_of_unity(c, exponents)
+        for c in conductors
+        for exponents in itertools.product(range(1, c), repeat=mu)
+    )
+    return list(itertools.islice(
+        (omega for omega in points if not record.specializes_at(omega)), cap
+    ))
+
+
+def test_locus_solves_match_gauss_jordan(rng):
+    """Differential: on a record's certificate locus, Gauss-Jordan on the
+    record's rows at omega gives the answer of Gauss-Jordan on E(omega)
+    (``==`` on ``CyclotomicNumber`` compares storage), for every kind, and
+    ``slope_at`` returns it.  Undefined needs presentations without the
+    transpose symmetry."""
+    # (presentation, check_transpose)
+    cases = []
+    for i in range(36):
+        mu = (1, 1, 2, 3)[i % 4]
+        p = random_presentation(rng, mu=mu, n=rng.randint(1, 3), bound=1,
+                                kappa_zero=i % 5 == 0)
+        cases.append((stabilize(p) if i % 3 == 0 else p, True))
+    for _ in range(24):
+        cases.append((_broken(rng, rng.randint(2, 4)), False))
+    kinds = set()
+    count = 0
+    for p, check_transpose in cases:
+        slope_module._RECORDS.clear()
+        record = slope_module._record(p)
+        conductors = range(2, 13) if p.mu < 3 else (2, 3, 4, 6)
+        for omega in _locus_points(record, p.mu, conductors, 6):
+            got = record.solve_at(omega)
+            assert got == old_slope_at(p, omega), (p, omega)
+            assert slope_at(p, omega, check_transpose=check_transpose) == got
+            kinds.add((got.kind, p.mu))
+            count += 1
+    assert count >= 100
+    assert {kind for kind, _ in kinds} == {FINITE, INFINITY, UNDEFINED}
+    assert {mu for _, mu in kinds} == {1, 2, 3}
+
+
+def test_torsion_answers_form_no_operator(rng, monkeypatch):
+    """On transpose-symmetric presentations slope_at, certify_zero_slope,
+    compare_slopes and signature_nullity answer every torsion character,
+    certificate-locus points included, with build_E refusing Q(zeta_N):
+    the records read their own rows and signatures the Cimasoni-Florens
+    matrix.  The answers equal those computed before the refusal."""
+    presentations = [random_presentation(rng, mu=mu, n=n, bound=1)
+                     for mu, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))]
+    presentations.append(stabilize(presentations[0]))
+    zero = CComplexPresentation.build(
+        2, 2, {"++": [[2, 0], [-1, 0]], "-+": [[-1, 0], [1, 0]]}, [0, 0]
+    )
+    disguise = change_basis(presentations[3], random_unimodular(rng, 3))
+
+    def answers():
+        slope_module._RECORDS.clear()
+        out, locus = [], 0
+        for p in presentations:
+            record = slope_module._record(p)
+            for c in (3, 4, 5, 6):
+                for exponents in itertools.product(range(1, c), repeat=p.mu):
+                    omega = Character.root_of_unity(c, exponents)
+                    locus += not record.specializes_at(omega)
+                    out.append((slope_at(p, omega), signature_nullity(p, omega)))
+        out.append(certify_zero_slope(zero))
+        out.append(compare_slopes(presentations[3], stabilize(disguise), 12))
+        return out, locus
+
+    want, locus = answers()
+    assert locus > 0 and want[-2] is True
+
+    def refusing(presentation, omega, ctx):
+        if isinstance(ctx, Cyclotomic):
+            raise AssertionError("E(omega) formed in Q(zeta_N)")
+        return build_E(presentation, omega, ctx)
+
+    monkeypatch.setattr(seifert_module, "build_E", refusing)
+    monkeypatch.setattr(slope_module, "build_E", refusing)
+    assert answers() == (want, locus)
+
+
 def test_symbolic_read_off_matches_the_generic_solve(rng):
     """Differential: every slope_symbolic, read off the record, is
     storage-equal to the generic solve over the rational function field,
@@ -986,23 +1083,28 @@ def test_slope_sign_matches_haynsworth_inertia(rng, monkeypatch):
 @pytest.mark.parametrize("mu", [1, 2])
 def test_first_torsion_request_builds_the_record(mu, eliminations, monkeypatch):
     """The first torsion request builds the presentation's record and later
-    requests read it; a character on its certificate's zero locus still
-    goes to the direct solve."""
+    requests read it; a character on its certificate's zero locus is
+    solved on the record's rows, and never directly."""
     p = random_presentation(random.Random(mu), mu=mu, n=2)
-    direct = []
-    original = slope_module._direct
+    direct, solved = [], []
+    original, solve_at = slope_module._direct, slope_module._Elimination.solve_at
 
     def counting(presentation, omega, ctx):
         direct.append(omega)
         return original(presentation, omega, ctx)
 
+    def counting_solves(record, omega):
+        solved.append(omega)
+        return solve_at(record, omega)
+
     monkeypatch.setattr(slope_module, "_direct", counting)
+    monkeypatch.setattr(slope_module._Elimination, "solve_at", counting_solves)
     omegas = [Character.root_of_unity(5, (k,) + (5 - k,) * (mu - 1)) for k in range(1, 5)]
     assert slope_at(p, omegas[0]) == old_slope_at(p, omegas[0])
     assert len(eliminations) == 1
     for omega in omegas[1:] + omegas[:1]:
         assert slope_at(p, omega) == old_slope_at(p, omega)
-    assert len(eliminations) == 1 and direct == []
+    assert len(eliminations) == 1 and direct == solved == []
     record = slope_module._RECORDS[slope_module._key(p)]
     locus = next(
         omega for conductor in range(2, 13)
@@ -1011,7 +1113,7 @@ def test_first_torsion_request_builds_the_record(mu, eliminations, monkeypatch):
         if not record.specializes_at(omega)
     )
     assert slope_at(p, locus) == old_slope_at(p, locus)
-    assert direct == [locus]
+    assert (direct, solved) == ([], [locus])
     assert len(eliminations) == 1
 
 

@@ -220,10 +220,44 @@ def test_compare_seed_0_digest_matches_the_record(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("name, count", [("symbolic", 120), ("certify", 100)])
 def test_symbolic_path_seed_0_digest_matches_the_record(monkeypatch, tmp_path, name, count):
-    # the two workloads that build E and clear rows in the rational function field
+    # the two workloads whose every query takes a symbolic slope off a record
     got = _replay_seed_0(monkeypatch, tmp_path, name)
     assert got[:3] == (count, 0, [])
     assert got[3] == got[4]
+
+
+def test_cli_seed_0_digest_matches_the_record(monkeypatch, tmp_path, capsys):
+    """The ``cli`` workload's seed-0 commands, run in process through
+    ``cli.main`` from the set-up directory, each on an empty record memo as
+    in a fresh child: the text, JSON and exit codes hash to the recorded
+    digest."""
+    import signal
+
+    import slopelab.slope as slope_module
+    from slopelab import cli
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "slopebench"))
+    workloads = _load_bench_module("workloads")
+    worker = _load_bench_module("worker")
+    wl = workloads.Cli()
+    # the set-up installs an alarm handler for its children; none run here
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        wl.setup(random.Random(0), 12, str(tmp_path))
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    monkeypatch.chdir(tmp_path)
+    queries = list(wl.iter_queries())
+    results = []
+    for q in queries:
+        slope_module._RECORDS.clear()
+        capsys.readouterr()
+        code = cli.main(q["argv"])
+        results.append((code, capsys.readouterr().out))
+    failed, notes, digest = worker.check_all(wl, queries, results, wl.expected)
+    assert (len(queries), failed, notes) == (112, 0, [])
+    assert digest == worker.recorded_digest("cli", 0, 12)
 
 
 def _numpy_imports(tree):
