@@ -1106,12 +1106,7 @@ def test_first_torsion_request_builds_the_record(mu, eliminations, monkeypatch):
         assert slope_at(p, omega) == old_slope_at(p, omega)
     assert len(eliminations) == 1 and direct == solved == []
     record = slope_module._RECORDS[slope_module._key(p)]
-    locus = next(
-        omega for conductor in range(2, 13)
-        for exponents in itertools.product(range(1, conductor), repeat=mu)
-        for omega in [Character.root_of_unity(conductor, exponents)]
-        if not record.specializes_at(omega)
-    )
+    [locus] = _locus_points(record, mu, range(2, 13), 1)
     assert slope_at(p, locus) == old_slope_at(p, locus)
     assert (direct, solved) == ([], [locus])
     assert len(eliminations) == 1
