@@ -150,7 +150,7 @@ class _Elimination:
     E(w) its symbolic operator, and the slope read off it, symbolically and
     at torsion characters.
 
-    ``seifert.symbolic_rows`` gives the rows of [E(w) | kappa] cleared and
+    ``seifert.symbolic_rows`` gives the rows S of [E(w) | kappa] cleared and
     scaled, straight from the presentation, and
     ``linalg._echelon_fraction_free`` runs one-step Bareiss on them, giving
     the pivot columns, the pivots p_1, ..., p_r (det = p_r, or 1 when
@@ -160,49 +160,48 @@ class _Elimination:
     is P_f = kappa_f det - sum over c in I of kappa_c R[row of c][f], and the
     value numerator is V = sum over c in I of kappa_c num_c.  The record
     derives det, the P_f, the pairs (c, num_c) and V (both None when column
-    n holds a pivot) and ``valid_away_from`` (the product of the distinct
-    non-unit pivots) when it is built, and keeps those, its rows and kappa.
+    n holds a pivot) when it is built, and keeps those, the pivots, its
+    rows S and kappa.
 
     Over the rational function field the final rows are exactly det times
     the reduced row echelon form of [E(w) | kappa] (``linalg``), so the
     readings below hold with the identity as the evaluation, and
     ``symbolic`` returns what ``slope_from_operator`` returns on E(w):
     the same rational functions, in ``RatFunc``'s canonical stored form,
-    with the record's ``valid_away_from`` as the certificate.  It reduces
-    every num_c and -V over det in one ``RatFunc.over`` call, which
-    prepares det once; the reduced form is canonical, so sharing changes
-    nothing stored.
+    with the product of the distinct non-unit pivots (``_certificate``),
+    formed for that answer only, as ``valid_away_from``.  It reduces every
+    num_c and -V over det in one ``RatFunc.over`` call, which prepares det
+    once; the reduced form is canonical, so sharing changes nothing stored.
 
     Specialization, at a torsion character omega with no coordinate 1
-    where ``valid_away_from`` does not vanish.  The units it leaves out are
-    monomials, which do not vanish on the torus, so no pivot vanishes at
-    omega.  No transpose symmetry is used.
+    where det(omega) != 0.  No transpose symmetry is used.
 
-    * The rows are built from the presentation, with no rational
-      function: row r is L_r w^-m_r times row r of [E(w) | kappa], L_r the
+    * Row r of S is L_r w^-m_r times row r of [E(w) | kappa], L_r the
       product of (w_i - 1) over the i whose f_i = 1 - w_i^-1 fails to
       divide some entry A_rc(w^-1) of the row, which is the lcm of the
-      denominators of ``build_E``'s row.  They are exactly
+      denominators of ``build_E``'s row.  The rows are exactly
       ``linalg._integral(linalg._cleared(row, mu), mu)`` of ``build_E``'s
       rows (the proof is in ``seifert.symbolic_rows``), so the pivots, det
       and final rows are identical to those of the generic elimination of
       E(w), not merely equal up to units.  L_r w^-m_r is nonzero at omega
-      because no omega_i is 1, so the rows at omega are nonzero multiples
-      of the rows of [E(omega) | kappa], and Gauss-Jordan elimination on
-      either takes the same pivots and ends in the same reduced row
-      echelon form.
-    * After step k the fraction-free rows are p_k times the Gauss-Jordan
-      rows with the same pivots (one-step Bareiss).  The step is the
-      polynomial identity p_k R' = p_(k+1) R - f R_pivot, and evaluation at
-      omega is a ring homomorphism, so with p_k(omega) != 0 the identity
-      carries over to the rows at omega, by induction from p_0 = 1.
-    * Each pivot is the first entry of its column, from the current row
-      down, that is nonzero as a polynomial.  Entries that are zero as
-      polynomials vanish at omega and the pivot does not, so Gauss-Jordan
-      at omega, which takes the first entry nonzero at omega, makes the
-      same choices, and skips the same columns.  The final rows at omega
-      are therefore det(omega) times the reduced row echelon form of
-      [E(omega) | kappa].
+      because no omega_i is 1, so the rows of S(omega) are nonzero
+      multiples of the rows of [E(omega) | kappa], and both have the same
+      reduced row echelon form.
+    * Let S_B be the rows of S that the elimination takes as pivot rows,
+      and B their block in the pivot columns.  Over the rational function field the reduced row echelon
+      form is B^-1 S_B (the identity in the pivot columns, spanning the
+      row space), so R = det B^-1 S_B = +-u adj(B) S_B, u a unit: by the
+      kernel's Sylvester claim (``linalg._echelon_fraction_free``) det is
+      +-u det B.  This is an identity of polynomials, and evaluation at
+      omega is a ring homomorphism.
+    * With det(omega) != 0, B(omega) is invertible, so R(omega) / det(omega)
+      = B(omega)^-1 S_B(omega): the identity in the pivot columns, zero
+      left of each pivot (zero polynomials there), so in reduced row
+      echelon form, and spanning the row space of S_B(omega), of rank r.
+      S(omega) has rank at most r, as every (r+1)-minor of S vanishes
+      identically, so that is the row space of S(omega).  The reduced row
+      echelon form is unique: R(omega) is det(omega) times that of
+      [E(omega) | kappa], with the generic pivot columns.
 
     Every part of the direct answer (``slope_from_operator`` on
     E(omega) in Q(zeta_N), N the conductor of omega) follows, and each is
@@ -223,19 +222,19 @@ class _Elimination:
 
     So the kind, value, witness and case report equal the direct path's,
     ``approximate`` is false and ``valid_away_from`` None at a torsion
-    character.  The cost is one inversion and about 2n evaluations
-    (``evaluate_at_torsion``), with no elimination.
+    character.  The cost is one inversion of det(omega) and about 2n
+    evaluations (``evaluate_at_torsion``), with no elimination.
 
-    Where a pivot vanishes at omega, ``solve_at`` runs Gauss-Jordan
+    Where det vanishes at omega, ``solve_at`` runs Gauss-Jordan
     (``linalg.solve``) on the record's rows at omega, by the first bullet
-    nonzero multiples of the rows of [E(omega) | kappa]: the same pivots,
-    the same reduced row echelon form, so the direct solve's solution and
-    kernel, which ``_read_off`` pairs with kappa itself.  No E(omega) is
-    formed, and the answer is the direct path's, storage included.
+    nonzero multiples of the rows of [E(omega) | kappa]: the same reduced
+    row echelon form, so the direct solve's solution and kernel, which
+    ``_read_off`` pairs with kappa itself.  No E(omega) is formed, and the
+    answer is the direct path's, storage included.
     """
 
     __slots__ = ("mu", "n", "kappa", "rows", "det", "pairings", "numerators", "value",
-                 "valid_away_from")
+                 "pivots")
 
     def __init__(self, presentation):
         """Eliminate [E(w) | kappa] of a presentation and keep the derived
@@ -245,7 +244,7 @@ class _Elimination:
         ech = linalg._echelon_fraction_free(scaled, n + 1, mu)
         rows = ech.poly_rows
         pivot_cols = [c for c in ech.pivots if c < n]
-        self.mu, self.n, self.kappa = mu, n, kappa
+        self.mu, self.n, self.kappa, self.pivots = mu, n, kappa, ech.pivot_polys
         self.rows = [row for _, _, row in scaled]
         self.det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(mu)
         self.pairings = []
@@ -264,11 +263,6 @@ class _Elimination:
             for c, num in self.numerators:
                 if kappa[c]:
                     self.value = self.value + num * kappa[c]
-        self.valid_away_from = _certificate(ech.pivot_polys, mu)
-
-    def specializes_at(self, omega):
-        """True when no pivot vanishes at the torsion character omega."""
-        return not evaluate_at_torsion(self.valid_away_from, omega).is_zero()
 
     def _unless_finite(self, in_annihilator, certificate=None):
         """The slope when one membership fails, else None."""
@@ -280,12 +274,16 @@ class _Elimination:
         return SlopeValue(kind, None, None, report, False, certificate)
 
     def at(self, omega):
-        """The slope at a torsion character where ``specializes_at`` holds."""
+        """The slope at a torsion character with no coordinate 1: read off
+        where det does not vanish there, else ``solve_at``."""
+        det = evaluate_at_torsion(self.det, omega)
+        if det.is_zero():
+            return self.solve_at(omega)
         in_annihilator = not any(evaluate_at_torsion(p, omega) for p in self.pairings)
         sv = self._unless_finite(in_annihilator)
         if sv is not None:
             return sv
-        inv = evaluate_at_torsion(self.det, omega).invert()
+        inv = det.invert()
         witness = [Cyclotomic(omega.conductor).zero] * self.n
         for c, num in self.numerators:
             witness[c] = evaluate_at_torsion(num, omega) * inv
@@ -293,8 +291,8 @@ class _Elimination:
         return SlopeValue(FINITE, value, tuple(witness), CaseReport(True, True))
 
     def solve_at(self, omega):
-        """The slope at a torsion character with no coordinate 1 where
-        ``specializes_at`` fails: Gauss-Jordan on the rows at omega."""
+        """The slope at a torsion character with no coordinate 1 where det
+        vanishes: Gauss-Jordan on the rows at omega."""
         ctx = Cyclotomic(omega.conductor)
         rows = [[evaluate_at_torsion(x, omega) for x in row] for row in self.rows]
         sol = solve(Matrix(ctx, [row[:-1] for row in rows], cols=self.n),
@@ -304,7 +302,8 @@ class _Elimination:
     def symbolic(self):
         """The slope over the rational function field, with no
         specialization: the P_f, num_c and V themselves over det."""
-        sv = self._unless_finite(not any(self.pairings), self.valid_away_from)
+        certificate = _certificate(self.pivots, self.mu)
+        sv = self._unless_finite(not any(self.pairings), certificate)
         if sv is not None:
             return sv
         witness = [RationalFunctionField(self.mu).zero] * self.n
@@ -315,7 +314,7 @@ class _Elimination:
         for (c, _), x in zip(self.numerators, reduced):
             witness[c] = x
         report = CaseReport(True, True)
-        return SlopeValue(FINITE, value, tuple(witness), report, False, self.valid_away_from)
+        return SlopeValue(FINITE, value, tuple(witness), report, False, certificate)
 
 
 # Each presentation asked, by content (mu, n, theta, kappa), oldest first,
@@ -364,10 +363,7 @@ def _slope_in(presentation, omega, ctx):
             raise UnsupportedHypothesisError(
                 "vanishing character coordinate (omega_i = 1): patching is not supported"
             )
-        record = _record(presentation)
-        if record.specializes_at(omega):
-            return record.at(omega)
-        return record.solve_at(omega)
+        return _record(presentation).at(omega)
     return _direct(presentation, omega, ctx)
 
 
@@ -397,10 +393,11 @@ def slope_at(presentation, omega, *, tol=None, check_transpose=True):
     rows (``seifert.symbolic_rows``), with no rational function, and its
     symbolic answer reduces every numerator over one prepared det
     (``RatFunc.over``).  A symbolic request reads its answer off the
-    record.  Every torsion request reads the presentation's record, and
-    where a pivot vanishes at the character, runs Gauss-Jordan in
-    Q(zeta_N) on the record's rows at the character.  Either way the
-    answer is the direct solve's, storage included.
+    record.  Every torsion request reads the presentation's record: where
+    its det does not vanish at the character the answer is read off, and
+    where it does, Gauss-Jordan runs in Q(zeta_N) on the record's rows at
+    the character.  Either way the answer is the direct solve's, storage
+    included.
     """
     ctx = default_context_for(omega, tol)
     _refuse_invalid(presentation, check_transpose)
@@ -505,17 +502,16 @@ def certify_zero_slope(presentation):
     certify sliceness.
 
     The symbolic request leaves the presentation's record in the memo, and
-    the battery asks that record.  Only battery characters on the zero
-    locus of its certificate ``valid_away_from`` get a solve: Gauss-Jordan
-    on the record's rows at omega (``_Elimination.solve_at``), with
-    nothing built for them.  The presentation was validated by the
-    symbolic request, and no battery coordinate is 1, so ``slope_at``'s
-    checks are not repeated.  At every other one the pointwise slope
-    is the specialization of the symbolic one, by the proof in
-    ``_Elimination``'s docstring: finite, with value
-    -V(omega) / det(omega), where V / det reduces to the symbolic value,
-    here the zero function, so V is the zero polynomial.  omega passes
-    without a solve.
+    the battery asks that record.  Only battery characters where its det
+    vanishes get a solve: Gauss-Jordan on the record's rows at omega
+    (``_Elimination.solve_at``), with nothing built for them.  The
+    presentation was validated by the symbolic request, and no battery
+    coordinate is 1, so ``slope_at``'s checks are not repeated.  At every
+    other one the pointwise slope is the specialization of the symbolic
+    one, by the proof in ``_Elimination``'s docstring, which needs only
+    det(omega) != 0: finite, with value -V(omega) / det(omega), where
+    V / det reduces to the symbolic value, here the zero function, so V is
+    the zero polynomial.  omega passes without a solve.
     """
     symbolic = slope_symbolic(presentation)
     if not symbolic.is_finite() or not symbolic.value.is_zero():
@@ -525,7 +521,7 @@ def certify_zero_slope(presentation):
         conductor = lcm(*orders)
         exponents = tuple(conductor // o for o in orders)
         omega = Character.root_of_unity(conductor, exponents)
-        if record.specializes_at(omega):
+        if not evaluate_at_torsion(record.det, omega).is_zero():
             continue
         point = record.solve_at(omega)
         if not point.is_finite() or not point.value.is_zero():

@@ -690,12 +690,13 @@ def test_symbolic_slope_specializes_off_the_certificate_locus():
     assert checked > 0 and nonzero > 0
 
 
-def test_certify_solves_directly_only_on_the_certificate_locus(monkeypatch):
+def test_certify_solves_directly_only_on_the_det_locus(monkeypatch):
     p = CComplexPresentation.build(
         2, 2, {"++": [[2, 0], [-1, 0]], "-+": [[-1, 0], [1, 0]]}, [0, 0]
     )
-    locus = _on_locus(slope_symbolic(p), 2)
-    assert len(locus) == 7
+    det = slope_module._Elimination(p).det
+    locus = [omega for omega in _battery(2) if _vanishes(det, omega)]
+    assert len(locus) == 6
     calls = {"slope_at": [], "_direct": [], "solve_at": []}
 
     def counting(owner, name):
@@ -712,7 +713,7 @@ def test_certify_solves_directly_only_on_the_certificate_locus(monkeypatch):
     counting(slope_module._Elimination, "solve_at")
     assert certify_zero_slope(p)
     # the one symbolic solve, then one solve on the record's rows per
-    # character on the locus, which skips slope_at's checks
+    # character where det vanishes, which skips slope_at's checks
     assert calls == {"slope_at": [Character.symbolic(2)], "_direct": [], "solve_at": locus}
 
 
@@ -914,21 +915,36 @@ def test_records_match_gauss_jordan(rng, monkeypatch):
     assert not all(is_prime_power(omega.conductor) for _, omega, _ in answered)
 
 
-def _locus_points(record, mu, conductors, cap):
+def _vanishes(poly, omega):
+    return evaluate_at_torsion(poly, omega).is_zero()
+
+
+def _points(mu, conductors, cap, keep):
     """Up to ``cap`` characters with no coordinate 1, at the given
-    conductors, on the zero locus of the record's certificate."""
+    conductors, for which ``keep`` holds."""
     points = (
         Character.root_of_unity(c, exponents)
         for c in conductors
         for exponents in itertools.product(range(1, c), repeat=mu)
     )
-    return list(itertools.islice(
-        (omega for omega in points if not record.specializes_at(omega)), cap
-    ))
+    return list(itertools.islice(filter(keep, points), cap))
+
+
+def _locus_points(record, mu, conductors, cap):
+    """Characters on the zero locus of the record's det."""
+    return _points(mu, conductors, cap, lambda omega: _vanishes(record.det, omega))
+
+
+def _pivot_locus_points(record, mu, conductors, cap):
+    """Characters where some pivot of the record vanishes but det does not:
+    read off the record, where the product of the pivots once sent them to
+    a solve."""
+    return _points(mu, conductors, cap, lambda omega: not _vanishes(record.det, omega)
+                   and any(_vanishes(p, omega) for p in record.pivots))
 
 
 def test_locus_solves_match_gauss_jordan(rng):
-    """Differential: on a record's certificate locus, Gauss-Jordan on the
+    """Differential: where a record's det vanishes, Gauss-Jordan on the
     record's rows at omega gives the answer of Gauss-Jordan on E(omega)
     (``==`` on ``CyclotomicNumber`` compares storage), for every kind, and
     ``slope_at`` returns it.  Undefined needs presentations without the
@@ -959,10 +975,50 @@ def test_locus_solves_match_gauss_jordan(rng):
     assert {mu for _, mu in kinds} == {1, 2, 3}
 
 
+def test_pivot_locus_read_offs_match_gauss_jordan(rng, monkeypatch):
+    """Differential: where a pivot of the record vanishes but det does not,
+    ``slope_at`` reads the answer off the record, with no solve, and it is
+    storage-equal to Gauss-Jordan on E(omega), for every kind.  Undefined
+    needs presentations without the transpose symmetry; seed 24 of
+    ``_broken`` reaches it at omega = -1."""
+    # (presentation, check_transpose, kind of data)
+    cases = []
+    for i in range(60):
+        mu = (1, 1, 2, 3)[i % 4]
+        p = random_presentation(rng, mu=mu, n=rng.randint(1, 4 - mu // 3), bound=1,
+                                kappa_zero=i % 5 == 0)
+        if i % 3 == 0:
+            cases.append((stabilize(p), True, "stabilized"))
+        else:
+            cases.append((p, True, "kappa zero" if i % 5 == 0 else "plain"))
+    broken = random.Random(24)
+    for _ in range(24):
+        cases.append((_broken(broken, broken.randint(2, 4)), False, "broken"))
+
+    def refused(record, omega):
+        raise AssertionError("solved where det does not vanish")
+
+    monkeypatch.setattr(slope_module._Elimination, "solve_at", refused)
+    seen = set()
+    count = 0
+    for p, check_transpose, data in cases:
+        slope_module._RECORDS.clear()
+        record = slope_module._record(p)
+        conductors = range(2, 13) if p.mu < 3 else (2, 3, 4, 6)
+        for omega in _pivot_locus_points(record, p.mu, conductors, 6):
+            got = slope_at(p, omega, check_transpose=check_transpose)
+            assert got == old_slope_at(p, omega), (p, omega)
+            seen.update([got.kind, data, p.mu])
+            count += 1
+    assert count >= 100
+    assert seen == {FINITE, INFINITY, UNDEFINED, "plain", "stabilized", "kappa zero",
+                    "broken", 1, 2, 3}
+
+
 def test_torsion_answers_form_no_operator(rng, monkeypatch):
     """On transpose-symmetric presentations slope_at, certify_zero_slope,
     compare_slopes and signature_nullity answer every torsion character,
-    certificate-locus points included, with build_E refusing Q(zeta_N):
+    points where det vanishes included, with build_E refusing Q(zeta_N):
     the records read their own rows and signatures the Cimasoni-Florens
     matrix.  The answers equal those computed before the refusal."""
     presentations = [random_presentation(rng, mu=mu, n=n, bound=1)
@@ -981,7 +1037,7 @@ def test_torsion_answers_form_no_operator(rng, monkeypatch):
             for c in (3, 4, 5, 6):
                 for exponents in itertools.product(range(1, c), repeat=p.mu):
                     omega = Character.root_of_unity(c, exponents)
-                    locus += not record.specializes_at(omega)
+                    locus += _vanishes(record.det, omega)
                     out.append((slope_at(p, omega), signature_nullity(p, omega)))
         out.append(certify_zero_slope(zero))
         out.append(compare_slopes(presentations[3], stabilize(disguise), 12))
@@ -998,6 +1054,50 @@ def test_torsion_answers_form_no_operator(rng, monkeypatch):
     monkeypatch.setattr(seifert_module, "build_E", refusing)
     monkeypatch.setattr(slope_module, "build_E", refusing)
     assert answers() == (want, locus)
+
+
+def test_torsion_answers_form_no_certificate(rng, monkeypatch):
+    """The product of the pivots is formed only for a symbolic answer:
+    with ``_certificate`` refusing, slope_at at torsion characters (det
+    zeros included), compare_slopes and certify_zero_slope's battery after
+    its symbolic request answer as before, and without the refusal the
+    symbolic ``valid_away_from`` is the generic solve's."""
+    presentations = [random_presentation(rng, mu=mu, n=n, bound=1)
+                     for mu, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))]
+    # kappa zero, and det -w2 (1 + w1)^2 vanishes at w1 = -1
+    zero = CComplexPresentation.build(
+        2, 2, {"++": [[2, 0], [-1, 0]], "-+": [[-1, 0], [1, 0]]}, [0, 0]
+    )
+    presentations.append(zero)
+    disguise = stabilize(change_basis(presentations[3], random_unimodular(rng, 3)))
+    want = compare_slopes(presentations[3], disguise, 12)
+    certificate = slope_module._certificate
+
+    def refused(*args):
+        raise AssertionError("certificate formed")
+
+    monkeypatch.setattr(slope_module, "_certificate", refused)
+    det_zeros = 0
+    for p in presentations:
+        for omega in _points(p.mu, (3, 4, 5, 6), None, lambda omega: True):
+            assert slope_at(p, omega) == old_slope_at(p, omega), (p, omega)
+            det_zeros += _vanishes(slope_module._record(p).det, omega)
+    assert det_zeros > 0
+    assert compare_slopes(presentations[3], disguise, 12) == want
+    symbolic = slope_module.slope_symbolic
+
+    def then_refused(p):
+        # the symbolic request forms its certificate, the battery none
+        monkeypatch.setattr(slope_module, "_certificate", certificate)
+        sv = symbolic(p)
+        monkeypatch.setattr(slope_module, "_certificate", refused)
+        return sv
+
+    monkeypatch.setattr(slope_module, "slope_symbolic", then_refused)
+    assert certify_zero_slope(zero)
+    monkeypatch.undo()
+    for p in presentations:
+        assert slope_symbolic(p).valid_away_from == old_slope_symbolic(p).valid_away_from
 
 
 def test_symbolic_read_off_matches_the_generic_solve(rng):
@@ -1083,9 +1183,10 @@ def test_slope_sign_matches_haynsworth_inertia(rng, monkeypatch):
 @pytest.mark.parametrize("mu", [1, 2])
 def test_first_torsion_request_builds_the_record(mu, eliminations, monkeypatch):
     """The first torsion request builds the presentation's record and later
-    requests read it; a character on its certificate's zero locus is
-    solved on the record's rows, and never directly."""
-    p = random_presentation(random.Random(mu), mu=mu, n=2)
+    requests read it; a character where its det vanishes is solved on the
+    record's rows, and never directly."""
+    # seeds whose det vanishes at some character of conductor at most 12
+    p = random_presentation(random.Random({1: 1, 2: 5}[mu]), mu=mu, n=2)
     direct, solved = [], []
     original, solve_at = slope_module._direct, slope_module._Elimination.solve_at
 
@@ -1120,9 +1221,9 @@ def test_a_symbolic_request_leaves_the_record(mu, eliminations):
     assert len(eliminations) == 1
     record = slope_module._RECORDS[key]
     assert isinstance(record, slope_module._Elimination)
-    assert record.valid_away_from == symbolic.valid_away_from
-    # every later torsion request reads the same record or, on its
-    # certificate's zero locus, solves directly
+    assert slope_module._certificate(record.pivots, mu) == symbolic.valid_away_from
+    # every later torsion request reads the same record or, where its det
+    # vanishes, solves on its rows
     for k in range(1, 5):
         omega = Character.root_of_unity(5, (k,) + (5 - k,) * (mu - 1))
         assert slope_at(p, omega) == old_slope_at(p, omega)
@@ -1151,15 +1252,15 @@ def test_a_record_forms_no_rational_function_rows(mu, monkeypatch, eliminations)
 
 
 def test_certify_builds_no_record_on_the_locus(eliminations):
-    # the presentation of test_certify_solves_directly_only_on_the_certificate_locus,
-    # with seven direct solves on the locus
+    # the presentation of test_certify_solves_directly_only_on_the_det_locus,
+    # with six solves where det vanishes
     p = CComplexPresentation.build(
         2, 2, {"++": [[2, 0], [-1, 0]], "-+": [[-1, 0], [1, 0]]}, [0, 0]
     )
     assert certify_zero_slope(p)
     assert len(eliminations) == 1  # the symbolic request's record
     record = slope_module._RECORDS[slope_module._key(p)]
-    assert record.valid_away_from == slope_symbolic(p).valid_away_from
+    assert slope_module._certificate(record.pivots, 2) == slope_symbolic(p).valid_away_from
 
 
 def test_refusals_come_before_the_memo(whitehead, eliminations):
@@ -1172,13 +1273,13 @@ def test_refusals_come_before_the_memo(whitehead, eliminations):
     with pytest.raises(UsageError, match="length"):
         slope_at(whitehead, Character.root_of_unity(5, (1, 2)))
     assert records == {}
-    # a record exists and its certificate is nonzero at w = 1, yet the
-    # vanishing coordinate is still refused
+    # a record exists and its det is nonzero at w = 1, yet the vanishing
+    # coordinate is still refused
     slope_at(whitehead, Character.root_of_unity(5, (1,)))
     slope_at(whitehead, Character.root_of_unity(5, (2,)))
     [record] = records.values()
     at_one = Character.root_of_unity(4, (0,))
-    assert record.specializes_at(at_one)
+    assert not _vanishes(record.det, at_one)
     with pytest.raises(UnsupportedHypothesisError, match="vanishing character coordinate"):
         slope_at(whitehead, at_one)
     assert len(eliminations) == 1

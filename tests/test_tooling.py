@@ -3,14 +3,18 @@ which imports no numpy."""
 
 import ast
 import importlib.util
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+import slopelab.slope as slope_module
+from slopelab.characters import Character, evaluate_at_torsion
 from slopelab.fields import CyclotomicNumber, RatFunc
 from slopelab.laurent import LaurentPoly
 
@@ -94,6 +98,26 @@ def test_whitehead_demo_runs_without_test_dependencies():
         "    8  2 - z + z^3      0    0",
         "   12  2 - 2*z + z^3      0    0",
     ]
+
+
+def test_source_lines_counts_code_without_comments_or_docstrings(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\n\ndoc."""\n\n# comment\nx = 1  # trailing\n\n\nclass A:\n'
+        '    """Doc."""\n\n    def f(self):\n        s = """not a\n\ndocstring"""\n'
+        '        return s\n'
+    )
+    p = subprocess.run(
+        [sys.executable, "scripts/source_lines.py", str(tmp_path)],
+        capture_output=True, text=True, cwd=ROOT,
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == ["non-blank lines: 10", "code lines: 6"]
+    p = subprocess.run(
+        [sys.executable, "scripts/source_lines.py"], capture_output=True, text=True, cwd=ROOT
+    )
+    assert p.returncode == 0, p.stderr
+    non_blank, code = (int(line.split(": ")[1]) for line in p.stdout.splitlines())
+    assert 0 < code < non_blank
 
 
 def test_benchmark_tracer_bindings_resolve():
@@ -198,32 +222,71 @@ def test_benchmark_value_stats_reads_mixed_laurent_coefficients(monkeypatch):
 
 def _replay_seed_0(monkeypatch, tmp_path, name):
     """The benchmark's query set of one workload at seed 0, replayed
-    in-process: (query count, failed, notes, digest, recorded digest)."""
+    in-process: (query count, failed, notes, digest, recorded digest,
+    queries, solves), solves holding, per call of
+    ``_Elimination.solve_at``, whether det vanishes at its character."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.syspath_prepend(os.path.join(ROOT, "slopebench"))
     workloads = _load_bench_module("workloads")
     worker = _load_bench_module("worker")
+    solves = []
+    solve_at = slope_module._Elimination.solve_at
+
+    def counting(record, omega):
+        solves.append(evaluate_at_torsion(record.det, omega).is_zero())
+        return solve_at(record, omega)
+
+    monkeypatch.setattr(slope_module._Elimination, "solve_at", counting)
     wl = getattr(workloads, name.capitalize())()
     wl.setup(random.Random(0), 12, str(tmp_path))
     queries = list(wl.iter_queries())
     results = [wl.run(q) for q in queries]
     failed, notes, digest = worker.check_all(wl, queries, results, wl.expected)
-    return len(queries), failed, notes, digest, worker.recorded_digest(name, 0, 12)
+    recorded = worker.recorded_digest(name, 0, 12)
+    return len(queries), failed, notes, digest, recorded, queries, solves
+
+
+def _battery(mu):
+    """The characters of ``certify_zero_slope``'s battery."""
+    for orders in itertools.product(slope_module.ZERO_CERT_ORDERS, repeat=mu):
+        conductor = lcm(*orders)
+        yield Character.root_of_unity(conductor, tuple(conductor // o for o in orders))
+
+
+def _det_zeros(pairs):
+    """How many of the (presentation, character) pairs have det(omega) = 0,
+    det taken from a fresh elimination of each presentation."""
+    dets = {}
+    zeros = 0
+    for p, omega in pairs:
+        if id(p) not in dets:
+            dets[id(p)] = slope_module._Elimination(p).det
+        zeros += evaluate_at_torsion(dets[id(p)], omega).is_zero()
+    return zeros
 
 
 def test_compare_seed_0_digest_matches_the_record(monkeypatch, tmp_path):
-    # every rendered slope must hash to the digest slopebench/digests.json records
-    count, failed, notes, digest, recorded = _replay_seed_0(monkeypatch, tmp_path, "compare")
+    # every rendered slope must hash to the digest slopebench/digests.json
+    # records, and a solve runs exactly where det vanishes
+    count, failed, notes, digest, recorded, queries, solves = _replay_seed_0(
+        monkeypatch, tmp_path, "compare"
+    )
     assert (count, failed, notes) == (280, 0, [])
     assert digest == recorded
+    pairs = [(p, omega) for first, second, omega in queries for p in (first, second)]
+    assert solves == [True] * _det_zeros(pairs) == [True] * 6
 
 
 @pytest.mark.parametrize("name, count", [("symbolic", 120), ("certify", 100)])
 def test_symbolic_path_seed_0_digest_matches_the_record(monkeypatch, tmp_path, name, count):
-    # the two workloads whose every query takes a symbolic slope off a record
+    # the two workloads whose every query takes a symbolic slope off a record;
+    # certify solves exactly at the battery characters where det vanishes
     got = _replay_seed_0(monkeypatch, tmp_path, name)
     assert got[:3] == (count, 0, [])
     assert got[3] == got[4]
+    if name == "certify":
+        pairs = [(p, omega) for p in got[5] for omega in _battery(p.mu)]
+        assert got[6] == [True] * _det_zeros(pairs) == [True] * 10
 
 
 def test_cli_seed_0_digest_matches_the_record(monkeypatch, tmp_path, capsys):
