@@ -4,10 +4,9 @@ Prints two numbers for the Python files under ``src/slopelab/``: the
 non-blank lines, and the code lines, which are the non-blank lines that
 are neither comments nor part of a module, class or function docstring.
 
-    python3 scripts/source_lines.py [PACKAGE_DIR]
+    python3 scripts/source_lines.py
 """
 
-import argparse
 import ast
 import io
 import os
@@ -41,12 +40,9 @@ def count(source):
     return len(non_blank), len(code & non_blank)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("package", nargs="?", default=os.path.join(ROOT, "src", "slopelab"))
-    args = parser.parse_args(argv)
+def main():
     totals = [0, 0]
-    for directory, _, names in sorted(os.walk(args.package)):
+    for directory, _, names in sorted(os.walk(os.path.join(ROOT, "src", "slopelab"))):
         for name in sorted(names):
             if name.endswith(".py"):
                 with open(os.path.join(directory, name), encoding="utf-8") as fh:

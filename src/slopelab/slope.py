@@ -493,6 +493,13 @@ def _signature_in(presentation, omega, tol_sig, tol):
 ZERO_CERT_ORDERS = (2, 3, 4, 5, 8, 9)
 
 
+def _battery(mu):
+    """The characters of ``certify_zero_slope``'s battery."""
+    for orders in itertools.product(ZERO_CERT_ORDERS, repeat=mu):
+        conductor = lcm(*orders)
+        yield Character.root_of_unity(conductor, tuple(conductor // o for o in orders))
+
+
 def certify_zero_slope(presentation):
     """True iff the symbolic slope is the zero function and the pointwise
     slope is exactly zero at the battery of prime-power torsion characters
@@ -517,10 +524,7 @@ def certify_zero_slope(presentation):
     if not symbolic.is_finite() or not symbolic.value.is_zero():
         return False
     record = _record(presentation)
-    for orders in itertools.product(ZERO_CERT_ORDERS, repeat=presentation.mu):
-        conductor = lcm(*orders)
-        exponents = tuple(conductor // o for o in orders)
-        omega = Character.root_of_unity(conductor, exponents)
+    for omega in _battery(presentation.mu):
         if not evaluate_at_torsion(record.det, omega).is_zero():
             continue
         point = record.solve_at(omega)

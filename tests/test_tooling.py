@@ -3,18 +3,16 @@ which imports no numpy."""
 
 import ast
 import importlib.util
-import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
 import slopelab.slope as slope_module
-from slopelab.characters import Character, evaluate_at_torsion
+from slopelab.characters import evaluate_at_torsion
 from slopelab.fields import CyclotomicNumber, RatFunc
 from slopelab.laurent import LaurentPoly
 
@@ -100,18 +98,17 @@ def test_whitehead_demo_runs_without_test_dependencies():
     ]
 
 
-def test_source_lines_counts_code_without_comments_or_docstrings(tmp_path):
-    (tmp_path / "m.py").write_text(
+def test_source_lines_counts_code_without_comments_or_docstrings():
+    path = os.path.join(ROOT, "scripts", "source_lines.py")
+    spec = importlib.util.spec_from_file_location("source_lines", path)
+    source_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(source_lines)
+    source = (
         '"""Module\n\ndoc."""\n\n# comment\nx = 1  # trailing\n\n\nclass A:\n'
         '    """Doc."""\n\n    def f(self):\n        s = """not a\n\ndocstring"""\n'
         '        return s\n'
     )
-    p = subprocess.run(
-        [sys.executable, "scripts/source_lines.py", str(tmp_path)],
-        capture_output=True, text=True, cwd=ROOT,
-    )
-    assert p.returncode == 0, p.stderr
-    assert p.stdout.splitlines() == ["non-blank lines: 10", "code lines: 6"]
+    assert source_lines.count(source) == (10, 6)
     p = subprocess.run(
         [sys.executable, "scripts/source_lines.py"], capture_output=True, text=True, cwd=ROOT
     )
@@ -246,13 +243,6 @@ def _replay_seed_0(monkeypatch, tmp_path, name):
     return len(queries), failed, notes, digest, recorded, queries, solves
 
 
-def _battery(mu):
-    """The characters of ``certify_zero_slope``'s battery."""
-    for orders in itertools.product(slope_module.ZERO_CERT_ORDERS, repeat=mu):
-        conductor = lcm(*orders)
-        yield Character.root_of_unity(conductor, tuple(conductor // o for o in orders))
-
-
 def _det_zeros(pairs):
     """How many of the (presentation, character) pairs have det(omega) = 0,
     det taken from a fresh elimination of each presentation."""
@@ -285,7 +275,7 @@ def test_symbolic_path_seed_0_digest_matches_the_record(monkeypatch, tmp_path, n
     assert got[:3] == (count, 0, [])
     assert got[3] == got[4]
     if name == "certify":
-        pairs = [(p, omega) for p in got[5] for omega in _battery(p.mu)]
+        pairs = [(p, omega) for p in got[5] for omega in slope_module._battery(p.mu)]
         assert got[6] == [True] * _det_zeros(pairs) == [True] * 10
 
 
