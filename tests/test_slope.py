@@ -238,6 +238,18 @@ def test_nonzero_linking_rejected():
         slope_symbolic(p)
 
 
+def test_certify_refuses_as_slope_symbolic_does():
+    # validation first, then lambda = 0, each with slope_symbolic's message
+    broken = CComplexPresentation.build(1, 1, {"+": [[1]], "-": [[2]]}, [0], linking=[1])
+    linked = CComplexPresentation.build(1, 1, {"+": [[1]]}, [0], linking=[1])
+    for p, error in ((broken, InvalidPresentationError), (linked, UnsupportedHypothesisError)):
+        with pytest.raises(error) as expected:
+            slope_symbolic(p)
+        with pytest.raises(error) as got:
+            certify_zero_slope(p)
+        assert str(got.value) == str(expected.value)
+
+
 def test_vanishing_character_rejected(whitehead):
     with pytest.raises(UnsupportedHypothesisError) as err:
         slope_at(whitehead, Character.root_of_unity(4, (0,)))
