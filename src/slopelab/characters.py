@@ -33,6 +33,7 @@ import random
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+from operator import attrgetter, mul
 
 from .errors import ContextMismatchError, UsageError
 from .fields import (
@@ -55,6 +56,8 @@ from .record import Record
 SYMBOLIC = "symbolic"
 ROOT_OF_UNITY = "zeta"
 NUMERIC = "numeric"
+
+_denominator = attrgetter("denominator")
 
 
 class Character(Record):
@@ -171,24 +174,36 @@ def embed_character(omega, ctx):
 
 
 def evaluate_at_torsion(p, omega):
-    """The exact value p(omega) in Q(zeta_N), N the conductor of omega.
-
-    The term c * w^e goes to c * zeta_N^(e . k), k the exponent vector, so
-    the value is one length-N coefficient list over the common denominator
-    of the coefficients, reduced once modulo Phi_N: no field
-    multiplication, no inversion and no power.
-    """
+    """The exact value p(omega) in Q(zeta_N), N the conductor of omega,
+    from ``_at_torsion``, brought to lowest terms."""
     if omega.kind != ROOT_OF_UNITY:
         raise UsageError("evaluate_at_torsion needs a torsion character")
     if p.num_vars != omega.mu:
         raise UsageError("wrong number of variables for the character")
-    n = omega.conductor
-    den = _int_lcm(*(c.denominator for c in p.terms.values()))
-    coeffs = [0] * n
-    for e, c in p.terms.items():
-        k = sum(a * b for a, b in zip(e, omega.exponents)) % n
-        coeffs[k] += c.numerator * (den // c.denominator)
-    return CyclotomicNumber._from_ints(n, _reduce_mod_phi(coeffs, n), den)
+    num, den = _at_torsion(p, omega.conductor, omega.exponents)
+    return CyclotomicNumber._from_ints(omega.conductor, num, den)
+
+
+def _at_torsion(p, conductor, exponents):
+    """p at the torsion character with coordinates zeta_N^k, N the
+    conductor and k the exponents, on integer coordinates: (num, den), the
+    value being num / den, num its phi(N) power-basis coordinates and den
+    the lcm of the coefficients' denominators, not in lowest terms.
+
+    The term c * w^e goes to c * zeta_N^(e . k), so the value is one
+    length-N coefficient list over den, reduced once modulo Phi_N: no field
+    multiplication, no inversion and no power.  Nothing is checked.
+    """
+    terms = p.terms
+    den = _int_lcm(*map(_denominator, terms.values()))
+    coeffs = [0] * conductor
+    if den == 1:
+        for e, c in terms.items():
+            coeffs[sum(map(mul, e, exponents)) % conductor] += c.numerator
+    else:
+        for e, c in terms.items():
+            coeffs[sum(map(mul, e, exponents)) % conductor] += c.numerator * (den // c.denominator)
+    return _reduce_mod_phi(coeffs, conductor), den
 
 
 def hermitian_at_torsion(presentation, omega):

@@ -307,6 +307,58 @@ def _galois_chain(conductor):
     return tuple(chain)
 
 
+def _galois_coords(num, k, conductor):
+    """The coordinates of sigma_k(x), t -> t^k (k coprime to N), for x with
+    coordinates num."""
+    coeffs = [0] * conductor
+    for j, c in enumerate(num):
+        if c:
+            coeffs[j * k % conductor] += c
+    return _reduce_mod_phi(coeffs, conductor)
+
+
+def _adjugate(num, conductor):
+    """(adj, norm) for the nonzero x with integer coordinates num: integer
+    coordinates adj and an integer norm > 0 with x adj = norm, so that
+    x^-1 = adj / norm.
+
+    adj is the product of the Galois conjugates sigma_u(x), u != 1, formed
+    along ``_galois_chain`` as ``CyclotomicNumber``'s docstring describes,
+    every product an integer list reduced modulo Phi_N and nothing brought
+    to lowest terms; norm is then N(x), which is positive: x has no
+    one-term form here, so N >= 3 and the conjugates come in complex
+    conjugate pairs, N(x) being the product of their |sigma_u(x)|^2.  A
+    one-term x = c t^j (every x when N is 1 or 2) gives adj = +-zeta^(-j)
+    and norm = |c|.
+    """
+    n = conductor
+    terms = [j for j, c in enumerate(num) if c]
+    if len(terms) == 1:
+        j = terms[0]
+        c = num[j]
+        coeffs = [0] * n
+        coeffs[-j % n] = 1 if c > 0 else -1
+        return _reduce_mod_phi(coeffs, n), abs(c)
+    # invariant: y is the product of sigma_h(x) over the subgroup H reached
+    # so far, and x * others == y (others None standing for 1)
+    y, others = num, None
+    for g, m in _galois_chain(n):
+        # p = P(a) = prod_{j < a} sigma_{g^j}(y), built up to a = m - 1 by
+        # doubling, P(2a) = P(a) sigma_{g^a}(P(a)), and by one more factor,
+        # P(a + 1) = P(a) sigma_{g^a}(y)
+        p, a = y, 1
+        for bit in bin(m - 1)[3:]:
+            p, a = _reduce_mod_phi(_product(p, _galois_coords(p, pow(g, a, n), n)), n), 2 * a
+            if bit == "1":
+                p = _reduce_mod_phi(_product(p, _galois_coords(y, pow(g, a, n), n)), n)
+                a += 1
+        r = _galois_coords(p, g, n)
+        others = r if others is None else _reduce_mod_phi(_product(others, r), n)
+        y = _reduce_mod_phi(_product(y, r), n)
+    # y is now the norm, fixed by every sigma_u, so a rational: y[0]
+    return others, y[0]
+
+
 @lru_cache(maxsize=None)
 def _pi_bounds(q):
     """Integers lo <= pi * 2^q <= hi, from pi = 16 atan(1/5) - 4 atan(1/239).
@@ -388,7 +440,9 @@ class CyclotomicNumber:
     unit counted once; its m - 1 factors with j >= 1 come from an
     addition chain of O(log m) products.  After the last step y is the
     norm.  One-term elements (c/d) t^j skip all this: their inverse is
-    (d/c) zeta^(-j).
+    (d/c) zeta^(-j).  ``invert`` runs the chain on the integer coordinates
+    num (``_adjugate``), with no product brought to lowest terms, and
+    brings only the inverse den adj / norm to them.
     """
 
     __slots__ = ("conductor", "num", "den")
@@ -537,29 +591,9 @@ class CyclotomicNumber:
     def invert(self):
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        n = self.conductor
-        terms = [j for j, c in enumerate(self.num) if c]
-        if len(terms) == 1:
-            # (c/d) t^j inverts to (d/c) zeta^(-j)
-            j = terms[0]
-            return CyclotomicNumber.zeta_pow(n, -j) * Fraction(self.den, self.num[j])
-        # invariant: y is the product of sigma_h(self) over the subgroup H
-        # reached so far, and self * others == y (others None standing for 1)
-        y, others = self, None
-        for g, m in _galois_chain(n):
-            # p = P(a) = prod_{j < a} sigma_{g^j}(y), built up to a = m - 1
-            # by doubling, P(2a) = P(a) sigma_{g^a}(P(a)), and by one more
-            # factor, P(a + 1) = P(a) sigma_{g^a}(y)
-            p, a = y, 1
-            for bit in bin(m - 1)[3:]:
-                p, a = p * p.galois(pow(g, a, n)), 2 * a
-                if bit == "1":
-                    p, a = p * y.galois(pow(g, a, n)), a + 1
-            r = p.galois(g)
-            others = r if others is None else others * r
-            y = y * r
-        # y is now the norm, fixed by every sigma_u, so a nonzero rational
-        return others * Fraction(y.den, y.num[0])
+        # (num / den)^-1 = den adj / norm
+        adj, norm = _adjugate(self.num, self.conductor)
+        return CyclotomicNumber._from_ints(self.conductor, [self.den * c for c in adj], norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -575,11 +609,7 @@ class CyclotomicNumber:
     def galois(self, k):
         """Apply the substitution t -> t^k (k coprime to the conductor)."""
         n = self.conductor
-        coeffs = [0] * n
-        for j, c in enumerate(self.num):
-            if c:
-                coeffs[(j * k) % n] += c
-        return CyclotomicNumber._from_ints(n, _reduce_mod_phi(coeffs, n), self.den)
+        return CyclotomicNumber._from_ints(n, _galois_coords(self.num, k, n), self.den)
 
     def conjugate(self):
         if self.conductor == 1:

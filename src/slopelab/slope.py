@@ -21,6 +21,7 @@ from math import lcm
 
 from .characters import (
     Character,
+    _at_torsion,
     default_context_for,
     evaluate_at_torsion,
     hermitian_at_torsion,
@@ -31,7 +32,17 @@ from .errors import (
     UnsupportedHypothesisError,
     UsageError,
 )
-from .fields import ApproxComplex, Cyclotomic, RatFunc, RationalFunctionField, resolve_tolerance
+from .fields import (
+    ApproxComplex,
+    Cyclotomic,
+    CyclotomicNumber,
+    RatFunc,
+    RationalFunctionField,
+    _adjugate,
+    _product,
+    _reduce_mod_phi,
+    resolve_tolerance,
+)
 from .laurent import LaurentPoly, normalize_poly
 from . import linalg
 from .linalg import (
@@ -81,6 +92,13 @@ def _refuse_invalid(presentation, check_transpose=True):
     violations = validate(presentation, check_transpose=check_transpose)
     if violations:
         raise InvalidPresentationError(violations)
+
+
+def _refuse_linked(presentation):
+    if not presentation.linking_is_zero():
+        raise UnsupportedHypothesisError(
+            "slope computations require a vanishing linking vector (lambda = 0)"
+        )
 
 
 def _certificate(pivot_polys, num_vars):
@@ -222,8 +240,13 @@ class _Elimination:
 
     So the kind, value, witness and case report equal the direct path's,
     ``approximate`` is false and ``valid_away_from`` None at a torsion
-    character.  The cost is one inversion of det(omega) and about 2n
-    evaluations (``evaluate_at_torsion``), with no elimination.
+    character.  The cost is about 2n evaluations on integer coordinates
+    (``characters._at_torsion``), where the zero tests of det(omega) and
+    the P_f(omega) read the coordinates, one adjugate of det(omega)
+    (``fields._adjugate``: det(omega) adj = norm, a positive integer) and
+    one product with adj per witness entry and for the value, with no
+    elimination.  Only the witness entries and the value are brought to
+    lowest terms.
 
     Where det vanishes at omega, ``solve_at`` runs Gauss-Jordan
     (``linalg.solve``) on the record's rows at omega, by the first bullet
@@ -276,18 +299,27 @@ class _Elimination:
     def at(self, omega):
         """The slope at a torsion character with no coordinate 1: read off
         where det does not vanish there, else ``solve_at``."""
-        det = evaluate_at_torsion(self.det, omega)
-        if det.is_zero():
+        n, ks = omega.conductor, omega.exponents
+        det, det_den = _at_torsion(self.det, n, ks)
+        if not any(det):
             return self.solve_at(omega)
-        in_annihilator = not any(evaluate_at_torsion(p, omega) for p in self.pairings)
+        in_annihilator = not any(any(_at_torsion(p, n, ks)[0]) for p in self.pairings)
         sv = self._unless_finite(in_annihilator)
         if sv is not None:
             return sv
-        inv = det.invert()
-        witness = [Cyclotomic(omega.conductor).zero] * self.n
+        adj, norm = _adjugate(det, n)
+
+        def over_det(p, sign):
+            # sign p(omega) / det(omega) = sign num det_den adj / (den norm)
+            num, den = _at_torsion(p, n, ks)
+            num = _reduce_mod_phi(_product(num, adj), n)
+            scale = sign * det_den
+            return CyclotomicNumber._from_ints(n, [scale * c for c in num], den * norm)
+
+        witness = [CyclotomicNumber.zero(n)] * self.n
         for c, num in self.numerators:
-            witness[c] = evaluate_at_torsion(num, omega) * inv
-        value = -(evaluate_at_torsion(self.value, omega) * inv)
+            witness[c] = over_det(num, 1)
+        value = over_det(self.value, -1)
         return SlopeValue(FINITE, value, tuple(witness), CaseReport(True, True))
 
     def solve_at(self, omega):
@@ -350,10 +382,7 @@ def _slope_in(presentation, omega, ctx):
     length, then (as ``build_E`` does) a vanishing coordinate, at the
     tolerance of ``ctx``; the record memo is consulted only after these.
     """
-    if not presentation.linking_is_zero():
-        raise UnsupportedHypothesisError(
-            "slope computations require a vanishing linking vector (lambda = 0)"
-        )
+    _refuse_linked(presentation)
     if omega.mu != presentation.mu:
         raise UsageError("character length does not match the presentation")
     if isinstance(ctx, RationalFunctionField):
@@ -494,10 +523,11 @@ ZERO_CERT_ORDERS = (2, 3, 4, 5, 8, 9)
 
 
 def _battery(mu):
-    """The characters of ``certify_zero_slope``'s battery."""
+    """The characters of ``certify_zero_slope``'s battery, as pairs
+    (conductor, exponents)."""
     for orders in itertools.product(ZERO_CERT_ORDERS, repeat=mu):
         conductor = lcm(*orders)
-        yield Character.root_of_unity(conductor, tuple(conductor // o for o in orders))
+        yield conductor, tuple(conductor // o for o in orders)
 
 
 def certify_zero_slope(presentation):
@@ -508,26 +538,40 @@ def certify_zero_slope(presentation):
     This certifies that the computed slope function vanishes; it does not
     certify sliceness.
 
-    The symbolic request leaves the presentation's record in the memo, and
-    the battery asks that record.  Only battery characters where its det
-    vanishes get a solve: Gauss-Jordan on the record's rows at omega
-    (``_Elimination.solve_at``), with nothing built for them.  The
-    presentation was validated by the symbolic request, and no battery
+    It refuses what ``slope_symbolic`` refuses, in the same order and with
+    the same messages: an invalid presentation, then a nonzero linking
+    vector.  It then asks the presentation's record (``_Elimination``),
+    built at its first request and left in the memo, and forms no symbolic
+    slope.  The symbolic slope is the zero function iff column n holds no
+    pivot (``numerators`` is not None), every pairing numerator P_f is the
+    zero polynomial and so is the value numerator V:
+
+    * ``_Elimination.symbolic`` returns the finite kind iff kappa is in
+      the image, which is column n holding no pivot, and in the
+      annihilator of the kernel, which is every P_f being zero.
+    * Its value is -V / det, reduced.  det is a nonzero polynomial (a
+      pivot, or 1), and the Laurent ring is a domain, so -V / det is the
+      zero function iff V is the zero polynomial.
+
+    Only battery characters where det vanishes get a solve: Gauss-Jordan
+    on the record's rows at omega (``_Elimination.solve_at``), the only
+    battery points for which a ``Character`` is built.  No battery
     coordinate is 1, so ``slope_at``'s checks are not repeated.  At every
     other one the pointwise slope is the specialization of the symbolic
     one, by the proof in ``_Elimination``'s docstring, which needs only
-    det(omega) != 0: finite, with value -V(omega) / det(omega), where
-    V / det reduces to the symbolic value, here the zero function, so V is
-    the zero polynomial.  omega passes without a solve.
+    det(omega) != 0: finite, with value -V(omega) / det(omega) = 0.  det
+    is tested for zero on integer coordinates (``characters._at_torsion``),
+    and omega passes without a solve.
     """
-    symbolic = slope_symbolic(presentation)
-    if not symbolic.is_finite() or not symbolic.value.is_zero():
-        return False
+    _refuse_invalid(presentation)
+    _refuse_linked(presentation)
     record = _record(presentation)
-    for omega in _battery(presentation.mu):
-        if not evaluate_at_torsion(record.det, omega).is_zero():
+    if record.numerators is None or any(record.pairings) or record.value:
+        return False
+    for conductor, exponents in _battery(presentation.mu):
+        if any(_at_torsion(record.det, conductor, exponents)[0]):
             continue
-        point = record.solve_at(omega)
+        point = record.solve_at(Character.root_of_unity(conductor, exponents))
         if not point.is_finite() or not point.value.is_zero():
             return False
     return True

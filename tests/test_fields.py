@@ -407,21 +407,42 @@ def test_invert_matches_the_product_of_every_conjugate():
 
 def test_invert_multiplies_log_many_times(monkeypatch):
     # the subgroup chain at N = 125 is one cyclic step of order 100: nine
-    # products for the addition chain of 99, one for the norm and one
-    # scalar product; the per-unit product needed phi(N) - 1 = 99 and more
+    # products for the addition chain of 99 and one for the norm, all made
+    # by _adjugate on integer lists; the per-unit product needed
+    # phi(N) - 1 = 99 and more
     x = CyclotomicNumber(125, [(i % 7) - 3 for i in range(100)])
     calls = []
-    multiply = CyclotomicNumber.__mul__
+    product = fields_module._product
 
-    def counting(self, other):
-        calls.append(other)
-        return multiply(self, other)
+    def counting(a, b):
+        calls.append(b)
+        return product(a, b)
 
-    monkeypatch.setattr(CyclotomicNumber, "__mul__", counting)
+    monkeypatch.setattr(fields_module, "_product", counting)
     inverse = x.invert()
-    assert len(calls) <= 16
+    assert 0 < len(calls) <= 16
     monkeypatch.undo()
     assert x * inverse == 1
+
+
+def test_adjugate_times_x_is_the_positive_norm():
+    # x adj == norm > 0 on integer coordinates, at every conductor, with
+    # negative rationals and one-term elements at N = 1 and 2 and 80-bit
+    # coordinates throughout
+    rng = random.Random(35)
+    for n in INVERT_CONDUCTORS:
+        deg = euler_phi(n)
+        samples = [[-7] + [0] * (deg - 1), [0] * (deg - 1) + [-3], [0] * (deg - 1) + [5]]
+        samples.append([rng.randint(-(2 ** 80), 2 ** 80) for _ in range(deg)])
+        samples.append([rng.randint(-3, 3) for _ in range(deg)])
+        for num in samples:
+            if not any(num):
+                continue
+            adj, norm = fields_module._adjugate(num, n)
+            assert isinstance(norm, int) and norm > 0, (n, num)
+            assert len(adj) == deg and all(isinstance(c, int) for c in adj)
+            x = CyclotomicNumber._from_ints(n, num)
+            assert x * CyclotomicNumber._from_ints(n, adj) == norm, (n, num)
 
 
 def _remainder_by_long_division(coeffs, n):

@@ -31,7 +31,6 @@ from slopelab.slope import (
     FINITE,
     INFINITY,
     UNDEFINED,
-    _battery,
     certify_zero_slope,
     compare_slopes,
     signature_nullity,
@@ -51,6 +50,11 @@ def old_slope_at(p, omega):
     (no validation, no memo)."""
     ctx = Cyclotomic(omega.conductor)
     return slope_from_operator(build_E(p, omega, ctx), [ctx.from_int(k) for k in p.kappa])
+
+
+def _battery(mu):
+    """The characters of ``certify_zero_slope``'s battery."""
+    return [Character.root_of_unity(*point) for point in slope_module._battery(mu)]
 
 
 def old_slope_symbolic(p):
@@ -653,20 +657,29 @@ def _certify_by_direct_solves(p):
 
 
 def test_certify_zero_slope_matches_direct_solves():
-    # differential against the per-character loop, on kappa zero and nonzero;
-    # the cases reach the certificate's zero locus and a rejection made there
+    # differential against the per-character loop, on kappa zero and nonzero
+    # and one mu = 3 battery; every early exit is taken: an infinite symbolic
+    # slope, a finite nonzero one, and a zero one rejected on the locus
     rng = random.Random(5)
-    on_locus = rejected_on_locus = 0
+    cases = []
     for i in range(40):
         mu, n = rng.randint(1, 2), rng.randint(1, 3)
-        p = random_presentation(rng, mu=mu, n=n, bound=1, kappa_zero=i % 2 == 0)
+        cases.append(random_presentation(rng, mu=mu, n=n, bound=1, kappa_zero=i % 2 == 0))
+    cases.append(random_presentation(rng, mu=3, n=2, bound=1, kappa_zero=True))
+    exits = {"infinite": 0, "nonzero": 0, "rejected on the locus": 0}
+    on_locus = 0
+    for p in cases:
         certified = certify_zero_slope(p)
         assert certified == _certify_by_direct_solves(p)
         symbolic = slope_symbolic(p)
-        if symbolic.is_finite() and symbolic.value.is_zero():
-            on_locus += len(_on_locus(symbolic, mu))
-            rejected_on_locus += not certified
-    assert on_locus > 0 and rejected_on_locus > 0
+        if symbolic.kind == INFINITY:
+            exits["infinite"] += 1
+        elif symbolic.is_finite() and not symbolic.value.is_zero():
+            exits["nonzero"] += 1
+        elif symbolic.is_finite():
+            on_locus += len(_on_locus(symbolic, p.mu))
+            exits["rejected on the locus"] += not certified
+    assert on_locus > 0 and all(exits.values()), exits
 
 
 def test_symbolic_slope_specializes_off_the_certificate_locus():
@@ -702,24 +715,26 @@ def test_certify_solves_directly_only_on_the_det_locus(monkeypatch):
     det = slope_module._Elimination(p).det
     locus = [omega for omega in _battery(2) if _vanishes(det, omega)]
     assert len(locus) == 6
-    calls = {"slope_at": [], "_direct": [], "solve_at": []}
+    calls = {"slope_at": [], "_direct": [], "_certificate": [], "solve_at": []}
 
     def counting(owner, name):
         original = getattr(owner, name)
 
-        def counted(first, omega, *args, **kwargs):
-            calls[name].append(omega)
-            return original(first, omega, *args, **kwargs)
+        def counted(first, second, *args, **kwargs):
+            calls[name].append(second)
+            return original(first, second, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
     counting(slope_module, "slope_at")
     counting(slope_module, "_direct")
+    counting(slope_module, "_certificate")
     counting(slope_module._Elimination, "solve_at")
     assert certify_zero_slope(p)
-    # the one symbolic solve, then one solve on the record's rows per
-    # character where det vanishes, which skips slope_at's checks
-    assert calls == {"slope_at": [Character.symbolic(2)], "_direct": [], "solve_at": locus}
+    # no symbolic slope and no certificate: the record is read directly,
+    # then one solve on its rows per character where det vanishes, which
+    # skips slope_at's checks
+    assert calls == {"slope_at": [], "_direct": [], "_certificate": [], "solve_at": locus}
 
 
 def test_three_colors_smoke(rng):

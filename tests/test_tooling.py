@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import slopelab.slope as slope_module
-from slopelab.characters import evaluate_at_torsion
+from slopelab.characters import Character, evaluate_at_torsion
 from slopelab.fields import CyclotomicNumber, RatFunc
 from slopelab.laurent import LaurentPoly
 
@@ -275,7 +275,11 @@ def test_symbolic_path_seed_0_digest_matches_the_record(monkeypatch, tmp_path, n
     assert got[:3] == (count, 0, [])
     assert got[3] == got[4]
     if name == "certify":
-        pairs = [(p, omega) for p in got[5] for omega in slope_module._battery(p.mu)]
+        pairs = [
+            (p, Character.root_of_unity(*point))
+            for p in got[5]
+            for point in slope_module._battery(p.mu)
+        ]
         assert got[6] == [True] * _det_zeros(pairs) == [True] * 10
 
 
