@@ -197,12 +197,8 @@ def _at_torsion(p, conductor, exponents):
     terms = p.terms
     den = _int_lcm(*map(_denominator, terms.values()))
     coeffs = [0] * conductor
-    if den == 1:
-        for e, c in terms.items():
-            coeffs[sum(map(mul, e, exponents)) % conductor] += c.numerator
-    else:
-        for e, c in terms.items():
-            coeffs[sum(map(mul, e, exponents)) % conductor] += c.numerator * (den // c.denominator)
+    for e, c in terms.items():
+        coeffs[sum(map(mul, e, exponents)) % conductor] += c.numerator * (den // c.denominator)
     return _reduce_mod_phi(coeffs, conductor), den
 
 
