@@ -286,6 +286,11 @@ def _product(a, b):
     return prod
 
 
+def _times(a, b, conductor):
+    """The product of two coordinate lists, reduced modulo Phi_N."""
+    return _reduce_mod_phi(_product(a, b), conductor)
+
+
 @lru_cache(maxsize=None)
 def _galois_chain(conductor):
     """Steps (g, m) of a subgroup chain {1} = H_0 < H_1 < ... = (Z/N)^*.
@@ -325,11 +330,11 @@ def _adjugate(num, conductor):
     adj is the product of the Galois conjugates sigma_u(x), u != 1, formed
     along ``_galois_chain`` as ``CyclotomicNumber``'s docstring describes,
     every product an integer list reduced modulo Phi_N and nothing brought
-    to lowest terms; norm is then N(x), which is positive: x has no
-    one-term form here, so N >= 3 and the conjugates come in complex
-    conjugate pairs, N(x) being the product of their |sigma_u(x)|^2.  A
-    one-term x = c t^j (every x when N is 1 or 2) gives adj = +-zeta^(-j)
-    and norm = |c|.
+    to lowest terms; norm is then N(x).  A one-term x = c t^j (every x
+    when N is 1 or 2) skips the chain: adj = +-zeta^(-j) and norm = |c|.
+    Any other x has two terms, so phi(N) >= 2 and N >= 3, where the
+    conjugates come in complex conjugate pairs and N(x), the product of
+    |sigma_u(x)|^2 over one u of each pair, is positive.
     """
     n = conductor
     terms = [j for j, c in enumerate(num) if c]
@@ -348,13 +353,12 @@ def _adjugate(num, conductor):
         # P(a + 1) = P(a) sigma_{g^a}(y)
         p, a = y, 1
         for bit in bin(m - 1)[3:]:
-            p, a = _reduce_mod_phi(_product(p, _galois_coords(p, pow(g, a, n), n)), n), 2 * a
+            p, a = _times(p, _galois_coords(p, pow(g, a, n), n), n), 2 * a
             if bit == "1":
-                p = _reduce_mod_phi(_product(p, _galois_coords(y, pow(g, a, n), n)), n)
-                a += 1
+                p, a = _times(p, _galois_coords(y, pow(g, a, n), n), n), a + 1
         r = _galois_coords(p, g, n)
-        others = r if others is None else _reduce_mod_phi(_product(others, r), n)
-        y = _reduce_mod_phi(_product(y, r), n)
+        others = r if others is None else _times(others, r, n)
+        y = _times(y, r, n)
     # y is now the norm, fixed by every sigma_u, so a rational: y[0]
     return others, y[0]
 
@@ -556,7 +560,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num = _reduce_mod_phi(_product(self.num, other.num), self.conductor)
+        num = _times(self.num, other.num, self.conductor)
         return CyclotomicNumber._from_ints(self.conductor, num, self.den * other.den)
 
     __rmul__ = __mul__

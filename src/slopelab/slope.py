@@ -39,8 +39,7 @@ from .fields import (
     RatFunc,
     RationalFunctionField,
     _adjugate,
-    _product,
-    _reduce_mod_phi,
+    _times,
     resolve_tolerance,
 )
 from .laurent import LaurentPoly, normalize_poly
@@ -309,17 +308,17 @@ class _Elimination:
             return sv
         adj, norm = _adjugate(det, n)
 
-        def over_det(p, sign):
-            # sign p(omega) / det(omega) = sign num det_den adj / (den norm)
+        def over_det(p, scale):
+            # with p(omega) = num / den and det(omega) = det / det_den,
+            # +-p(omega) / det(omega) = num (+-det_den) adj / (den norm)
             num, den = _at_torsion(p, n, ks)
-            num = _reduce_mod_phi(_product(num, adj), n)
-            scale = sign * det_den
-            return CyclotomicNumber._from_ints(n, [scale * c for c in num], den * norm)
+            num = [scale * c for c in _times(num, adj, n)]
+            return CyclotomicNumber._from_ints(n, num, den * norm)
 
         witness = [CyclotomicNumber.zero(n)] * self.n
         for c, num in self.numerators:
-            witness[c] = over_det(num, 1)
-        value = over_det(self.value, -1)
+            witness[c] = over_det(num, det_den)
+        value = over_det(self.value, -det_den)
         return SlopeValue(FINITE, value, tuple(witness), CaseReport(True, True))
 
     def solve_at(self, omega):
