@@ -537,17 +537,18 @@ def certify_zero_slope(presentation):
     This certifies that the computed slope function vanishes; it does not
     certify sliceness.
 
-    It refuses what ``slope_symbolic`` refuses, in the same order and with
-    the same messages: an invalid presentation, then a nonzero linking
-    vector.  It then asks the presentation's record (``_Elimination``),
-    built at its first request and left in the memo, and forms no symbolic
-    slope.  The symbolic slope is the zero function iff column n holds no
-    pivot (``numerators`` is not None), every pairing numerator P_f is the
-    zero polynomial and so is the value numerator V:
+    Like ``slope_symbolic``, it refuses an invalid presentation, then a
+    nonzero linking vector, with the same messages.  It then asks the
+    presentation's record (``_Elimination``), built at its first request
+    and left in the memo, and forms no symbolic slope.  The symbolic slope
+    is the zero function iff column n holds no pivot (``numerators`` is
+    not None), every pairing numerator P_f is the zero polynomial and so
+    is the value numerator V:
 
-    * ``_Elimination.symbolic`` returns the finite kind iff kappa is in
-      the image, which is column n holding no pivot, and in the
-      annihilator of the kernel, which is every P_f being zero.
+    * ``slope_symbolic`` returns the record's ``symbolic()``, which is of
+      the finite kind iff kappa is in the image, which is column n
+      holding no pivot, and in the annihilator of the kernel, which is
+      every P_f being zero.
     * Its value is -V / det, reduced.  det is a nonzero polynomial (a
       pivot, or 1), and the Laurent ring is a domain, so -V / det is the
       zero function iff V is the zero polynomial.
