@@ -31,6 +31,7 @@ import cmath
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from operator import attrgetter, mul
@@ -46,6 +47,7 @@ from .fields import (
 )
 from .laurent import (
     LaurentPoly,
+    _cyclotomic_coeffs,
     cyclotomic_minimal_poly,
     divisors,
     euler_phi,
@@ -200,6 +202,63 @@ def _at_torsion(p, conductor, exponents):
     for e, c in terms.items():
         coeffs[sum(map(mul, e, exponents)) % conductor] += c.numerator * (den // c.denominator)
     return _reduce_mod_phi(coeffs, conductor), den
+
+
+# the product of the primes below 100, a sieve ahead of the Fermat test
+_SMALL_PRIMES = 2305567963945518424753102147331756070
+
+
+@lru_cache(maxsize=None)
+def _modular_root(conductor):
+    """(q, powers) for ``_nonzero_at_torsion`` at conductor N: q = 1 (mod N)
+    above 2^61, and powers[j] = g^j mod q for j < N, with g = h^((q - 1) / N)
+    for the least h >= 2 that passes both checks g^N = 1 and Phi_N(g) = 0
+    (mod q) (Phi_N from ``laurent._cyclotomic_coeffs``).
+
+    The test relies on those two checks alone, not on q being prime; the
+    sieve and the Fermat test only steer the search toward primes, where
+    such a g exists (for prime q, Phi_N(g) = 0 exactly when g has order
+    N, as it does for most h).
+    """
+    phi = _cyclotomic_coeffs(conductor)
+    q = (1 << 61) // conductor * conductor + 1
+    while True:
+        if q > 1 << 61 and _int_gcd(q, _SMALL_PRIMES) == 1 and pow(2, q - 1, q) == 1:
+            for h in range(2, 64):
+                g = pow(h, (q - 1) // conductor, q)
+                powers = [1]
+                for _ in range(conductor):
+                    powers.append(powers[-1] * g % q)
+                if powers[conductor] == 1 and sum(map(mul, phi, powers)) % q == 0:
+                    return q, powers[:conductor]
+        q += conductor
+
+
+def _nonzero_at_torsion(p, conductor, exponents):
+    """Whether p(omega) != 0 at the torsion character with coordinates
+    zeta_N^k, N the conductor and k the exponents: decided by one residue
+    modulo q when it is nonzero, and by ``_at_torsion`` when it is zero.
+
+    Proof.  With (q, powers) from ``_modular_root``, t -> g is a ring
+    homomorphism Z[t] -> Z/q that kills Phi_N, since Phi_N(g) = 0 (mod q),
+    so it factors through Z[t]/(Phi_N) = Z[zeta_N]; and g^N = 1 (mod q), so
+    t^j and t^(j mod N) have one image.  Let den be the lcm of the
+    coefficients' denominators, the scaling of ``_at_torsion`` (den = 1
+    when every coefficient is an ``int``).  den * p(omega) is in Z[zeta_N],
+    and its image is den times the sum of c * g^(e . k mod N) over the
+    terms c w^e, reduced modulo q.  A ring homomorphism sends 0 to 0, so
+    a nonzero image proves den * p(omega), hence p(omega), nonzero.  No
+    primality of q enters: the checked g alone makes the map well defined.
+    A zero image proves nothing, since p(omega) may be a nonzero element
+    of the kernel (q itself is one), and the exact coordinates decide.
+    """
+    q, powers = _modular_root(conductor)
+    image = 0
+    for e, c in p.terms.items():
+        image += c * powers[sum(map(mul, e, exponents)) % conductor]
+    if type(image) is Fraction:
+        image = (image * _int_lcm(*map(_denominator, p.terms.values()))).numerator
+    return image % q != 0 or any(_at_torsion(p, conductor, exponents)[0])
 
 
 def hermitian_at_torsion(presentation, omega):

@@ -22,6 +22,7 @@ from math import lcm
 from .characters import (
     Character,
     _at_torsion,
+    _nonzero_at_torsion,
     default_context_for,
     evaluate_at_torsion,
     hermitian_at_torsion,
@@ -559,9 +560,14 @@ def certify_zero_slope(presentation):
     coordinate is 1, so ``slope_at``'s checks are not repeated.  At every
     other one the pointwise slope is the specialization of the symbolic
     one, by the proof in ``_Elimination``'s docstring, which needs only
-    det(omega) != 0: finite, with value -V(omega) / det(omega) = 0.  det
-    is tested for zero on integer coordinates (``characters._at_torsion``),
-    and omega passes without a solve.
+    det(omega) != 0: finite, with value -V(omega) / det(omega) = 0.
+
+    det(omega) != 0 is proved by a checked modular image
+    (``characters._nonzero_at_torsion``): t -> g with Phi_N(g) = 0 modulo
+    q is a ring homomorphism Z[zeta_N] -> Z/q, so a nonzero image of
+    det(omega) proves det(omega) nonzero, and omega passes without a
+    solve.  Only a zero image falls back to det's integer coordinates
+    (``characters._at_torsion``), which decide exactly.
     """
     _refuse_invalid(presentation)
     _refuse_linked(presentation)
@@ -569,7 +575,7 @@ def certify_zero_slope(presentation):
     if record.numerators is None or any(record.pairings) or record.value:
         return False
     for conductor, exponents in _battery(presentation.mu):
-        if any(_at_torsion(record.det, conductor, exponents)[0]):
+        if _nonzero_at_torsion(record.det, conductor, exponents):
             continue
         point = record.solve_at(Character.root_of_unity(conductor, exponents))
         if not point.is_finite() or not point.value.is_zero():

@@ -7,6 +7,8 @@ from math import gcd
 
 import pytest
 
+import slopelab.characters as characters_module
+import slopelab.slope as slope_module
 from slopelab.characters import (
     NOT_ROOT,
     ROOT,
@@ -32,6 +34,8 @@ from slopelab.seifert import (
     sign_string,
 )
 from slopelab.slope import signature_nullity
+
+from conftest import random_nonzero_laurent
 
 
 # -- character basics -------------------------------------------------------------
@@ -204,6 +208,82 @@ def test_evaluate_at_torsion_refusals():
         evaluate_at_torsion(p, Character.numeric([1j, -1j]))
     with pytest.raises(UsageError, match="number of variables"):
         evaluate_at_torsion(p, Character.root_of_unity(5, (1,)))
+
+
+def _exactly_nonzero(p, conductor, exponents):
+    return any(characters_module._at_torsion(p, conductor, exponents)[0])
+
+
+def _on_variable(poly, mu, i):
+    """A univariate polynomial as a polynomial in w_i of mu variables."""
+    return LaurentPoly(mu, {tuple(e if v == i else 0 for v in range(mu)): c
+                            for (e,), c in poly.terms.items()})
+
+
+def test_nonzero_at_torsion_matches_the_exact_test():
+    """The modular test agrees with the integer coordinates on random
+    polynomials with int and Fraction coefficients, some made to vanish by
+    a factor Phi_d(w_i), at every battery point and at sampled prime-power
+    characters."""
+    rng = random.Random(36)
+    outcomes = {True: 0, False: 0}
+    for mu in (1, 2, 3):
+        points = list(slope_module._battery(mu))
+        for seed in range(3):
+            points += [(omega.conductor, omega.exponents)
+                       for omega in sample_safe_characters(mu, (0,) * mu, 12, seed)]
+        polys = [LaurentPoly.zero(mu), LaurentPoly.one(mu)]
+        for d in slope_module.ZERO_CERT_ORDERS:
+            factor = _on_variable(cyclotomic_minimal_poly(d), mu, rng.randrange(mu))
+            polys += [random_nonzero_laurent(rng, mu) * factor,
+                      _random_fraction_poly(rng, mu) * factor]
+        polys += [random_nonzero_laurent(rng, mu) for _ in range(3)]
+        polys += [_random_fraction_poly(rng, mu) for _ in range(3)]
+        for p in polys:
+            for conductor, exponents in points:
+                got = characters_module._nonzero_at_torsion(p, conductor, exponents)
+                assert got == _exactly_nonzero(p, conductor, exponents), (p, conductor, exponents)
+                outcomes[got] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 100
+
+
+def test_nonzero_at_torsion_falls_back_only_on_a_zero_image(monkeypatch):
+    """p = q f has image zero modulo q although p(omega) != 0: the exact
+    coordinates decide it nonzero.  A nonzero image needs no coordinates."""
+    exact = []
+
+    def counted(p, conductor, exponents):
+        exact.append(p)
+        return original(p, conductor, exponents)
+
+    original = characters_module._at_torsion
+    monkeypatch.setattr(characters_module, "_at_torsion", counted)
+    for conductor, exponents in ((9, (1, 3)), (40, (5, 8)), (72, (8, 9))):
+        q, _ = characters_module._modular_root(conductor)
+        for f in (LaurentPoly(2, {(1, 0): 1, (0, 2): -3, (0, 0): 2}),
+                  LaurentPoly(2, {(2, -1): Fraction(1, 6), (0, 0): Fraction(-5, 4)})):
+            assert _exactly_nonzero(f, conductor, exponents)
+            exact.clear()
+            assert characters_module._nonzero_at_torsion(f, conductor, exponents)
+            assert exact == []
+            alarm = f * q
+            assert characters_module._nonzero_at_torsion(alarm, conductor, exponents)
+            assert exact == [alarm]
+
+
+def test_modular_roots_are_checked_roots_of_phi():
+    """Every cached (q, powers) up to conductor 360, which covers the
+    mu = 3 battery, has q = 1 (mod N) above 2^61, powers[j] = g^j, g^N = 1
+    and Phi_N(g) = 0 modulo q."""
+    assert max(conductor for conductor, _ in slope_module._battery(3)) == 360
+    for conductor in range(1, 361):
+        q, powers = characters_module._modular_root(conductor)
+        g = powers[1 % conductor]
+        assert q > 1 << 61 and (q - 1) % conductor == 0 and len(powers) == conductor
+        assert powers == [pow(g, j, q) for j in range(conductor)]
+        assert pow(g, conductor, q) == 1
+        phi = cyclotomic_minimal_poly(conductor).terms
+        assert sum(c * pow(g, e, q) for (e,), c in phi.items()) % q == 0
 
 
 # -- the Cimasoni-Florens matrix ---------------------------------------------------

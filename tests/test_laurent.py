@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from slopelab.laurent import (
     _cyclotomic_coeffs,
     _gcd_rec,
     _image_gcd_degree,
+    _place_values,
     cyclotomic_minimal_poly,
     divisors,
     euler_phi,
@@ -648,6 +651,51 @@ def _evaluated(p, radix, width):
         s.append(place)
         place *= r
     return sum(c << (8 * width * sum(e * x for e, x in zip(es, s))) for es, c in p.terms.items())
+
+
+def _bytearray_pack(p, radix, width):
+    """The earlier ``kronecker_pack`` body, kept as the oracle: each side's
+    digits laid out little-endian in a bytearray and read with one
+    ``int.from_bytes``."""
+    if not p.terms:
+        return 0
+    s = _place_values(radix)
+    at = [sum(map(mul, e, s)) * width for e in p.terms]
+    size = max(at) + width
+    plus, minus = bytearray(size), bytearray(size)
+    for i, c in zip(at, p.terms.values()):
+        if c > 0:
+            plus[i:i + width] = c.to_bytes(width, "little")
+        else:
+            minus[i:i + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
+def test_kronecker_pack_matches_the_bytearray_packing():
+    """Packing by shifts gives the integer the bytearray packing gave, on
+    random multivariate polynomials in the box, the zero polynomial and
+    digits of +-(2^(8 width - 1) - 1), and every image unpacks to its
+    polynomial."""
+    rng = random.Random(36)
+    checked = 0
+    for width in (1, 2, 4, 8, 17):
+        top = (1 << (8 * width - 1)) - 1
+        for radix in ((), (1,), (7,), (4, 3), (3, 1, 5), (2, 3, 2, 3)):
+            n = len(radix)
+            box = list(itertools.product(*map(range, radix)))
+            polys = [LaurentPoly.zero(n), LaurentPoly(n, {e: top for e in box}),
+                     LaurentPoly(n, {e: -top for e in box}),
+                     LaurentPoly(n, {box[-1]: top, box[0]: -top})]
+            for _ in range(12):
+                digits = (top, -top, rng.randint(-top, top), rng.randint(-9, 9))
+                terms = rng.sample(box, rng.randint(1, len(box)))
+                polys.append(LaurentPoly(n, {e: rng.choice(digits) for e in terms}))
+            for p in polys:
+                k = kronecker_pack(p, radix, width)
+                assert type(k) is int and k == _bytearray_pack(p, radix, width)
+                assert kronecker_unpack(k, radix, width) == p
+                checked += 1
+    assert checked == 5 * 6 * 16
 
 
 def test_kronecker_round_trip_at_extreme_digits():

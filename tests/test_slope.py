@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import slopelab.characters as characters_module
 import slopelab.linalg as linalg_module
 import slopelab.seifert as seifert_module
 import slopelab.slope as slope_module
@@ -735,6 +736,27 @@ def test_certify_solves_directly_only_on_the_det_locus(monkeypatch):
     # then one solve on its rows per character where det vanishes, which
     # skips slope_at's checks
     assert calls == {"slope_at": [], "_direct": [], "_certificate": [], "solve_at": locus}
+
+
+def test_certify_reads_det_coordinates_only_on_the_det_locus(monkeypatch):
+    """The battery proves det(omega) != 0 by its modular image, so det's
+    integer coordinates are formed only where det vanishes."""
+    p = CComplexPresentation.build(
+        2, 2, {"++": [[2, 0], [-1, 0]], "-+": [[-1, 0], [1, 0]]}, [0, 0]
+    )
+    det = slope_module._Elimination(p).det
+    locus = [(omega.conductor, omega.exponents) for omega in _battery(2) if _vanishes(det, omega)]
+    on_det = []
+    original = characters_module._at_torsion
+
+    def counted(poly, conductor, exponents):
+        if poly == det:
+            on_det.append((conductor, exponents))
+        return original(poly, conductor, exponents)
+
+    monkeypatch.setattr(characters_module, "_at_torsion", counted)
+    assert certify_zero_slope(p)
+    assert on_det == locus and len(locus) == 6
 
 
 def test_three_colors_smoke(rng):
