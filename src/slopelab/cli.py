@@ -121,8 +121,10 @@ def parse_character_spec(spec, mu=None, single=None):
             )
         values = []
         for r in raw:
+            # only a trailing i is the imaginary unit, so num:inf is infinite
+            z = r.strip()
             try:
-                values.append(complex(r.strip().replace("i", "j")))
+                values.append(complex(z[:-1] + "j" if z.endswith("i") else z))
             except ValueError as exc:
                 raise UsageError(f"bad complex coordinate {r!r}") from exc
         return Character.numeric(values)

@@ -819,12 +819,6 @@ def _stripped_gcd(a, b, images):
     return normalize_poly(_gcd_rec(a, b))
 
 
-def poly_lcm(p, q):
-    if p.is_zero() or q.is_zero():
-        return LaurentPoly.zero(p.num_vars)
-    return normalize_poly(exact_div(p * q, poly_gcd(p, q)))
-
-
 # -- elementary number theory and cyclotomic polynomials ----------------------
 
 

@@ -1,37 +1,28 @@
-"""Dense linear algebra generic over a field context.
+"""Dense linear algebra over Q(zeta_N) and the approximate complex numbers,
+and the fraction-free kernel of ``slope``'s per-presentation records.
 
-There are two eliminations.  Over the rational function field, forward
-and backward elimination run fraction-free (one-step Bareiss style
-divisions, always exact) so the intermediate polynomials stay small.  The
-kernel, ``_echelon_fraction_free``, takes rows already cleared of
-denominators and scaled to integer polynomials.  ``slope``'s
-per-presentation records get those rows straight from the presentation
-(``seifert.symbolic_rows``), with no rational function on the way.  Only
-generic ``RatFunc`` input, through ``solve`` and ``rank``, is cleared
-here: each row by the lcm L of its denominators (``poly_lcm``), and
-``_integral`` scales the cleared row.  Q(zeta_N) and the
-approximate complex numbers share one Gauss-Jordan loop with two pivot
-rules; callers mark approximate results through ``ctx.is_exact``.
+``solve`` and ``rank`` run Gauss-Jordan elimination.  Q(zeta_N) and the
+approximate complex numbers share one loop with two pivot rules; callers
+mark approximate results through ``ctx.is_exact``.  Both refuse a matrix
+over the rational function field: symbolic answers come from
+``slope.slope_symbolic``, whose records eliminate the presentation's
+integer rows (``seifert.symbolic_rows``) with the kernel below.
 
-Each fraction-free step multiplies every other row by the new pivot p_k and
-divides exactly by the previous pivot, so once all pivots are taken every
-pivot row is det * (its row of the reduced row echelon form), det being the
-last pivot.  At step k the entries of the pivot columns are known before
-any arithmetic: p_k in each pivot row's own pivot column and zero elsewhere
+The kernel, ``_echelon_fraction_free``, is a one-step Bareiss elimination.
+Each step multiplies every other row by the new pivot p_k and divides
+exactly by the previous pivot, so once all pivots are taken every pivot
+row is det * (its row of the reduced row echelon form), det being the last
+pivot.  At step k the entries of the pivot columns are known before any
+arithmetic: p_k in each pivot row's own pivot column and zero elsewhere
 (the induction is in ``_echelon_fraction_free``), so only the other
 columns are multiplied out and divided.  The elimination stops there and
 returns those polynomial rows with the pivots, so it makes no gcd call;
-``slope``'s per-presentation records read their slopes off the rows, as
-polynomials over det or evaluated at a point.  ``solve`` reduces only the
-entries callers see as fractions to ``RatFunc``: the free columns (the
-kernel basis) and the right-hand side (the particular solution), all
-over det, in one call that prepares det once (``RatFunc.over``).  The
-pivot columns are det times the identity and are read back as one and
-zero.
+the records read their slopes off the rows, as polynomials over det or
+evaluated at a point.
 
-The steps run on one Python integer per entry.  Each cleared row is
-scaled once by a unit c_i w^-m_i into integer polynomials with exponents
-in [0, span_i], and each entry becomes its Kronecker image, its value at
+The steps run on one Python integer per entry.  Each row comes scaled by
+a monomial unit w^-m_i into integer polynomials with exponents in
+[0, span_i], and each entry becomes its Kronecker image, its value at
 w_v = 2^(8 W s_v): s_v are the place values of the mixed radix
 radix_v = 2 sum_i span_i,v + 1, and the digit width W bytes holds
 bit_length(2 H^2) + 1 bits, H the product of the rows' 1-norms (each at
@@ -40,7 +31,7 @@ exponents in [0, sum_i span_i,v], so every product p * x - f * y a step
 forms has a faithful image: a product or an exact quotient of
 polynomials is one big-integer operation.  Only the pivots and the
 non-pivot columns of the pivot rows are unpacked
-(``laurent.kronecker_unpack``) and divided by the units of the rows
+(``laurent.kronecker_unpack``) and shifted back by the units of the rows
 taken; the proof is in the ``_echelon_fraction_free`` docstring.
 """
 
@@ -48,19 +39,16 @@ from __future__ import annotations
 
 from cmath import isfinite
 from fractions import Fraction
-from functools import reduce
-from math import inf, lcm
-from operator import sub
+from math import inf
+from operator import add
 
 from .errors import UsageError
-from .fields import ApproxComplex, Cyclotomic, CyclotomicNumber, RatFunc, RationalFunctionField
+from .fields import ApproxComplex, Cyclotomic, CyclotomicNumber, RationalFunctionField
 from .laurent import (
     LaurentPoly,
-    _div_term,
-    exact_div,
+    exact_div,  # unused here, but slopebench/tracer.py binds linalg:exact_div
     kronecker_pack,
     kronecker_unpack,
-    poly_lcm,
 )
 from .record import Record
 
@@ -114,28 +102,17 @@ class SolveResult(Record):
     status: str
     particular: tuple | None
     kernel_basis: tuple
-    pivot_polys: tuple = ()
 
 
 class _Echelon(Record):
-    # the reduced row echelon form; None on the fraction-free path
-    rows: list | None
+    # the reduced row echelon form and its pivot columns
+    rows: list
     pivots: list
-    pivot_polys: tuple = ()
-    # fraction-free path only: the eliminated rows as polynomials, each
-    # pivot row pivot_polys[-1] times its row of the reduced form
-    poly_rows: list | None = None
 
 
 def _echelon(rows, ncols, ctx):
-    if isinstance(ctx, RationalFunctionField):
-        n = ctx.num_vars
-        return _echelon_fraction_free([_integral(_cleared(row, n), n) for row in rows], ncols, n)
-    return _echelon_division(rows, ncols, ctx)
-
-
-def _echelon_division(rows, ncols, ctx):
-    """Gauss-Jordan elimination to reduced row echelon form.
+    """Gauss-Jordan elimination to reduced row echelon form, over Q(zeta_N)
+    or the approximate complex numbers.
 
     Exact contexts pivot on the first nonzero entry of the column (``bool``
     of a scalar is nonzero-ness) and update each entry x of a row with the
@@ -143,6 +120,11 @@ def _echelon_division(rows, ncols, ctx):
     context pivots on the largest magnitude above tol * max(1, largest
     entry), the first on a tie.
     """
+    if isinstance(ctx, RationalFunctionField):
+        raise UsageError(
+            "solve and rank take Q(zeta_N) and ApproxComplex matrices; symbolic "
+            "answers come from slope_symbolic, on the rows of seifert.symbolic_rows"
+        )
     work = [list(r) for r in rows]
     if not ctx.is_exact:
         scale = max((abs(x) for row in work for x in row), default=0.0)
@@ -175,32 +157,6 @@ def _echelon_division(rows, ncols, ctx):
     return _Echelon(work, pivots)
 
 
-def _cleared(row, num_vars):
-    """The numerators of a row times the lcm of its denominators."""
-    dens = (x.den for x in row if not x.is_polynomial())
-    common = reduce(poly_lcm, dens, LaurentPoly.one(num_vars))
-    return [x.num * exact_div(common, x.den) for x in row]
-
-
-def _integral(row, num_vars):
-    """(c, m, row'): row' = c w^-m row, c the lcm of the row's coefficient
-    denominators and m its per-variable minimum exponent, so row' holds
-    integer polynomials with minimum exponent 0 (m is 0 for a zero row)."""
-    terms = [t for x in row for t in x.terms.items()]
-    if not terms:
-        return 1, (0,) * num_vars, row
-    m = tuple(map(min, zip(*(e for e, _ in terms))))
-    c = reduce(lcm, (coeff.denominator for _, coeff in terms), 1)
-    out = [
-        LaurentPoly._make(num_vars, {
-            tuple(map(sub, e, m)): coeff.numerator * (c // coeff.denominator)
-            for e, coeff in x.terms.items()
-        })
-        for x in row
-    ]
-    return c, m, out
-
-
 def _layout(rows, num_vars):
     """(radix, width) of the Kronecker images of the integral rows: radix_v
     = 2 sum_i span_i,v + 1, span_i,v the largest exponent of w_v in row i,
@@ -217,10 +173,9 @@ def _layout(rows, num_vars):
     return tuple(radix), ((2 * h * h).bit_length() + 8) // 8
 
 
-def _unscaled(k, radix, width, scale, shift):
-    """The polynomial with Kronecker image k, divided by scale * w^shift."""
-    x = kronecker_unpack(k, radix, width)
-    return x if scale == 1 and not any(shift) else _div_term(x, shift, scale)
+def _unscaled(k, radix, width, shift):
+    """The polynomial with Kronecker image k, divided by the unit w^-shift."""
+    return kronecker_unpack(k, radix, width).shift(shift)
 
 
 def _exact_quotient(a, d):
@@ -232,8 +187,10 @@ def _exact_quotient(a, d):
 
 
 def _echelon_fraction_free(scaled, ncols, n):
-    """One-step Bareiss Gauss-Jordan elimination of cleared rows, given
-    scaled (``_integral``) as (c_i, m_i, S_i), run on one integer per entry.
+    """One-step Bareiss Gauss-Jordan elimination of the rows R_i, given
+    scaled as (m_i, S_i), S_i = w^-m_i R_i (``seifert.symbolic_rows``), run
+    on one integer per entry.  Returns (rows, pivot columns, pivots) of the
+    elimination of the R_i.
 
     Step r takes the pivot p in column c and replaces every other row i by
     (p * row_i - f * row_r) / prev, f being row i's entry in column c and
@@ -249,16 +206,16 @@ def _echelon_fraction_free(scaled, ncols, n):
       the earlier pivot rows still carry, is the exact division
       (``_exact_quotient``, which checks that the remainder is zero).
 
-    The pivot row itself is left as it is.  So at the end each pivot row
-    holds det, the last pivot, in its own pivot column and zero in the
+    The pivot row itself is left as it is.  No step reads a pivot column
+    again, so the known entries are not stored.  At the end each pivot
+    row holds det, the last pivot, in its own pivot column and zero in the
     other pivot columns; only its other columns and the pivots are read
-    back as polynomials.
+    back as polynomials, and det is written into its own pivot column.
 
-    The steps run on integers.  Each cleared row R_i comes scaled by the
-    unit u_i = c_i w^-m_i into S_i = u_i R_i, integer polynomials with
-    minimum exponent 0 (``_integral``, or ``seifert.symbolic_rows`` for the
-    rows of a presentation), and each entry x of the S_i is replaced by
-    its Kronecker image K(x), x evaluated at w_v = 2^(8 W s_v)
+    The steps run on integers.  Each row R_i comes scaled by the monomial
+    unit u_i = w^-m_i into S_i = u_i R_i, integer polynomials with minimum
+    exponent 0, and each entry x of the S_i is replaced by its Kronecker
+    image K(x), x evaluated at w_v = 2^(8 W s_v)
     (``laurent.kronecker_pack``), with radix_v = 2 sum_i span_i,v + 1, s_v
     the mixed-radix place values and W bytes holding bit_length(2 H^2) + 1
     bits (``_layout``).  Soundness:
@@ -273,10 +230,10 @@ def _echelon_fraction_free(scaled, ncols, n):
       pivot row (V_(k-1) u_r = V_k).  Units are not zero divisors, so an
       entry is zero exactly when the unscaled one is: the scaled run takes
       the same pivots and row swaps.  The pivot of step k is therefore
-      unscaled by V_k, and the final pivot rows by V_(r-1); the V are
-      exact units (a positive integer times a monomial), and dividing by
-      them gives back ``Fraction`` coefficients where the unscaled run had
-      them.
+      unscaled by V_k, and the final pivot rows by V_(r-1).  Each V is a
+      monomial w^-(m sum) with coefficient 1, so dividing by it shifts the
+      exponents by the summed m (``_unscaled``) and keeps every
+      coefficient the integer it is in the scaled run.
     * Every value is in the box.  Each stored entry of the scaled run is,
       up to sign, a minor of the scaled matrix (Sylvester's identity, and
       Cramer's rule for the earlier pivot rows).  Each term of a minor is
@@ -300,9 +257,9 @@ def _echelon_fraction_free(scaled, ncols, n):
       reads the images, and ``laurent.kronecker_unpack`` recovers each
       polynomial read back.
     """
-    radix, width = _layout([s for _, _, s in scaled], n)
-    units = [(c, m) for c, m, _ in scaled]
-    work = [[kronecker_pack(x, radix, width) for x in s] for _, _, s in scaled]
+    radix, width = _layout([s for _, s in scaled], n)
+    units = [m for m, _ in scaled]
+    work = [[kronecker_pack(x, radix, width) for x in s] for _, s in scaled]
     prev = 1
     pivots = []
     pivot_images = []
@@ -323,8 +280,6 @@ def _echelon_fraction_free(scaled, ncols, n):
             new = [0] * ncols
             for j in unknown:
                 new[j] = _exact_quotient(p * row[j] - f * pivot_row[j], prev)
-            if i < r:
-                new[pivots[i]] = p
             work[i] = new
         prev = p
         pivots.append(c)
@@ -332,27 +287,27 @@ def _echelon_fraction_free(scaled, ncols, n):
         r += 1
     assert not any(any(row) for row in work[r:]), "nonzero row below the pivot rows"
 
-    # V_k = scale * w^shift, the product of the units of the rows taken so far
-    scale, shift = 1, (0,) * n
+    # V_k = w^-shift, the product of the units of the rows taken so far
+    shift = (0,) * n
     pivot_polys = []
-    for (u, m), k in zip(units, pivot_images):
-        scale, shift = scale * u, tuple(map(sub, shift, m))
-        pivot_polys.append(_unscaled(k, radix, width, scale, shift))
+    for m, k in zip(units, pivot_images):
+        shift = tuple(map(add, shift, m))
+        pivot_polys.append(_unscaled(k, radix, width, shift))
     zero = LaurentPoly.zero(n)
-    poly_rows = [[zero] * ncols for _ in work]
+    rows = [[zero] * ncols for _ in work]
     for i, own in enumerate(pivots):
-        row = poly_rows[i]
+        row = rows[i]
         for j, k in enumerate(work[i]):
             if j not in pivots:
-                row[j] = _unscaled(k, radix, width, scale, shift)
+                row[j] = _unscaled(k, radix, width, shift)
         row[own] = pivot_polys[-1]
-    return _Echelon(None, pivots, pivot_polys=tuple(pivot_polys), poly_rows=poly_rows)
+    return rows, pivots, tuple(pivot_polys)
 
 
 def rank(m):
-    """Rank over the matrix's field (approximate in ApproxComplex)."""
-    ech = _echelon(m.entries, m.cols, m.ctx)
-    return len(ech.pivots)
+    """Rank over Q(zeta_N), or approximate in ApproxComplex; a matrix over
+    the rational function field is refused (``_echelon``)."""
+    return len(_echelon(m.entries, m.cols, m.ctx).pivots)
 
 
 def _kernel_from_echelon(rows, pivots, ncols, ctx):
@@ -371,7 +326,9 @@ def _kernel_from_echelon(rows, pivots, ncols, ctx):
 
 
 def solve(m, b):
-    """Solve M x = b, reporting a particular solution and a kernel basis.
+    """Solve M x = b over Q(zeta_N) or ApproxComplex, reporting a
+    particular solution and a kernel basis; a matrix over the rational
+    function field is refused (``_echelon``).
 
     Inconsistency is a value (status), not an error.  The kernel basis is
     in reduced row echelon convention: each free variable set to 1 in turn.
@@ -379,24 +336,15 @@ def solve(m, b):
     if len(b) != m.rows:
         raise UsageError("right-hand side length does not match matrix rows")
     ech = _echelon([list(row) + [bi] for row, bi in zip(m.entries, b)], m.cols + 1, m.ctx)
-    rows = ech.rows
-    if ech.poly_rows is not None:
-        # only the free columns and the right-hand side are read, so only
-        # they are reduced
-        det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(m.ctx.num_vars)
-        free = [c for c in range(m.cols + 1) if c not in ech.pivots]
-        pivot_rows = ech.poly_rows[: len(ech.pivots)]
-        reduced = iter(RatFunc.over([row[c] for row in pivot_rows for c in free], det))
-        rows = [{c: next(reduced) for c in free} for _ in pivot_rows]
     inconsistent = m.cols in ech.pivots
-    kernel = _kernel_from_echelon(rows, ech.pivots, m.cols, m.ctx)
+    kernel = _kernel_from_echelon(ech.rows, ech.pivots, m.cols, m.ctx)
     if inconsistent:
-        return SolveResult(INCONSISTENT, None, kernel, ech.pivot_polys)
+        return SolveResult(INCONSISTENT, None, kernel)
     particular = [m.ctx.zero] * m.cols
     for r, c in enumerate(ech.pivots):
-        particular[c] = rows[r][m.cols]
+        particular[c] = ech.rows[r][m.cols]
     status = UNIQUE if not kernel else UNDERDETERMINED
-    return SolveResult(status, tuple(particular), kernel, ech.pivot_polys)
+    return SolveResult(status, tuple(particular), kernel)
 
 
 def hermitian_inertia(m):

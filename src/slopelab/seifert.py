@@ -306,11 +306,18 @@ def _divided(terms, divides):
 
 
 def symbolic_rows(presentation):
-    """The rows of [E(w) | kappa], cleared and scaled for
-    ``linalg._echelon_fraction_free``, with no rational function formed:
-    (1, m, row), row integer polynomials of minimum exponent 0 and unit
-    w^-m.  They equal ``linalg._integral(linalg._cleared(row, mu), mu)`` of
-    ``build_E``'s symbolic row r with kappa_r appended, term maps included.
+    """The rows S of [E(w) | kappa] that ``linalg._echelon_fraction_free``
+    eliminates, with no rational function formed: one pair (m, row) per
+    row r, row integer polynomials of minimum exponent 0 and w^-m its
+    monomial unit, such that
+
+        S_rc = w^-m_r L_r E_rc  and  S_rn = w^-m_r L_r kappa_r,
+
+    E_rc the entries of ``build_E``'s symbolic operator and L_r the product
+    of (w_i - 1) over the set U_r of i whose f_i (below) fails to divide
+    some entry of row r.  w^-m_r L_r is a nonzero element of Q(w), so S
+    has the row space, hence the reduced row echelon form, of
+    [E(w) | kappa] over Q(w).
 
     Let f_i = 1 - w_i^-1, P = prod_i f_i and x = x_rc = A_rc(w^-1), whose
     exponents lie in {0, -1}^mu, so that E_rc = x / P.
@@ -329,17 +336,16 @@ def symbolic_rows(presentation):
       the set S_rc of i with f_i | x, and x / P in lowest terms has the
       denominator D_rc = prod f_i, i not in S_rc, up to a unit: a common
       factor of x / prod_(i in S_rc) f_i and D_rc would be some f_j, j not
-      in S_rc, dividing x.
-    * Let U_r be the union over the row of the complements of the S_rc,
-      the i whose f_i fails to divide some x_rc.  Each f_i normalizes to
-      w_i - 1, so ``_cleared``'s lcm is L = prod over U_r of (w_i - 1), and
-      the cleared row is L times row r.  As w_i - 1 = w_i f_i, L x_rc / P
-      is x_rc divided by the f_i, i not in U_r, times w^(1 on U_r); kappa_r
-      becomes kappa_r L.  Every exponent is then 0 or 1 and every
-      coefficient an integer, so ``_integral`` takes c = 1 and shifts by m,
-      the least exponent of the row.  m_i is 1 exactly when i is in U_r,
-      kappa_r is 0 (kappa_r L has a constant term) and no entry keeps a
-      term with e_i = -1; else 0, for a zero row too (U_r is empty).
+      in S_rc, dividing x.  So U_r, the union over the row of the
+      complements of the S_rc, is the set of variables of the row's
+      denominators, and L_r is their lcm up to a unit.
+    * As w_i - 1 = w_i f_i, L_r x_rc / P is x_rc divided by the f_i, i not
+      in U_r, times w^(1 on U_r), and L_r kappa_r is kappa_r times the
+      product of the (w_i - 1) over U_r.  Every exponent is then 0 or 1 and
+      every coefficient an integer.  m_r is the least exponent of the row:
+      m_i is 1 exactly when i is in U_r, kappa_r is 0 (kappa_r L_r has a
+      constant term) and no entry keeps a term with e_i = -1; else 0, for
+      a zero row too (U_r is empty).
     """
     from .laurent import LaurentPoly
 
@@ -359,7 +365,7 @@ def symbolic_rows(presentation):
             kappa = {f: c for e, v in kappa.items()
                      for f, c in ((e[:i] + (1,) + e[i + 1:], v), (e, -v))}
         row.append(kappa)
-        out.append((1, m, [LaurentPoly._make(mu, t) for t in row]))
+        out.append((m, [LaurentPoly._make(mu, t) for t in row]))
     return out
 
 

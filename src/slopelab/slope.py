@@ -127,8 +127,9 @@ def slope_from_operator(e_matrix, kappa_scalars):
     whether it vanishes), so Undefined needs an operator that is not
     self-adjoint, such as one passed in directly.
 
-    Over the rational function field the result also carries
-    ``valid_away_from``, the product of the non-unit pivot polynomials.
+    The matrix is over Q(zeta_N) or ApproxComplex; ``linalg.solve``
+    refuses one over the rational function field, whose slope
+    ``slope_symbolic`` reads off the presentation's record.
     """
     kappa = list(kappa_scalars)
     return _read_off(solve(e_matrix, kappa), kappa, e_matrix.ctx)
@@ -149,18 +150,15 @@ def _read_off(sol, kappa, ctx):
             break
     report = CaseReport(in_image, in_annihilator)
     approximate = not ctx.is_exact
-    certificate = None
-    if isinstance(ctx, RationalFunctionField):
-        certificate = _certificate(sol.pivot_polys, ctx.num_vars)
     if in_image and in_annihilator:
         alpha = sol.particular
         pairing = ctx.zero
         for a, k in zip(alpha, kappa):
             pairing = pairing + a * k
-        return SlopeValue(FINITE, -pairing, tuple(alpha), report, approximate, certificate)
+        return SlopeValue(FINITE, -pairing, tuple(alpha), report, approximate)
     if not in_image and not in_annihilator:
-        return SlopeValue(INFINITY, None, None, report, approximate, certificate)
-    return SlopeValue(UNDEFINED, None, None, report, approximate, certificate)
+        return SlopeValue(INFINITY, None, None, report, approximate)
+    return SlopeValue(UNDEFINED, None, None, report, approximate)
 
 
 class _Elimination:
@@ -168,50 +166,57 @@ class _Elimination:
     E(w) its symbolic operator, and the slope read off it, symbolically and
     at torsion characters.
 
-    ``seifert.symbolic_rows`` gives the rows S of [E(w) | kappa] cleared and
-    scaled, straight from the presentation, and
-    ``linalg._echelon_fraction_free`` runs one-step Bareiss on them, giving
-    the pivot columns, the pivots p_1, ..., p_r (det = p_r, or 1 when
-    r = 0) and the final polynomial rows R, with no gcd.  Write n for the
-    number of columns of E, I for the pivot columns below n, and
-    num_c = R[row of c][n].  For a free column f < n the pairing numerator
-    is P_f = kappa_f det - sum over c in I of kappa_c R[row of c][f], and the
-    value numerator is V = sum over c in I of kappa_c num_c.  The record
-    derives det, the P_f, the pairs (c, num_c) and V (both None when column
-    n holds a pivot) when it is built, and keeps those, the pivots, its
-    rows S and kappa.
+    ``seifert.symbolic_rows`` gives rows S straight from the presentation:
+    row r of S is w^-m_r L_r times row r of [E(w) | kappa], ``build_E``'s
+    symbolic row with kappa_r appended, L_r a product of factors w_i - 1
+    (the identity is proved there).  ``linalg._echelon_fraction_free`` runs
+    one-step Bareiss on them, giving the pivot columns, the pivots
+    p_1, ..., p_r (det = p_r, or 1 when r = 0) and the final polynomial
+    rows R, with no gcd.  Write n for the number of columns of E, I for
+    the pivot columns below n, and num_c = R[row of c][n].  For a free
+    column f < n the pairing numerator is P_f = kappa_f det - sum over c
+    in I of kappa_c R[row of c][f], and the value numerator is V = sum
+    over c in I of kappa_c num_c.  The record derives det, the P_f, the
+    pairs (c, num_c) and V (both None when column n holds a pivot) when it
+    is built, and keeps those, the pivots, its rows S and kappa.
 
-    Over the rational function field the final rows are exactly det times
-    the reduced row echelon form of [E(w) | kappa] (``linalg``), so the
-    readings below hold with the identity as the evaluation, and
-    ``symbolic`` returns what ``slope_from_operator`` returns on E(w):
-    the same rational functions, in ``RatFunc``'s canonical stored form,
-    with the product of the distinct non-unit pivots (``_certificate``),
-    formed for that answer only, as ``valid_away_from``.  It reduces every
-    num_c and -V over det in one ``RatFunc.over`` call, which prepares det
-    once; the reduced form is canonical, so sharing changes nothing stored.
+    Over Q(w).  Each w^-m_r L_r is a nonzero element of Q(w), so S and
+    [E(w) | kappa] have the same reduced row echelon form over Q(w), and
+    the final rows are exactly det times it (``linalg``).  The trichotomy
+    of this module, read off that form with ``linalg.solve``'s
+    conventions (the particular solution zero at the free columns, one
+    kernel vector per free column f, one at f), is:
+
+    * Image: kappa is in the image iff column n holds no pivot.
+    * Kernel pairing: the kernel vector of f is -R[row of c][f] / det at
+      each c in I, so its pairing with kappa is P_f / det; det is not the
+      zero polynomial, so kappa is in the annihilator iff every P_f is.
+    * Witness num_c / det at each c in I, value -V / det.
+
+    ``symbolic`` returns exactly these, each rational function in
+    ``RatFunc``'s canonical stored form, with the product of the distinct
+    non-unit pivots (``_certificate``), formed for that answer only, as
+    ``valid_away_from``.  It reduces every num_c and -V over det in one
+    ``RatFunc.over`` call, which prepares det once; the reduced form is
+    canonical, so sharing changes nothing stored.
 
     Specialization, at a torsion character omega with no coordinate 1
     where det(omega) != 0.  No transpose symmetry is used.
 
-    * Row r of S is L_r w^-m_r times row r of [E(w) | kappa], L_r the
-      product of (w_i - 1) over the i whose f_i = 1 - w_i^-1 fails to
-      divide some entry A_rc(w^-1) of the row, which is the lcm of the
-      denominators of ``build_E``'s row.  The rows are exactly
-      ``linalg._integral(linalg._cleared(row, mu), mu)`` of ``build_E``'s
-      rows (the proof is in ``seifert.symbolic_rows``), so the pivots, det
-      and final rows are identical to those of the generic elimination of
-      E(w), not merely equal up to units.  L_r w^-m_r is nonzero at omega
-      because no omega_i is 1, so the rows of S(omega) are nonzero
-      multiples of the rows of [E(omega) | kappa], and both have the same
-      reduced row echelon form.
+    * The entries of E(w) have denominators that are products of the
+      1 - w_i^-1, which do not vanish at omega, and w^-m_r L_r(omega) is
+      nonzero because no omega_i is 1.  Evaluation at omega is a ring
+      homomorphism on the polynomials and on such fractions, so the rows
+      of S(omega) are nonzero multiples of the rows of
+      [E(omega) | kappa], and both have the same reduced row echelon form.
     * Let S_B be the rows of S that the elimination takes as pivot rows,
-      and B their block in the pivot columns.  Over the rational function field the reduced row echelon
-      form is B^-1 S_B (the identity in the pivot columns, spanning the
-      row space), so R = det B^-1 S_B = +-u adj(B) S_B, u a unit: by the
-      kernel's Sylvester claim (``linalg._echelon_fraction_free``) det is
-      +-u det B.  This is an identity of polynomials, and evaluation at
-      omega is a ring homomorphism.
+      and B their block in the pivot columns.  Over Q(w) the reduced row
+      echelon form is B^-1 S_B (the identity in the pivot columns,
+      spanning the row space), so R = det B^-1 S_B = +-u adj(B) S_B, u a
+      unit: by the kernel's Sylvester claim
+      (``linalg._echelon_fraction_free``) det is +-u det B.  This is an
+      identity of polynomials, and evaluation at omega is a ring
+      homomorphism.
     * With det(omega) != 0, B(omega) is invertible, so R(omega) / det(omega)
       = B(omega)^-1 S_B(omega): the identity in the pivot columns, zero
       left of each pivot (zero polynomials there), so in reduced row
@@ -264,12 +269,11 @@ class _Elimination:
         parts."""
         mu, n, kappa = presentation.mu, presentation.n, presentation.kappa
         scaled = symbolic_rows(presentation)
-        ech = linalg._echelon_fraction_free(scaled, n + 1, mu)
-        rows = ech.poly_rows
-        pivot_cols = [c for c in ech.pivots if c < n]
-        self.mu, self.n, self.kappa, self.pivots = mu, n, kappa, ech.pivot_polys
-        self.rows = [row for _, _, row in scaled]
-        self.det = ech.pivot_polys[-1] if ech.pivot_polys else LaurentPoly.one(mu)
+        rows, pivots, self.pivots = linalg._echelon_fraction_free(scaled, n + 1, mu)
+        pivot_cols = [c for c in pivots if c < n]
+        self.mu, self.n, self.kappa = mu, n, kappa
+        self.rows = [row for _, row in scaled]
+        self.det = self.pivots[-1] if self.pivots else LaurentPoly.one(mu)
         self.pairings = []
         for f in range(n):
             if f in pivot_cols:
@@ -280,7 +284,7 @@ class _Elimination:
                     acc = acc - rows[r][f] * kappa[c]
             self.pairings.append(acc)
         self.numerators = self.value = None
-        if n not in ech.pivots:
+        if n not in pivots:
             self.numerators = [(c, rows[r][n]) for r, c in enumerate(pivot_cols)]
             self.value = LaurentPoly.zero(mu)
             for c, num in self.numerators:

@@ -668,6 +668,9 @@ def test_grid_limit_counts_points_before_expansion():
         ("slope", "--in", "whitehead.json", "--char", "num:1e999+0i"),
         ("slope", "--in", "whitehead.json", "--char", "num:nan"),
         ("conway", "--in", "l10n36_conway.json", "--sqrt", "num:1e999+0i"),
+        ("slope", "--in", "whitehead.json", "--char", "num:inf"),
+        ("slope", "--in", "whitehead.json", "--char", "num:1+infi"),
+        ("conway", "--in", "l10n36_conway.json", "--sqrt", "num:inf"),
     ],
 )
 def test_non_finite_numeric_character_exit_2(args):

@@ -26,10 +26,9 @@ from slopelab.laurent import (
     kronecker_unpack,
     normalize_poly,
     poly_gcd,
-    poly_lcm,
 )
 
-from conftest import random_laurent, random_nonzero_laurent
+from conftest import old_exact_div, random_laurent, random_nonzero_laurent
 
 
 def laurent_strategy(num_vars, exp_range=2, coeff_range=5, max_terms=4):
@@ -119,44 +118,6 @@ def test_exact_div_laurent():
         exact_div(t ** 2 + 1, t + 1)
 
 
-def old_exact_div(p, d):
-    """The former exact division: shift both operands to ordinary
-    polynomials, cancel lex-leading terms, and shift the quotient back.
-    The oracle for ``exact_div``, which divides in the Laurent ring."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return LaurentPoly.zero(p.num_vars)
-    pmin, dmin = p.min_exps(), d.min_exps()
-    p = p.shift(tuple(-m for m in pmin))
-    d = d.shift(tuple(-m for m in dmin))
-    lead_e, lead_c = d.lex_leading()
-    rem = dict(p.terms)
-    q = {}
-    while rem:
-        e = max(rem)
-        c = rem[e]
-        diff = tuple(a - b for a, b in zip(e, lead_e))
-        if any(x < 0 for x in diff):
-            raise ArithmeticError("inexact polynomial division")
-        if type(c) is int and type(lead_c) is int:
-            qc, r = divmod(c, lead_c)
-            if r:
-                qc = Fraction(c, lead_c)
-        else:
-            qc = c / lead_c
-            qc = qc.numerator if qc.denominator == 1 else qc
-        q[diff] = qc
-        for ee, cc in d.terms.items():
-            key = tuple(a + b for a, b in zip(diff, ee))
-            s = rem.get(key, 0) - qc * cc
-            if s:
-                rem[key] = s
-            elif key in rem:
-                del rem[key]
-    return LaurentPoly._make(p.num_vars, q).shift(tuple(a - b for a, b in zip(pmin, dmin)))
-
-
 def _stored(p):
     """A polynomial's term map with the type of every coefficient."""
     return {e: (c, type(c)) for e, c in p.terms.items()}
@@ -211,15 +172,6 @@ def test_gcd_common_factor_random():
         # g divides the gcd (up to units)
         exact_div(got, poly_gcd(got, normalize_poly(g)))  # no exception
         assert exact_div(p * g, poly_gcd(p * g, q * g)) is not None
-
-
-def test_lcm_divisible_by_both():
-    t1, t2 = LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
-    a = (t1 - 1) * (t2 + 1)
-    b = (t1 - 1) * (t1 * t2 - 1)
-    m = poly_lcm(a, b)
-    exact_div(m, normalize_poly(a))
-    exact_div(m, normalize_poly(b))
 
 
 def test_cyclotomic_small_values():
@@ -327,7 +279,6 @@ def test_integer_data_keeps_int_coefficients():
             exact_div(p * q, q),
             normalize_poly(6 * p),
             poly_gcd(p * g, q * g),
-            poly_lcm(p * g, q * g),
         ]
         assert _all_int(*results)
         r = RatFunc(p * g, q * g)
@@ -380,7 +331,6 @@ def test_fraction_coefficients_agree_with_int_path():
         p3, q25 = p * third, q * two_fifths
         assert any(type(c) is Fraction for c in _coeffs(p3, q25))
         assert poly_gcd(p3 * g, q25 * g) == poly_gcd(p * g, q * g)
-        assert poly_lcm(p3, q25) == poly_lcm(p, q)
         assert exact_div(p * q * third, q) == p3
         assert exact_div(p3 * q25, q25) == p3
         assert normalize_poly(p3) == normalize_poly(p)

@@ -14,15 +14,10 @@ from slopelab.fields import (
     RatFunc,
     RationalFunctionField,
 )
-from slopelab.laurent import (
-    LaurentPoly,
-    kronecker_pack,
-    kronecker_unpack,
-    normalize_poly,
-    poly_gcd,
-)
+from slopelab.laurent import LaurentPoly, kronecker_pack, kronecker_unpack
 from slopelab.linalg import (
     _echelon,
+    _echelon_fraction_free,
     INCONSISTENT,
     UNDERDETERMINED,
     UNIQUE,
@@ -32,10 +27,15 @@ from slopelab.linalg import (
     rank,
     solve,
 )
-from slopelab.seifert import build_E, random_presentation, stabilize
+from slopelab.seifert import build_E, random_presentation, stabilize, symbolic_rows
 
-from conftest import int_matrix, random_laurent, random_nonzero_laurent, transpose
-from test_laurent import old_exact_div
+from conftest import (
+    int_matrix,
+    old_cleared,
+    old_echelon_fraction_free,
+    random_laurent,
+    transpose,
+)
 
 Q = Cyclotomic(1)
 
@@ -120,22 +120,27 @@ def test_exact_vs_approximate_rank_agreement(rng):
 # -- solve ----------------------------------------------------------------------
 
 
-def test_solve_whitehead_golden_particular():
-    ctx = RationalFunctionField(1)
+def test_solve_whitehead_golden_particular(whitehead):
+    """The kernel's final rows over det give the Whitehead link's
+    particular solution of E(w) alpha = kappa: alpha = ((1 - w^-1)(w - 1),
+    1 - w), and no kernel."""
+    rows, pivots, pivot_polys = _echelon_fraction_free(symbolic_rows(whitehead), 3, 1)
+    assert pivots == [0, 1]
     one = LaurentPoly.one(1)
     w = LaurentPoly.var(1, 0)
-    e = Matrix(
-        ctx,
-        [
-            [ctx.zero, RatFunc(one, one - w)],
-            [RatFunc(one, one - w.subst_inverse()), ctx.one],
-        ],
-    )
-    res = solve(e, [ctx.one, ctx.zero])
-    assert res.status == UNIQUE
-    assert res.particular[0] == RatFunc.from_poly((one - w.subst_inverse()) * (w - one))
-    assert res.particular[1] == RatFunc.from_poly(one - w)
-    assert res.kernel_basis == ()
+    assert [RatFunc(row[2], pivot_polys[-1]) for row in rows] == [
+        RatFunc.from_poly((one - w.subst_inverse()) * (w - one)),
+        RatFunc.from_poly(one - w),
+    ]
+
+
+def test_solve_and_rank_refuse_the_rational_function_field():
+    rf = RationalFunctionField(1)
+    [w] = rf.variables()
+    m = Matrix(rf, [[w, rf.one], [rf.zero, w]])
+    for call in (lambda: solve(m, [rf.one, rf.zero]), lambda: rank(m)):
+        with pytest.raises(UsageError, match="slope_symbolic"):
+            call()
 
 
 def test_solve_zero_system_underdetermined():
@@ -231,222 +236,138 @@ def test_row_space_annihilates_kernel(rng):
                 assert Q.is_zero(acc)
 
 
-# -- fraction-free path cross-check -------------------------------------------------
+# -- the fraction-free kernel --------------------------------------------------------
+
+
+def scaled(rows, num_vars):
+    """The kernel's input for integer polynomial rows R: (m, S) per row, m
+    the row's least exponent in each variable (zero for a zero row) and
+    S = w^-m R."""
+    out = []
+    for row in rows:
+        exps = [e for x in row for e in x.terms]
+        m = tuple(map(min, zip(*exps))) if exps else (0,) * num_vars
+        out.append((m, [x.shift(tuple(-v for v in m)) for x in row]))
+    return out
+
+
+def presentation_rows(p):
+    """symbolic_rows of a presentation, and the rows of [E(w) | kappa] they
+    scale: each S shifted back by its m."""
+    rows = symbolic_rows(p)
+    return rows, [[x.shift(m) for x in s] for m, s in rows]
+
+
+def presentation_cases(rng, sizes):
+    """(scaled rows, rows, ncols, mu, labels) of random presentations p at
+    mu 1-3 with n in ``sizes[mu]``, p stabilized (a zero generator: rank
+    deficient, consistent with kappa 0 there) and, with kappa 1 there,
+    inconsistent."""
+    for mu in (1, 2, 3):
+        for n in sizes[mu]:
+            p = random_presentation(rng, mu=mu, n=n, bound=1 + n % 2)
+            s = stabilize(p)
+            bad = s.replace(kappa=s.kappa[:-1] + (1,))
+            for q in (p, s, bad):
+                yield (*presentation_rows(q), q.n + 1, mu, {f"mu{mu}", "presentation"})
+
+
+def assert_solves(rows, ncols, num_vars, result):
+    """The final rows over det solve the system [M | b] = rows, as
+    polynomial identities: each kernel vector (det at its free column f,
+    -R[row of c][f] at each pivot column c) has M v = 0, and where column
+    b holds no pivot, x (R[row of c][b] at each c) has M x = det b."""
+    out, pivots, pivot_polys = result
+    n, zero = ncols - 1, LaurentPoly.zero(num_vars)
+    det = pivot_polys[-1] if pivot_polys else LaurentPoly.one(num_vars)
+    pivot_cols = [c for c in pivots if c < n]
+
+    def times(v):
+        return [sum((a * x for a, x in zip(row, v)), zero) for row in rows]
+
+    for f in range(n):
+        if f not in pivot_cols:
+            v = [zero] * n
+            v[f] = det
+            for r, c in enumerate(pivot_cols):
+                v[c] = -out[r][f]
+            assert times(v) == [zero] * len(rows)
+    if n not in pivots:
+        x = [zero] * n
+        for r, c in enumerate(pivot_cols):
+            x[c] = out[r][n]
+        assert times(x) == [det * row[n] for row in rows]
 
 
 def test_fraction_free_matches_division_echelon(rng):
-    """Constant rational-function matrices agree with Q computations."""
-    rf = RationalFunctionField(1)
+    """On constant integer rows the kernel takes Gauss-Jordan's pivots over
+    Q, and its pivot rows are det times the reduced row echelon form."""
     for _ in range(25):
         n, m = rng.randint(1, 3), rng.randint(1, 4)
-        ints = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
-        bq = [rng.randint(-2, 2) for _ in range(n)]
-        mq = qmat(ints)
-        mrf = int_matrix(rf, ints)
-        rq = solve(mq, qvec(bq))
-        rrf = solve(mrf, [rf.from_int(x) for x in bq])
-        assert rq.status == rrf.status
-        assert rank(mq) == rank(mrf)
-        if rq.status != INCONSISTENT:
+        ints = [[rng.randint(-3, 3) for _ in range(m + 1)] for _ in range(n)]
+        rows = [[LaurentPoly.const(1, x) for x in row] for row in ints]
+        out, pivots, pivot_polys = _echelon_fraction_free(scaled(rows, 1), m + 1, 1)
+        ech = _echelon(qmat(ints).entries, m + 1, Q)
+        assert pivots == ech.pivots
+        det = pivot_polys[-1] if pivot_polys else LaurentPoly.one(1)
+        for i, row in enumerate(out):
             # Q(zeta_1) numbers have exactly one coordinate
-            assert list(rrf.particular) == [
-                RatFunc.const(1, c) for x in rq.particular for c in x.coords
-            ]
+            if i < len(pivots):
+                assert row == [det * x.coords[0] for x in ech.rows[i]]
+            else:
+                assert not any(row)
 
 
 def test_fraction_free_rank_deficient_symbolic(rng):
-    """Skipped pivot columns keep every division exact: rank-one and
-    rank-two products of polynomial matrices solve and verify."""
-    rf = RationalFunctionField(2)
+    """Skipped pivot columns keep every division exact: rank-one products of
+    polynomial vectors, [u_i v | u_i], scaled by their units, eliminate to
+    at most one pivot and solve."""
     for _ in range(15):
-        u = [RatFunc.from_poly(random_laurent(rng, 2, max_terms=2, exp_range=1)) for _ in range(3)]
-        v = [RatFunc.from_poly(random_laurent(rng, 2, max_terms=2, exp_range=1)) for _ in range(3)]
-        m = Matrix(rf, [[a * b for b in v] for a in u])
-        assert rank(m) <= 1
-        res = solve(m, u if not all(x.is_zero() for x in v) else [rf.zero] * 3)
-        for w in res.kernel_basis:
-            assert all(rf.is_zero(x) for x in m.matvec(list(w)))
-        if res.status != INCONSISTENT:
-            got = m.matvec(list(res.particular))
-            want = u if not all(x.is_zero() for x in v) else [rf.zero] * 3
-            assert got == want
+        u = [random_laurent(rng, 2, max_terms=2, exp_range=1) for _ in range(3)]
+        v = [random_laurent(rng, 2, max_terms=2, exp_range=1) for _ in range(3)]
+        rows = [[a * b for b in v] + [a] for a in u]
+        result = _echelon_fraction_free(scaled(rows, 2), 4, 2)
+        assert result == old_echelon_fraction_free(rows, 4, 2)
+        assert len(result[1]) <= 1
+        assert_solves(rows, 4, 2, result)
 
 
 def test_fraction_free_symbolic_solution_verifies(rng):
-    rf = RationalFunctionField(2)
-    w1, w2 = rf.variables()
+    """3 x 3 polynomial systems with right-hand side (w1, w2, 1) and the
+    [E(w) | kappa] rows of random presentations: the final rows over det
+    solve them."""
+    w1, w2 = LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
+    cases = []
     for _ in range(10):
-        entries = [
-            [
-                RatFunc(random_laurent(rng, 2, max_terms=2, exp_range=1), LaurentPoly.one(2))
-                for _ in range(3)
-            ]
-            for _ in range(3)
-        ]
-        m = Matrix(rf, entries)
-        b = [w1, w2, rf.one]
-        res = solve(m, b)
-        if res.status == INCONSISTENT:
-            continue
-        got = m.matvec(list(res.particular))
-        assert got == b
-        for v in res.kernel_basis:
-            assert all(rf.is_zero(x) for x in m.matvec(list(v)))
-
-
-def reference_fraction_free_solve(m, b):
-    """``solve`` over the rational function field with every entry of the
-    fraction-free RREF reduced to a RatFunc, pivot columns included: the
-    reference for the path that keeps the numerators over det.  Returns
-    (status, particular, kernel_basis, pivot_polys)."""
-    ctx = m.ctx
-    aug = [list(r) + [bi] for r, bi in zip(m.entries, b)]
-    poly_rows, pivots, pivot_polys = old_echelon_fraction_free(aug, m.cols + 1, ctx)
-    det = pivot_polys[-1] if pivot_polys else LaurentPoly.one(ctx.num_vars)
-    rref = [[RatFunc(x, det) for x in row] for row in poly_rows[: len(pivots)]]
-    pivot_cols = [c for c in pivots if c < m.cols]
-    kernel = []
-    for f in range(m.cols):
-        if f in pivot_cols:
-            continue
-        v = [ctx.zero] * m.cols
-        v[f] = ctx.one
-        for r, c in enumerate(pivot_cols):
-            v[c] = -rref[r][f]
-        kernel.append(tuple(v))
-    if m.cols in pivots:
-        return INCONSISTENT, None, tuple(kernel), pivot_polys
-    particular = [ctx.zero] * m.cols
-    for r, c in enumerate(pivots):
-        particular[c] = rref[r][m.cols]
-    status = UNDERDETERMINED if kernel else UNIQUE
-    return status, tuple(particular), tuple(kernel), pivot_polys
-
-
-def random_ratfunc(rng, num_vars):
-    num = random_laurent(rng, num_vars, max_terms=2, exp_range=1, coeff_range=2)
-    if rng.random() < 0.5:
-        return RatFunc.from_poly(num)
-    return RatFunc(num, random_nonzero_laurent(rng, num_vars, max_terms=2, exp_range=1, coeff_range=2))
-
-
-def test_fraction_free_solve_matches_reduced_reference(rng):
-    """Square, rectangular, rank-deficient and inconsistent systems over the
-    rational function field give the same status, particular solution,
-    kernel basis and pivots as the wrap-every-entry reference."""
-    rf = RationalFunctionField(2)
-    seen = set()
-    for trial in range(60):
-        rows, cols = [(2, 2), (3, 3), (2, 3), (3, 2), (1, 3), (3, 1)][trial % 6]
-        entries = [[random_ratfunc(rng, 2) for _ in range(cols)] for _ in range(rows)]
-        if trial % 3 == 1:
-            # rank deficient: the last row is a multiple of the first
-            f = random_ratfunc(rng, 2)
-            entries[-1] = [f * x for x in entries[0]]
-        m = Matrix(rf, entries)
-        if trial % 3 == 2:
-            b = m.matvec([random_ratfunc(rng, 2) for _ in range(cols)])
-        else:
-            b = [random_ratfunc(rng, 2) for _ in range(rows)]
-        res = solve(m, b)
-        assert (res.status, res.particular, res.kernel_basis, res.pivot_polys) == (
-            reference_fraction_free_solve(m, b)
-        )
-        seen.add((res.status, rows == cols))
-    assert {s for s, _ in seen} == {UNIQUE, UNDERDETERMINED, INCONSISTENT}
-    assert {square for _, square in seen} == {True, False}
-
-
-def old_lcm(a, b):
-    """poly_lcm with the division of ``old_exact_div``."""
-    return normalize_poly(old_exact_div(a * b, poly_gcd(a, b)))
-
-
-def old_echelon_fraction_free(rows, ncols, ctx, seen=None):
-    """The former fraction-free elimination, whose rows were cleared by an
-    lcm and a division per non-polynomial entry, and which recomputed every
-    entry of every other row at each step.  Divides with ``old_exact_div``,
-    so it shares no division code with ``_echelon``.  Returns (poly_rows,
-    pivots, pivot_polys); ``seen``, when given, collects "swap" for a row
-    swap and "f=0" for a row already zero in the pivot column."""
-    one = LaurentPoly.one(ctx.num_vars)
-    poly_rows = []
-    for row in rows:
-        den = one
-        for x in row:
-            if not x.is_polynomial():
-                den = old_lcm(den, x.den)
-        poly_rows.append([x.num * old_exact_div(den, x.den) for x in row])
-    prev = one
-    pivots, pivot_polys = [], []
-    seen = set() if seen is None else seen
-    for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(poly_rows)) if not poly_rows[i][c].is_zero()), None)
-        if sel is None:
-            continue
-        if sel != r:
-            seen.add("swap")
-        poly_rows[r], poly_rows[sel] = poly_rows[sel], poly_rows[r]
-        p = poly_rows[r][c]
-        for i in range(len(poly_rows)):
-            if i != r:
-                f = poly_rows[i][c]
-                if f.is_zero():
-                    seen.add("f=0")
-                poly_rows[i] = [old_exact_div(p * x - f * y, prev) for x, y in zip(poly_rows[i], poly_rows[r])]
-        prev = p
-        pivots.append(c)
-        pivot_polys.append(p)
-    return poly_rows, pivots, tuple(pivot_polys)
-
-
-def _augmented(p, ctx):
-    """The rows of [E(w) | kappa] of a presentation over ``ctx``."""
-    e = build_E(p, Character.symbolic(p.mu), ctx)
-    return [list(row) + [ctx.from_int(k)] for row, k in zip(e.entries, p.kappa)]
+        rows = [[random_laurent(rng, 2, max_terms=2, exp_range=1) for _ in range(3)] + [b]
+                for b in (w1, w2, LaurentPoly.one(2))]
+        cases.append((scaled(rows, 2), rows, 4, 2))
+    cases += [case[:4] for case in presentation_cases(rng, {1: (2, 3), 2: (2, 3), 3: (2,)})]
+    consistent = 0
+    for rows_in, rows, ncols, mu in cases:
+        result = _echelon_fraction_free(rows_in, ncols, mu)
+        assert_solves(rows, ncols, mu, result)
+        consistent += ncols - 1 not in result[1]
+    assert 0 < consistent < len(cases)
 
 
 def test_rows_cleared_once_match_per_entry_lcm_clearing(rng):
-    """Clearing each row once, over its distinct denominators, gives the
-    same polynomial rows and pivots as the per-entry lcm: rows with equal,
-    mixed and polynomial denominators, and [E | kappa] of symbolic E."""
-    rf = RationalFunctionField(2)
-    cases = []
-    for trial in range(90):
-        shape = [(2, 2), (3, 3), (2, 4), (3, 2), (1, 3), (4, 4)][trial % 6]
-        kind = ("equal", "mixed", "polynomial")[trial % 3]
-        pool = [random_nonzero_laurent(rng, 2, max_terms=2, exp_range=1, coeff_range=2)
-                for _ in range(2)]
-        rows = []
-        for _ in range(shape[0]):
-            row = []
-            for _ in range(shape[1]):
-                num = random_laurent(rng, 2, max_terms=2, exp_range=1, coeff_range=2)
-                if kind == "polynomial" or (kind == "mixed" and rng.random() < 0.3):
-                    row.append(RatFunc.from_poly(num))
-                elif kind == "equal":
-                    row.append(RatFunc(num, pool[0]))
-                else:
-                    row.append(RatFunc(num, rng.choice(pool)) if rng.random() < 0.5
-                               else random_ratfunc(rng, 2))
-            rows.append(row)
-        cases.append((rf, rows, shape[1]))
-    for mu in (1, 2):
+    """The rows a record eliminates, ``symbolic_rows`` shifted back by their
+    units, are [E(w) | kappa] of build_E's symbolic operator cleared by
+    the lcm of each row's denominators, the lcm taken entry by entry, and
+    so give the same elimination."""
+    for mu in (1, 2, 3):
         ctx = RationalFunctionField(mu)
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4):
             p = random_presentation(rng, mu=mu, n=n, bound=1 + n % 2)
-            cases.append((ctx, _augmented(p, ctx), n + 1))
-    kinds = set()
-    for ctx, rows, ncols in cases:
-        want = old_echelon_fraction_free(rows, ncols, ctx)
-        got = _echelon(rows, ncols, ctx)
-        assert (got.poly_rows, got.pivots, got.pivot_polys) == want
-        for row in rows:
-            dens = {x.den for x in row}
-            kinds.add("polynomial" if dens == {LaurentPoly.one(ctx.num_vars)} else
-                      "equal" if len(dens) == 1 else "mixed")
-    assert kinds == {"polynomial", "equal", "mixed"}
+            for q in (p, stabilize(p)):
+                e = build_E(q, Character.symbolic(mu), ctx)
+                cleared = [old_cleared(list(row) + [ctx.from_int(k)], mu)
+                           for row, k in zip(e.entries, q.kappa)]
+                rows_in, rows = presentation_rows(q)
+                assert rows == cleared
+                assert (_echelon_fraction_free(rows_in, q.n + 1, mu)
+                        == old_echelon_fraction_free(cleared, q.n + 1, mu))
 
 
 def test_elimination_skips_only_entries_it_knows(rng):
@@ -457,38 +378,29 @@ def test_elimination_skips_only_entries_it_knows(rng):
     pivot column, row swaps, rank-deficient and inconsistent [E | kappa],
     and symbolic E at mu = 3."""
     cases = []
-    rf = RationalFunctionField(2)
 
     def entry():
-        return rf.zero if rng.random() < 0.35 else random_ratfunc(rng, 2)
+        return LaurentPoly.zero(2) if rng.random() < 0.35 else random_laurent(
+            rng, 2, max_terms=2, exp_range=1, coeff_range=2)
 
     for trial in range(40):
         rows_n, cols = [(3, 4), (4, 4), (3, 5), (4, 3)][trial % 4]
-        entries = [[entry() for _ in range(cols)] for _ in range(rows_n)]
+        rows = [[entry() for _ in range(cols)] for _ in range(rows_n)]
         if trial % 2:
             # column 1 a multiple of column 0: a non-pivot column left of
             # the later pivots
-            g = random_ratfunc(rng, 2)
-            for row in entries:
+            g = random_laurent(rng, 2, max_terms=2, exp_range=1, coeff_range=2)
+            for row in rows:
                 row[1] = g * row[0]
-        cases.append((rf, entries, cols, "random"))
-    for mu in (1, 2, 3):
-        ctx = RationalFunctionField(mu)
-        for n in (2, 3) if mu == 3 else (2, 3, 4):
-            p = random_presentation(rng, mu=mu, n=n, bound=1 + n % 2)
-            cases.append((ctx, _augmented(p, ctx), n + 1, f"mu{mu}"))
-            # a zero generator: rank deficient, consistent with kappa 0 there
-            # and inconsistent with kappa 1
-            s = stabilize(p)
-            cases.append((ctx, _augmented(s, ctx), n + 2, f"mu{mu}"))
-            bad = s.replace(kappa=s.kappa[:-1] + (1,))
-            cases.append((ctx, _augmented(bad, ctx), n + 2, f"mu{mu}"))
+        cases.append((scaled(rows, 2), rows, cols, 2, "random"))
+    for rows_in, rows, ncols, mu, _ in presentation_cases(
+            rng, {1: (2, 3, 4), 2: (2, 3, 4), 3: (2, 3)}):
+        cases.append((rows_in, rows, ncols, mu, f"mu{mu}"))
     facts = set()
-    for ctx, rows, ncols, label in cases:
+    for rows_in, rows, ncols, mu, label in cases:
         seen = set()
-        want = old_echelon_fraction_free(rows, ncols, ctx, seen)
-        got = _echelon(rows, ncols, ctx)
-        assert (got.poly_rows, got.pivots, got.pivot_polys) == want
+        want = old_echelon_fraction_free(rows, ncols, mu, seen)
+        assert _echelon_fraction_free(rows_in, ncols, mu) == want
         pivots = want[1]
         facts |= seen | {label}
         if any(j not in pivots for j in range(max(pivots, default=0))):
@@ -507,7 +419,7 @@ def test_elimination_skips_only_entries_it_knows(rng):
     }
 
 
-def _division_count(monkeypatch, rows, ncols, ctx):
+def _division_count(monkeypatch, rows_in, ncols, num_vars):
     calls = []
 
     def counted(a, d):
@@ -516,9 +428,9 @@ def _division_count(monkeypatch, rows, ncols, ctx):
 
     exact_quotient = linalg_module._exact_quotient
     monkeypatch.setattr(linalg_module, "_exact_quotient", counted)
-    ech = _echelon(rows, ncols, ctx)
+    result = _echelon_fraction_free(rows_in, ncols, num_vars)
     monkeypatch.undo()
-    return len(calls), ech
+    return len(calls), result
 
 
 def test_elimination_divides_only_unknown_entries(monkeypatch, rng):
@@ -528,7 +440,6 @@ def test_elimination_divides_only_unknown_entries(monkeypatch, rng):
     steps of (rows - 1) * (ncols - k), k counting this step's pivot.
     Recomputing a known entry raises the count, and a division that leaves
     the helper lowers it."""
-    rf = RationalFunctionField(2)
     for n, rank_of in ((3, 3), (4, 4), (4, 2), (3, 1)):
         while True:
             left = [[random_laurent(rng, 2, max_terms=2, exp_range=1) for _ in range(rank_of)]
@@ -536,103 +447,70 @@ def test_elimination_divides_only_unknown_entries(monkeypatch, rng):
             right = [[random_laurent(rng, 2, max_terms=2, exp_range=1) for _ in range(n + 1)]
                      for _ in range(rank_of)]
             # a product of n x r and r x (n + 1) polynomial matrices: rank r
-            # at most, cleared with no division
-            rows = [[RatFunc.from_poly(sum((a * b for a, b in zip(lrow, col)),
-                                           LaurentPoly.zero(2)))
+            # at most
+            rows = [[sum((a * b for a, b in zip(lrow, col)), LaurentPoly.zero(2))
                      for col in zip(*right)] for lrow in left]
-            calls, ech = _division_count(monkeypatch, rows, n + 1, rf)
-            if len(ech.pivots) == rank_of:
+            calls, (_, pivots, _) = _division_count(monkeypatch, scaled(rows, 2), n + 1, 2)
+            if len(pivots) == rank_of:
                 break
         expected = sum((n - 1) * (n + 1 - k) for k in range(1, rank_of + 1))
         assert calls == expected
 
 
-def _int_where_oracle_int(got, want):
-    """Every coefficient the oracle stores as an ``int`` is an ``int``."""
-    return all(
-        type(got.terms[e]) is int for e, c in want.terms.items() if type(c) is int
-    )
-
-
 def _kernel_cases(rng):
-    """(ctx, rows, ncols, labels) for the differential test of the kernel."""
+    """(scaled rows, rows, ncols, mu, labels) for the differential test of
+    the kernel."""
     big = 2 ** 64 + 13
-
-    def poly(mu, kind):
-        x = random_laurent(rng, mu, max_terms=2, exp_range=1, coeff_range=3)
-        if kind == "big":
-            x = x * big + random_laurent(rng, mu, max_terms=1, exp_range=1)
-        elif kind == "fraction":
-            x = x * Fraction(rng.choice((1, 2, 5)), rng.choice((2, 3, 7)))
-        return x
 
     def entry(mu, kind):
         if rng.random() < 0.25:
-            return RatFunc.from_poly(LaurentPoly.zero(mu))
-        num = poly(mu, kind)
-        if kind == "fraction" and rng.random() < 0.5:
-            # a denominator whose lex-leading coefficient is 2 or 3: RatFunc
-            # stores num and den over it, so with Fraction coefficients
-            den = LaurentPoly.var(mu, mu - 1) * rng.choice((2, -3)) + rng.choice((1, -1, 5))
-            return RatFunc(num, den.shift(tuple(rng.randint(-1, 1) for _ in range(mu))))
-        return RatFunc.from_poly(num)
+            return LaurentPoly.zero(mu)
+        x = random_laurent(rng, mu, max_terms=2, exp_range=1, coeff_range=3)
+        if kind == "big":
+            x = x * big + random_laurent(rng, mu, max_terms=1, exp_range=1)
+        return x
 
     shapes = [(mu, n, kind) for mu in (1, 2, 3)
               # the oracle's cost grows fast with the rows: n up to 6 at mu = 1
               for n in range(9 - 2 * mu)
-              for kind in ("plain", "big", "fraction")]
+              for kind in ("plain", "big")]
     for trial, (mu, n, kind) in enumerate(shapes * 2):
         ncols = n + 1 if trial % 2 else max(1, n)
         rows = [[entry(mu, kind) for _ in range(ncols)] for _ in range(n)]
         labels = {kind, f"mu{mu}", f"n{n}"}
         if n >= 2 and trial % 4 == 1:
-            rows[rng.randrange(n)] = [RatFunc.from_poly(LaurentPoly.zero(mu))] * ncols
+            rows[rng.randrange(n)] = [LaurentPoly.zero(mu)] * ncols
             labels.add("zero row")
         if n >= 2 and trial % 4 == 3:
             col = rng.randrange(ncols)
             for row in rows:
-                row[col] = RatFunc.from_poly(LaurentPoly.zero(mu))
+                row[col] = LaurentPoly.zero(mu)
             labels.add("zero column")
-        yield RationalFunctionField(mu), rows, ncols, labels
-    for mu in (1, 2, 3):
-        ctx = RationalFunctionField(mu)
-        for n in (1, 2, 3) if mu == 3 else (1, 2, 3, 4):
-            p = random_presentation(rng, mu=mu, n=n, bound=1 + n % 2)
-            s = stabilize(p)
-            bad = s.replace(kappa=s.kappa[:-1] + (1,))
-            for q in (p, s, bad):
-                yield ctx, _augmented(q, ctx), q.n + 1, {f"mu{mu}", "presentation"}
+        yield scaled(rows, mu), rows, ncols, mu, labels
+    yield from presentation_cases(rng, {1: (1, 2, 3, 4), 2: (1, 2, 3, 4), 3: (1, 2, 3)})
 
 
 def test_kernel_matches_the_per_entry_elimination(rng):
-    """The elimination on Kronecker images gives the rows, pivots and pivot
-    polynomials of the former per-entry ``LaurentPoly`` elimination, with
-    ``int`` storage wherever it stores an ``int``: mu 1-3, 0-6 rows,
-    negative exponents and rows of different minimum exponents, Fraction
-    coefficients, coefficients above 2^64, zero rows and columns, row
-    swaps, and rank-deficient and inconsistent [E | kappa] of stabilized
-    presentations."""
+    """The elimination on Kronecker images of rows scaled by monomial units
+    gives the rows, pivots and pivot polynomials of the former per-entry
+    ``LaurentPoly`` elimination of the unscaled rows, with ``int``
+    coefficients throughout: mu 1-3, 0-6 rows, negative exponents and rows
+    of different minimum exponents, coefficients above 2^64, zero rows and
+    columns, row swaps, and the symbolic_rows of presentations, with
+    rank-deficient and inconsistent [E | kappa] of stabilized ones."""
     facts = set()
-    for ctx, rows, ncols, labels in _kernel_cases(rng):
+    for rows_in, rows, ncols, mu, labels in _kernel_cases(rng):
         seen = set()
-        want = old_echelon_fraction_free(rows, ncols, ctx, seen)
-        got = _echelon(rows, ncols, ctx)
-        assert (got.poly_rows, got.pivots, got.pivot_polys) == want
-        for grow, wrow in zip(got.poly_rows, want[0]):
-            assert all(_int_where_oracle_int(g, w) for g, w in zip(grow, wrow))
-        assert all(_int_where_oracle_int(g, w) for g, w in zip(got.pivot_polys, want[2]))
+        want = old_echelon_fraction_free(rows, ncols, mu, seen)
+        got = _echelon_fraction_free(rows_in, ncols, mu)
+        assert got == want
+        assert all(type(c) is int for row in got[0] for x in row for c in x.terms.values())
         facts |= seen | labels
-        cleared = [linalg_module._cleared(row, ctx.num_vars) for row in rows]
-        mins = {x.min_exps() for row in cleared for x in row if x}
-        if any(e < 0 for m in mins for e in m):
+        if any(e < 0 for row in rows for x in row for e in x.min_exps()):
             facts.add("negative exponent")
-        if len({tuple(map(min, zip(*(x.min_exps() for x in row if x)))) for row in cleared
-                if any(row)}) > 1:
+        if len({m for m, s in rows_in if any(s)}) > 1:
             facts.add("rows of different minimum exponents")
-        if any(type(c) is Fraction and c.denominator > 1
-               for row in cleared for x in row for c in x.terms.values()):
-            facts.add("Fraction coefficients")
-        if any(abs(c) > 2 ** 64 for row in cleared for x in row for c in x.terms.values()):
+        if any(abs(c) > 2 ** 64 for row in rows for x in row for c in x.terms.values()):
             facts.add("coefficient above 2^64")
         if "presentation" in labels and ncols - 1 in want[1]:
             facts.add("inconsistent [E | kappa]")
@@ -641,7 +519,7 @@ def test_kernel_matches_the_per_entry_elimination(rng):
     assert facts >= {
         "mu1", "mu2", "mu3", *(f"n{n}" for n in range(7)),
         "negative exponent", "rows of different minimum exponents",
-        "Fraction coefficients", "coefficient above 2^64",
+        "coefficient above 2^64",
         "zero row", "zero column", "swap",
         "rank-deficient [E | kappa]", "inconsistent [E | kappa]",
     }

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import slopelab.linalg as linalg_module
 from slopelab.characters import Character
 from slopelab.errors import ContextMismatchError, UnsupportedHypothesisError, UsageError
 from slopelab.fields import (
@@ -631,9 +630,13 @@ def test_sign_strings():
 
 
 def test_symbolic_rows_equal_the_cleared_rows_of_build_E(rng):
-    """Differential: the integer rows a record eliminates, built from the
-    presentation, equal the integral cleared rows of build_E's symbolic
-    operator with kappa appended, as (c, m, term maps), all int."""
+    """The integer rows a record eliminates, built from the presentation,
+    satisfy S_rc = w^-m_r L_r E_rc and S_rn = w^-m_r L_r kappa_r exactly,
+    E build_E's symbolic operator and L_r the product of (w_i - 1) over the
+    variables of the row's denominators, checked in ``RatFunc`` arithmetic
+    against build_E's entries.  The rows hold int coefficients, exponents
+    0 or 1, and minimum exponent 0 in every variable (m_r = 0 for a zero
+    row)."""
     seen = set()
     for trial in range(300):
         mu = 1 + trial % 3
@@ -653,12 +656,17 @@ def test_symbolic_rows_equal_the_cleared_rows_of_build_E(rng):
         got = symbolic_rows(p)
         assert len(got) == n
         seen.update({("mu", mu), ("n", n)})
-        for row, k, (c, m, scaled) in zip(e.entries, p.kappa, got):
+        for row, k, (m, scaled) in zip(e.entries, p.kappa, got):
             row = list(row) + [ctx.from_int(k)]
-            want_c, want_m, want = linalg_module._integral(linalg_module._cleared(row, mu), mu)
-            assert (c, m) == (want_c, want_m)
-            assert [x.terms for x in scaled] == [x.terms for x in want]
+            unit = LaurentPoly.monomial(mu, tuple(-x for x in m))
+            for i in sorted(set().union(*(x.den.active_vars() for x in row))):
+                unit = unit * (LaurentPoly.var(mu, i) - 1)
+            assert [RatFunc.from_poly(unit) * x for x in row] == [
+                RatFunc.from_poly(x) for x in scaled]
             assert all(type(v) is int for x in scaled for v in x.terms.values())
+            exps = [e for x in scaled for e in x.terms]
+            assert all(v in (0, 1) for e in exps for v in e)
+            assert (tuple(map(min, zip(*exps))) if exps else m) == (0,) * mu
             if not any(row):
                 seen.add("zero row")
             elif any(all(i not in x.den.active_vars() for x in row) for i in range(mu)):

@@ -18,7 +18,7 @@ from slopelab.fields import (
     RatFunc,
     RationalFunctionField,
 )
-from slopelab.laurent import LaurentPoly, is_prime_power
+from slopelab.laurent import LaurentPoly, is_prime_power, normalize_poly
 from slopelab.linalg import Matrix, hermitian_inertia, rank, solve
 from slopelab.seifert import (
     CComplexPresentation,
@@ -32,6 +32,8 @@ from slopelab.slope import (
     FINITE,
     INFINITY,
     UNDEFINED,
+    CaseReport,
+    SlopeValue,
     certify_zero_slope,
     compare_slopes,
     signature_nullity,
@@ -40,7 +42,7 @@ from slopelab.slope import (
     slope_symbolic,
 )
 
-from conftest import int_matrix
+from conftest import int_matrix, old_cleared, old_echelon_fraction_free
 
 Q = Cyclotomic(1)
 
@@ -59,12 +61,52 @@ def _battery(mu):
 
 
 def old_slope_symbolic(p):
-    """The symbolic slope by the generic solve of E(w) over the rational
-    function field, the path the record's symbolic read-off replaces (no
-    validation, no memo)."""
-    rf = RationalFunctionField(p.mu)
-    e = build_E(p, Character.symbolic(p.mu), rf)
-    return slope_from_operator(e, [rf.from_int(k) for k in p.kappa])
+    """The symbolic slope from build_E's operator E(w), with no record and
+    no validation: each row of [E(w) | kappa] cleared by the lcm of its
+    denominators, the suite's per-entry Bareiss
+    (``old_echelon_fraction_free``), and the trichotomy read off the
+    reduced row echelon form, the final rows over det, in ``RatFunc``
+    arithmetic.  ``valid_away_from`` is the product of the distinct
+    normalized pivots that are not units.  It shares no elimination code
+    with the record."""
+    mu, n = p.mu, p.n
+    rf = RationalFunctionField(mu)
+    e = build_E(p, Character.symbolic(mu), rf)
+    kappa = [rf.from_int(k) for k in p.kappa]
+    cleared = [old_cleared(list(row) + [k], mu) for row, k in zip(e.entries, kappa)]
+    rows, pivots, pivot_polys = old_echelon_fraction_free(cleared, n + 1, mu)
+    det = pivot_polys[-1] if pivot_polys else LaurentPoly.one(mu)
+    rref = [[RatFunc(x, det) for x in row] for row in rows[:len(pivots)]]
+    pivot_cols = [c for c in pivots if c < n]
+    in_image = n not in pivots
+    in_annihilator = True
+    for f in range(n):
+        if f not in pivot_cols:
+            # the kernel vector of free column f
+            v = [rf.zero] * n
+            v[f] = rf.one
+            for r, c in enumerate(pivot_cols):
+                v[c] = -rref[r][f]
+            pairing = rf.zero
+            for a, k in zip(v, kappa):
+                pairing = pairing + a * k
+            in_annihilator = in_annihilator and pairing.is_zero()
+    certificate, seen = LaurentPoly.one(mu), []
+    for q in map(normalize_poly, pivot_polys):
+        if not (q.is_constant() or q.is_monomial() or q in seen):
+            seen.append(q)
+            certificate = certificate * q
+    report = CaseReport(in_image, in_annihilator)
+    if not (in_image and in_annihilator):
+        kind = UNDEFINED if in_image or in_annihilator else INFINITY
+        return SlopeValue(kind, None, None, report, False, certificate)
+    witness = [rf.zero] * n
+    for r, c in enumerate(pivot_cols):
+        witness[c] = rref[r][n]
+    value = rf.zero
+    for a, k in zip(witness, kappa):
+        value = value - a * k
+    return SlopeValue(FINITE, value, tuple(witness), report, False, certificate)
 
 
 def closed_form_whitehead():
@@ -480,19 +522,20 @@ def test_symbolic_slope_matches_bordered_determinant(rng):
     ],
 )
 def test_symbolic_underdetermined_operator(shape, kappa, kind):
-    """Operators with a kernel over the rational function field keep their
-    kind, also with a rational kappa entry."""
-    rf = RationalFunctionField(1)
-    [w] = rf.variables()
-    scalars = {0: rf.zero, 1: rf.one, "1/(1-w)": rf.one / (rf.one - w)}
-    entries = [[rf.zero, rf.zero], [rf.zero, w]] if shape == "diag" else [[rf.zero, w], [rf.zero, rf.zero]]
+    """Operators with a kernel keep their kind, also with a kappa entry
+    that is not an integer.  w is zeta_5 in Q(zeta_5): ``linalg.solve``
+    takes no matrix over the rational function field."""
+    ctx = Cyclotomic(5)
+    w = ctx.zeta(1)
+    scalars = {0: ctx.zero, 1: ctx.one, "1/(1-w)": ctx.one / (ctx.one - w)}
+    entries = [[ctx.zero, ctx.zero], [ctx.zero, w]] if shape == "diag" else [[ctx.zero, w], [ctx.zero, ctx.zero]]
     k = [scalars[x] for x in kappa]
-    sv = slope_from_operator(Matrix(rf, entries), k)
+    sv = slope_from_operator(Matrix(ctx, entries), k)
     assert sv.kind == kind
-    # over the rational function field the certificate is always collected
-    assert sv.valid_away_from is not None
+    # only a symbolic answer carries a certificate
+    assert sv.valid_away_from is None
     if kind == FINITE:
-        assert list(sv.witness) == [rf.zero, k[1] / w]
+        assert list(sv.witness) == [ctx.zero, k[1] / w]
         assert sv.value == -(k[1] / w * k[1])
 
 
@@ -1162,6 +1205,8 @@ def test_symbolic_read_off_matches_the_generic_solve(rng):
             change_basis(p, random_unimodular(rng, n)),
             stabilize(p),
             stabilize(stabilize(p)),
+            # the zero generator mixed in: a free column where kappa is not 0
+            change_basis(stabilize(p), random_unimodular(rng, n + 1)),
             p.replace(kappa=(p.kappa[0] + 1,) + p.kappa[1:]),
         ]
         cases.extend((q, True) for q in [p] + disguises)
@@ -1280,16 +1325,16 @@ def test_a_symbolic_request_leaves_the_record(mu, eliminations):
 @pytest.mark.parametrize("mu", [1, 2, 3])
 def test_a_record_forms_no_rational_function_rows(mu, monkeypatch, eliminations):
     """Building a record reads the presentation's integer rows: neither
-    build_E nor the clearing of RatFunc rows runs."""
+    build_E nor any RatFunc sum or product runs."""
     p = random_presentation(random.Random(mu), mu=mu, n=3 - mu // 3)
     want = old_slope_symbolic(p)
-    eliminations.clear()  # the generic solve's
+    assert eliminations == []  # the oracle has its own elimination
 
     def refused(*args, **kwargs):
         raise AssertionError("a record went through RatFunc rows")
 
     for owner, name in ((seifert_module, "build_E"), (slope_module, "build_E"),
-                        (linalg_module, "_cleared")):
+                        (RatFunc, "__add__"), (RatFunc, "__mul__")):
         monkeypatch.setattr(owner, name, refused)
     assert slope_symbolic(p) == want
     assert len(eliminations) == 1

@@ -117,6 +117,21 @@ def test_source_lines_counts_code_without_comments_or_docstrings():
     assert 0 < code < non_blank
 
 
+def test_every_mutant_applies_to_this_tree():
+    # the suite runs pytest once per mutant, so it stays a script; this
+    # only checks that no entry has gone stale
+    path = os.path.join(ROOT, "scripts", "mutants.py")
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    table = mutants.MUTANTS
+    assert [m.name for m in table if mutants.occurrences(ROOT, m) != 1] == []
+    assert len({m.name for m in table}) == len(table)
+    assert all(m.old != m.new for m in table)
+    assert all(os.path.exists(os.path.join(ROOT, t)) for m in table for t in m.tests)
+    assert {m.expect.split(":")[0] for m in table} == {"killed", "equivalent"}
+
+
 def test_benchmark_tracer_bindings_resolve():
     # install() raises when a module:name binding the tracer patches is gone
     import slopelab.cli
